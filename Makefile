@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-deep sanitize-smoke obs-smoke chaos-smoke analytic-smoke service-smoke shard-smoke determinism snapshot-roundtrip bench figures-full fig3 fig4 examples clean
+.PHONY: install test lint lint-deep sanitize-smoke obs-smoke chaos-smoke analytic-smoke service-smoke shard-smoke determinism snapshot-roundtrip bench perf perf-compare figures-full fig3 fig4 examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -87,6 +87,18 @@ snapshot-roundtrip:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
+# Perf benchmark (benchmarks/perf/README.md): four workloads, end-to-end
+# and per-layer metrics, outputs checked; ~3 min.  Compare two result
+# files with `make perf-compare A=parent.json B=change.json`.
+perf:
+	$(PYTHON) benchmarks/perf/run.py --out perf.json
+
+perf-compare:
+	@if [ -z "$(A)" ] || [ -z "$(B)" ]; then \
+		echo "usage: make perf-compare A=parent.json B=change.json"; exit 2; \
+	fi
+	$(PYTHON) benchmarks/perf/compare.py $(A) $(B)
+
 # The paper's exact grids (Tables II/III). Hours of CPU; tune --workers.
 # Each sweep checkpoints to *.ckpt.jsonl, so a killed run resumes from its
 # completed grid points when you re-run the target.
@@ -117,5 +129,5 @@ examples:
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache
-	rm -f *.ckpt.jsonl obs-metrics.json obs-trace.jsonl fig-validate.json
+	rm -f *.ckpt.jsonl obs-metrics.json obs-trace.jsonl fig-validate.json perf.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -18,14 +18,20 @@ tick:
   splits conserve tokens; drops only destroy them);
 * **single commit** — the two-phase transfer protocol commits each
   transfer's token halving at most once (``transfer.commit`` with a repeated
-  :attr:`~repro.net.transfer.Transfer.seq` is a protocol bug).
+  :attr:`~repro.net.transfer.Transfer.seq` is a protocol bug);
+* **TTL purge** — no unpinned expired copy survives the tick's purge loop
+  (which skips buffers whose ``next_expiry`` bound has not passed);
+* **scan memo** — every idle, linked node the tick's idle-sender loop is
+  about to skip as asleep really has nothing to send: a full rescan finds
+  no candidate.
 
 Violations raise :class:`~repro.errors.InvariantViolation` naming the
 invariant, the node, the message and the simulation time, so a corrupted run
 dies at the first bad tick instead of producing silently skewed figures.
 
-Checks are O(total buffered messages) per tick — cheap enough for CI smoke
-runs (``make sanitize-smoke``), too slow for large sweeps; enable explicitly
+Checks are O(total buffered messages) per tick, plus the send scans the
+scan memo saved — cheap enough for CI smoke runs
+(``make sanitize-smoke``), too slow for large sweeps; enable explicitly
 via ``Simulator(sanitize=True)``, ``ScenarioConfig(sanitize=True)``,
 ``repro-exp run --sanitize`` or ``REPRO_SANITIZE=1``.
 """
@@ -161,7 +167,43 @@ class Sanitizer:
         if self.check_copies:
             self._check_copy_conservation(copy_sums, initial, now)
 
+        # Checked last: corrupted message state (e.g. inflated tokens) can
+        # also create a send candidate, and the checks above name the cause.
+        for node in self.nodes:
+            if node.router is not None:
+                self._check_purged(node, now)
+                self._check_scan_memo(node, now)
+
         self.ticks_checked += 1
+
+    def _check_purged(self, node: Node, now: float) -> None:
+        buf = node.buffer
+        for m in buf.expired(now):
+            if not buf.is_pinned(m.msg_id):
+                raise InvariantViolation(
+                    "ttl-purge",
+                    f"expired copy survived the TTL purge (expiry bound "
+                    f"{buf.next_expiry:.6f}s)",
+                    node_id=node.id,
+                    msg_id=m.msg_id,
+                    time=now,
+                )
+
+    def _check_scan_memo(self, node: Node, now: float) -> None:
+        if not node.asleep or node.sending or not node.neighbors:
+            return
+        assert node.router is not None
+        choice = node.router.select_next()
+        if choice is not None:
+            peer, message, mode = choice
+            raise InvariantViolation(
+                "scan-memo",
+                f"asleep node would send to {peer.id} ({mode}); a change "
+                "that created this candidate did not wake it",
+                node_id=node.id,
+                msg_id=message.msg_id,
+                time=now,
+            )
 
     def _check_copy_conservation(
         self, copy_sums: dict[str, int], initial: dict[str, int], now: float

@@ -5,11 +5,17 @@ space runs out is the buffer policy's job (see :mod:`repro.policies`).  It
 preserves insertion order so FIFO-style policies can rank without extra
 bookkeeping, and tracks "pinned" messages (currently being transmitted) that
 must not be dropped mid-transfer.
+
+Two cheap summaries let the world tick skip buffers that cannot have
+changed: :attr:`MessageBuffer.next_expiry` bounds the earliest expiry from
+below, and the optional ``on_add``/``on_remove`` hooks tell the owning node
+that the buffer gained or lost a message.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
+from collections.abc import Callable, Iterator
 
 from repro.errors import (
     DuplicateMessageError,
@@ -26,15 +32,29 @@ class MessageBuffer:
     ----------
     capacity:
         Capacity in bytes. Must be positive.
+    on_add, on_remove:
+        Called with no arguments after a message is stored / removed.
     """
 
-    def __init__(self, capacity: int) -> None:
+    def __init__(
+        self,
+        capacity: int,
+        on_add: Callable[[], None] | None = None,
+        on_remove: Callable[[], None] | None = None,
+    ) -> None:
         if capacity <= 0:
             raise ReproBufferError(f"buffer capacity must be positive: {capacity}")
         self.capacity = int(capacity)
         self._messages: dict[str, Message] = {}  # insertion-ordered
         self._used = 0
         self._pins: dict[str, int] = {}
+        #: Lower bound on the earliest ``expires_at()`` of the stored copies
+        #: (``inf`` when none): :meth:`add` lowers it and
+        #: :meth:`refresh_expiry` makes it exact.  No copy has expired while
+        #: the clock is below it.
+        self.next_expiry = math.inf
+        self._on_add = on_add
+        self._on_remove = on_remove
 
     # -- capacity ----------------------------------------------------------
 
@@ -101,6 +121,11 @@ class MessageBuffer:
             )
         self._messages[message.msg_id] = message
         self._used += message.size
+        expires = message.expires_at()
+        if expires < self.next_expiry:
+            self.next_expiry = expires
+        if self._on_add is not None:
+            self._on_add()
 
     def remove(self, msg_id: str) -> Message:
         """Remove and return the copy for *msg_id*.
@@ -113,6 +138,8 @@ class MessageBuffer:
         if message is None:
             raise MessageNotFoundError(msg_id)
         self._used -= message.size
+        if self._on_remove is not None:
+            self._on_remove()
         return message
 
     # -- pinning (active transfers) -----------------------------------------
@@ -150,6 +177,12 @@ class MessageBuffer:
     def expired(self, now: float) -> list[Message]:
         """Messages whose TTL has elapsed (pinned ones included)."""
         return [m for m in self._messages.values() if m.is_expired(now)]
+
+    def refresh_expiry(self) -> None:
+        """Make :attr:`next_expiry` the exact earliest expiry stored."""
+        self.next_expiry = min(
+            (m.expires_at() for m in self._messages.values()), default=math.inf
+        )
 
     def occupancy(self) -> float:
         """Fraction of capacity in use, in [0, 1]."""

@@ -80,6 +80,13 @@ class Router:
     #: runs with this forced to 1 to pin the batched branch).
     batch_min_messages = 16
 
+    #: Let :meth:`try_send` put the node to sleep (:attr:`Node.asleep`)
+    #: when a full scan finds nothing, so the world tick skips it until a
+    #: change wakes it (see :mod:`repro.world.world`).  Sound only if
+    #: :meth:`transfer_modes` neither reads the clock nor has side effects:
+    #: then time alone can only remove candidates.
+    sleeps_when_idle = False
+
     def __init__(self, node: Node, policy: BufferPolicy) -> None:
         self.node = node
         self.policy = policy
@@ -236,10 +243,16 @@ class Router:
         self.sim.listeners.emit("message.dropped", message, self.node, reason)
 
     def purge_expired(self) -> None:
-        """Drop all expired, unpinned messages (pinned ones die on completion)."""
-        for message in self.node.buffer.expired(self.now):
-            if not self.node.buffer.is_pinned(message.msg_id):
+        """Drop all expired, unpinned messages (pinned ones die on completion).
+
+        Leaves the buffer's ``next_expiry`` exact, so the world tick calls
+        this again only once another stored copy can have expired.
+        """
+        buffer = self.node.buffer
+        for message in buffer.expired(self.now):
+            if not buffer.is_pinned(message.msg_id):
                 self.drop_message(message, DROP_TTL)
+        buffer.refresh_expiry()
 
     # -- link lifecycle ---------------------------------------------------------------
 
@@ -338,6 +351,8 @@ class Router:
             return
         choice = self.select_next()
         if choice is None:
+            if self.sleeps_when_idle:
+                self.node.sleep()
             return
         peer, message, mode = choice
         self.transfer_manager.start(self.node, peer, message, mode)

@@ -16,6 +16,7 @@ class DirectDeliveryRouter(Router):
     """Source-to-destination transfers only."""
 
     name = "direct-delivery"
+    sleeps_when_idle = True
 
     def transfer_modes(self, message: Message, peer: Node) -> str | None:
         return None  # deliveries are handled by the base class

@@ -17,6 +17,7 @@ class EpidemicRouter(Router):
     """Unlimited replication."""
 
     name = "epidemic"
+    sleeps_when_idle = True
 
     def transfer_modes(self, message: Message, peer: Node) -> str | None:
         return MODE_COPY

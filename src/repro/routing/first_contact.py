@@ -16,6 +16,7 @@ class FirstContactRouter(Router):
     """Forward (move) each message to any available peer."""
 
     name = "first-contact"
+    sleeps_when_idle = True
 
     def transfer_modes(self, message: Message, peer: Node) -> str | None:
         return MODE_MOVE

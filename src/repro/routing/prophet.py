@@ -36,6 +36,8 @@ class ProphetRouter(Router):
     """Delivery-predictability replication."""
 
     name = "prophet"
+    # sleeps_when_idle stays False: transfer_modes ages both tables, so
+    # predictabilities move with time alone.
 
     def __init__(
         self,

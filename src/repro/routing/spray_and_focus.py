@@ -24,6 +24,7 @@ class SprayAndFocusRouter(Router):
     """Binary spray + utility-driven focus phase."""
 
     name = "spray-and-focus"
+    # sleeps_when_idle stays False: the focus timers read the clock.
 
     def __init__(
         self, node: Node, policy: BufferPolicy, focus_threshold: float = 60.0

@@ -25,6 +25,7 @@ class SprayAndWaitRouter(Router):
     """Spray-and-Wait with pluggable buffer management."""
 
     name = "spray-and-wait"
+    sleeps_when_idle = True  # eligibility reads token counts, never the clock
 
     def __init__(
         self, node: Node, policy: BufferPolicy, source_spray: bool = False

@@ -39,7 +39,7 @@ from repro.vector.kernels import (
 )
 from repro.world.contacts import ContactDetector
 from repro.world.node import Node
-from repro.world.world import World
+from repro.world.world import World, routing_phase
 
 __all__ = ["VectorWorld", "make_contact_kernel"]
 
@@ -158,4 +158,4 @@ class VectorWorld(World):
             self._link_keys = new_keys
             self._keys_dirty = False
 
-        self._routing_phase(now)
+        routing_phase(self.sim, self.nodes, now)

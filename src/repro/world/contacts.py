@@ -7,6 +7,10 @@ sensible default by fleet size.  The brute-force detector is fully
 NumPy-vectorized and is the fastest for the paper's fleet sizes (N <= ~500);
 the grid and KD-tree detectors scale to large fleets (micro-benchmarked in
 ``benchmarks/test_bench_contacts.py``).
+
+Rows are gathered with ``take`` and pair sets are built from ``tolist()``
+columns, so no per-element NumPy scalar is ever boxed: pairs are tuples of
+Python ints (snapshots JSON-encode the link set).
 """
 
 from __future__ import annotations
@@ -64,12 +68,10 @@ class BruteForceDetector(ContactDetector):
         if n < 2:
             return set()
         iu, ju = _triu_pairs(n)
-        diff = positions[iu] - positions[ju]
+        diff = positions.take(iu, axis=0) - positions.take(ju, axis=0)
         d2 = np.einsum("ij,ij->i", diff, diff)
         close = d2 <= radius * radius
-        return {
-            (int(i), int(j)) for i, j in zip(iu[close], ju[close])
-        }
+        return set(zip(iu[close].tolist(), ju[close].tolist()))
 
 
 class GridDetector(ContactDetector):
@@ -91,8 +93,8 @@ class GridDetector(ContactDetector):
             return set()
         cells = np.floor(positions / radius).astype(np.int64)
         buckets: dict[tuple[int, int], list[int]] = {}
-        for idx in range(n):
-            buckets.setdefault((int(cells[idx, 0]), int(cells[idx, 1])), []).append(idx)
+        for idx, cell in enumerate(zip(cells[:, 0].tolist(), cells[:, 1].tolist())):
+            buckets.setdefault(cell, []).append(idx)
 
         cand_a: list[int] = []
         cand_b: list[int] = []
@@ -113,12 +115,10 @@ class GridDetector(ContactDetector):
             return set()
         ia = np.asarray(cand_a, dtype=np.int64)
         ib = np.asarray(cand_b, dtype=np.int64)
-        diff = positions[ia] - positions[ib]
+        diff = positions.take(ia, axis=0) - positions.take(ib, axis=0)
         close = np.einsum("ij,ij->i", diff, diff) <= radius * radius
-        return {
-            (int(i), int(j)) if i < j else (int(j), int(i))
-            for i, j in zip(ia[close], ib[close])
-        }
+        ia, ib = ia[close], ib[close]
+        return set(zip(np.minimum(ia, ib).tolist(), np.maximum(ia, ib).tolist()))
 
 
 class KDTreeDetector(ContactDetector):
@@ -128,10 +128,8 @@ class KDTreeDetector(ContactDetector):
         self._check(positions, radius)
         if positions.shape[0] < 2:
             return set()
-        tree = cKDTree(positions)
-        return {
-            (int(i), int(j)) for i, j in tree.query_pairs(radius, output_type="ndarray")
-        }
+        found = cKDTree(positions).query_pairs(radius, output_type="ndarray")
+        return set(zip(found[:, 0].tolist(), found[:, 1].tolist()))
 
 
 def make_detector(n_nodes: int, kind: str | None = None) -> ContactDetector:

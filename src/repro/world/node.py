@@ -25,17 +25,38 @@ class Node:
     def __init__(self, node_id: int, radio: Radio, buffer_capacity: int) -> None:
         self.id = int(node_id)
         self.radio = radio
-        self.buffer = MessageBuffer(buffer_capacity)
+        self.buffer = MessageBuffer(
+            buffer_capacity, on_add=self.wake, on_remove=self.wake_neighbors
+        )
         self.router: "Router | None" = None
         #: Currently connected peers, keyed by node id.
         self.neighbors: dict[int, "Node"] = {}
         #: True while this node's interface is busy sending one message.
         self.sending = False
+        #: True while this node's last full send scan found nothing and no
+        #: change since can have given it a candidate; the world tick's
+        #: idle-sender loop skips it meanwhile.  :mod:`repro.world.world`
+        #: lists what wakes it.
+        self.asleep = False
         self._world: "World | None" = None
 
     def attach_router(self, router: "Router") -> None:
         """Wire the routing protocol driving this node."""
         self.router = router
+
+    def sleep(self) -> None:
+        """Record that a full send scan found nothing (see :attr:`asleep`)."""
+        self.asleep = True
+
+    def wake(self) -> None:
+        """Make the next tick scan this node for something to send."""
+        self.asleep = False
+
+    def wake_neighbors(self) -> None:
+        """Wake every neighbor: a copy left this buffer, so they may now
+        offer it here again."""
+        for peer in self.neighbors.values():
+            peer.asleep = False
 
     def attach_world(self, world: "World") -> None:
         """Called by the world when the node is registered."""

@@ -21,6 +21,7 @@ from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.net.transfer import TransferManager
 from repro.world.node import Node
+from repro.world.world import link_down, link_up, routing_phase
 
 if TYPE_CHECKING:  # pragma: no cover - breaks the traces<->world import cycle
     from repro.traces.contact_trace import ContactTrace
@@ -83,13 +84,7 @@ class TraceWorld:
             if a_id in self.down_nodes or b_id in self.down_nodes:
                 return  # faulted node: the recorded contact never happens
             self.links.add(key)
-            a.neighbors[b.id] = b
-            b.neighbors[a.id] = a
-            self.sim.listeners.emit("link.up", a, b)
-            if a.router is not None:
-                a.router.on_link_up(b)
-            if b.router is not None:
-                b.router.on_link_up(a)
+            link_up(self.sim, a, b)
         else:
             if key not in self.links:
                 return
@@ -97,14 +92,7 @@ class TraceWorld:
 
     def _drop_link(self, a: Node, b: Node) -> None:
         self.links.discard((min(a.id, b.id), max(a.id, b.id)))
-        a.neighbors.pop(b.id, None)
-        b.neighbors.pop(a.id, None)
-        self.transfer_manager.abort_for_link(a, b)
-        self.sim.listeners.emit("link.down", a, b)
-        if a.router is not None:
-            a.router.on_link_down(b)
-        if b.router is not None:
-            b.router.on_link_down(a)
+        link_down(self.sim, self.transfer_manager, a, b)
 
     # -- fault hooks ---------------------------------------------------------
 
@@ -135,10 +123,4 @@ class TraceWorld:
 
     def _maintain(self) -> None:
         """TTL purge + idle-sender retry (the tick half of World.update)."""
-        for node in self.nodes:
-            if node.router is not None:
-                node.router.purge_expired()
-        self.sim.listeners.emit("world.updated", self.sim.now)
-        for node in self.nodes:
-            if node.router is not None and not node.sending and node.neighbors:
-                node.router.try_send()
+        routing_phase(self.sim, self.nodes, self.sim.now)

@@ -5,6 +5,19 @@ scenarios) the world advances the mobility model, recomputes the link set
 with the contact detector, fires ``link.down`` (aborting in-flight
 transfers) and ``link.up`` events, purges expired messages, and gives idle
 routers a chance to start transfers.
+
+The last two steps (:func:`routing_phase`, shared with the trace-driven
+world) skip nodes whose inputs cannot have changed:
+
+* a buffer is purged only once its ``next_expiry`` bound has passed;
+* an idle sender whose last full scan found nothing is asleep
+  (:attr:`Node.asleep`, for routers with ``sleeps_when_idle``) and is not
+  rescanned until one of three changes wakes it: its own buffer gains a
+  message, a neighbor's buffer loses one (the copy may be offered there
+  again), or one of its links comes up.  Every other change can only
+  remove candidates: deliveries, link teardown, token halving, expiry, and
+  SDSRP dropped-list merges and prunes (a prune forgets only entries whose
+  message has expired).
 """
 
 from __future__ import annotations
@@ -19,6 +32,62 @@ from repro.net.transfer import TransferManager
 from repro.obs.profiler import timed
 from repro.world.contacts import ContactDetector, make_detector
 from repro.world.node import Node
+
+
+def routing_phase(sim: Simulator, nodes: list[Node], now: float) -> None:
+    """The tail of every tick: TTL purges, ``world.updated``, idle-sender
+    retries (see the module docstring for which nodes each loop skips)."""
+    profiler = sim.profiler
+    with timed(profiler, "routing"):
+        for node in nodes:
+            if node.buffer.next_expiry <= now and node.router is not None:
+                node.router.purge_expired()
+    with timed(profiler, "observers"):
+        sim.listeners.emit("world.updated", now)
+    # Idle senders retry: new eligibility can appear without a link event
+    # (e.g. a neighbor dropped its copy of a message we hold).
+    with timed(profiler, "routing"):
+        for node in nodes:
+            if (
+                node.neighbors
+                and not node.sending
+                and not node.asleep
+                and node.router is not None
+            ):
+                node.router.try_send()
+
+
+def link_up(sim: Simulator, a: Node, b: Node) -> None:
+    """Connect *a* and *b*: neighbor maps, ``link.up``, router hooks.
+
+    Both ends wake first, since each gained a peer to offer copies to;
+    their ``on_link_up`` scans may put them back to sleep.
+    """
+    a.neighbors[b.id] = b
+    b.neighbors[a.id] = a
+    a.wake()
+    b.wake()
+    sim.listeners.emit("link.up", a, b)
+    if a.router is not None:
+        a.router.on_link_up(b)
+    if b.router is not None:
+        b.router.on_link_up(a)
+
+
+def link_down(
+    sim: Simulator, transfer_manager: TransferManager, a: Node, b: Node
+) -> None:
+    """Disconnect *a* and *b*, aborting transfers riding the link."""
+    # Neighbor sets first: the aborted sender immediately retries other
+    # links and must not re-select the one that just died.
+    a.neighbors.pop(b.id, None)
+    b.neighbors.pop(a.id, None)
+    transfer_manager.abort_for_link(a, b)
+    sim.listeners.emit("link.down", a, b)
+    if a.router is not None:
+        a.router.on_link_down(b)
+    if b.router is not None:
+        b.router.on_link_down(a)
 
 
 class World:
@@ -96,7 +165,7 @@ class World:
                 self._link_up(self.nodes[i], self.nodes[j])
             self.links = new_links
 
-        self._routing_phase(now)
+        routing_phase(self.sim, self.nodes, now)
 
     def _detect_pairs(self) -> set[tuple[int, int]]:
         """Candidate contact pairs at the current positions.
@@ -110,26 +179,6 @@ class World:
 
     def close(self) -> None:
         """Release external resources held by the world (subclass hook)."""
-
-    def _routing_phase(self, now: float) -> None:
-        """TTL purge, observer notification, idle-sender retries.
-
-        Shared tail of the tick, identical for every engine backend (the
-        vector world overrides :meth:`update` but runs this unchanged).
-        """
-        profiler = self.sim.profiler
-        with timed(profiler, "routing"):
-            for node in self.nodes:
-                if node.router is not None:
-                    node.router.purge_expired()
-        with timed(profiler, "observers"):
-            self.sim.listeners.emit("world.updated", now)
-        # Idle senders retry: new eligibility can appear without a link
-        # event (e.g. a neighbor dropped its copy of a message we hold).
-        with timed(profiler, "routing"):
-            for node in self.nodes:
-                if node.router is not None and not node.sending and node.neighbors:
-                    node.router.try_send()
 
     def _filter_heterogeneous(
         self, pairs: set[tuple[int, int]]
@@ -146,25 +195,10 @@ class World:
     # -- link transitions ---------------------------------------------------
 
     def _link_up(self, a: Node, b: Node) -> None:
-        a.neighbors[b.id] = b
-        b.neighbors[a.id] = a
-        self.sim.listeners.emit("link.up", a, b)
-        if a.router is not None:
-            a.router.on_link_up(b)
-        if b.router is not None:
-            b.router.on_link_up(a)
+        link_up(self.sim, a, b)
 
     def _link_down(self, a: Node, b: Node) -> None:
-        # Neighbor sets first: the aborted sender immediately retries other
-        # links and must not re-select the one that just died.
-        a.neighbors.pop(b.id, None)
-        b.neighbors.pop(a.id, None)
-        self.transfer_manager.abort_for_link(a, b)
-        self.sim.listeners.emit("link.down", a, b)
-        if a.router is not None:
-            a.router.on_link_down(b)
-        if b.router is not None:
-            b.router.on_link_down(a)
+        link_down(self.sim, self.transfer_manager, a, b)
 
     # -- fault hooks -------------------------------------------------------
 

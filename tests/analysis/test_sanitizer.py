@@ -8,6 +8,7 @@ asserts the sanitizer kills the run with a structured
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +17,8 @@ from repro.analysis.sanitizer import Sanitizer
 from repro.errors import InvariantViolation
 from repro.experiments.runner import build_scenario
 from repro.experiments.scenario import random_waypoint_scenario, scale_scenario
+from repro.net.buffer import MessageBuffer
+from repro.world.node import Node
 
 
 def small(policy: str = "sdsrp", seed: int = 3, **overrides):
@@ -162,6 +165,39 @@ def test_ttl_rewind_is_caught():
         built.sim.run()
     assert exc.value.invariant == "ttl-monotonic"
     assert exc.value.msg_id == victim.msg_id
+
+
+# -- seeded bugs in the tick's skips ------------------------------------------
+
+
+def test_missing_wake_on_buffer_remove_is_caught(monkeypatch):
+    # The seeded bug: a buffer loses a copy but its neighbors are not woken,
+    # so the idle-sender loop keeps skipping nodes that could re-offer it.
+    # (Under SDSRP a dropper rejects the copy it dropped anyway, so FIFO.)
+    monkeypatch.setattr(Node, "wake_neighbors", lambda self: None)
+    built = build_scenario(small(policy="fifo", seed=4))
+
+    with pytest.raises(InvariantViolation) as exc:
+        built.sim.run()
+    assert exc.value.invariant == "scan-memo"
+    assert exc.value.node_id is not None and exc.value.msg_id is not None
+
+
+def test_frozen_expiry_bound_is_caught(monkeypatch):
+    # The seeded bug: the buffer's expiry bound never moves, so the tick
+    # never purges the buffer and expired copies linger.
+    monkeypatch.setattr(
+        MessageBuffer,
+        "next_expiry",
+        property(lambda self: math.inf, lambda self, value: None),
+        raising=False,
+    )
+    built = build_scenario(small(ttl=300.0))
+
+    with pytest.raises(InvariantViolation) as exc:
+        built.sim.run()
+    assert exc.value.invariant == "ttl-purge"
+    assert exc.value.msg_id is not None
 
 
 # -- clean runs ---------------------------------------------------------------

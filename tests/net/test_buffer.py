@@ -115,6 +115,34 @@ class TestExpiry:
         buf.add(make_message(msg_id="new", size=10, created_at=40.0, ttl=50.0))
         assert [m.msg_id for m in buf.expired(60.0)] == ["old"]
 
+    def test_next_expiry_is_a_lower_bound_made_exact_on_refresh(self):
+        buf = MessageBuffer(10_000)
+        assert buf.next_expiry == float("inf")
+        buf.add(make_message(msg_id="late", size=10, created_at=0.0, ttl=90.0))
+        buf.add(make_message(msg_id="soon", size=10, created_at=0.0, ttl=50.0))
+        assert buf.next_expiry == 50.0
+        buf.remove("soon")
+        assert buf.next_expiry == 50.0  # removal never raises the bound
+        buf.refresh_expiry()
+        assert buf.next_expiry == 90.0
+        buf.remove("late")
+        buf.refresh_expiry()
+        assert buf.next_expiry == float("inf")
+
+
+class TestChangeHooks:
+    def test_hooks_fire_after_each_add_and_remove(self):
+        calls: list[tuple[str, int]] = []
+        buf = MessageBuffer(
+            1000,
+            on_add=lambda: calls.append(("add", len(buf))),
+            on_remove=lambda: calls.append(("remove", len(buf))),
+        )
+        buf.add(msg(1))
+        buf.add(msg(2))
+        buf.remove("M1")
+        assert calls == [("add", 1), ("add", 2), ("remove", 1)]
+
 
 class TestCapacityInvariant:
     @given(

@@ -182,6 +182,30 @@ class TestRouterRoundtrip:
                 canonical_json(captured[node.id])
             )
 
+    def test_restore_while_most_nodes_are_asleep_is_byte_identical(self):
+        # A dense fleet: by mid-horizon most nodes have scanned their
+        # neighbors, found nothing to send, and are skipped by the tick.
+        # Restored nodes start awake and rescan; that must change nothing.
+        config = observed(area=(300.0, 225.0), interval_range=(10.0, 15.0))
+        baseline = build_scenario(config)
+        box: list = []
+
+        def capture() -> None:
+            asleep = sum(node.asleep for node in baseline.nodes)
+            box.append((save(baseline), asleep))
+
+        baseline.sim.schedule_at(
+            config.sim_time / 2.0, capture, priority=PRIORITY_SNAPSHOT
+        )
+        run_built(baseline)
+        snap, asleep = box[0]
+        assert asleep > len(baseline.nodes) / 2
+        restored = restore(snap)
+        assert not any(node.asleep for node in restored.nodes)
+        assert canonical_json(save(restored).state) == canonical_json(snap.state)
+        run_built(restored)
+        assert outputs(restored) == outputs(baseline)
+
 
 # -- fork -------------------------------------------------------------------
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -55,6 +57,22 @@ class TestBasics:
             detector.pairs(np.zeros((3, 2)), 0.0)
         with pytest.raises(ConfigurationError):
             detector.pairs(np.zeros((3, 3)), 1.0)
+
+    def test_pairs_are_tuples_of_python_ints(self, detector):
+        # Snapshots JSON-encode the link set; NumPy integers do not encode.
+        positions = np.random.default_rng(4).uniform(0, 300, size=(40, 2))
+        pairs = detector.pairs(positions, 60.0)
+        assert pairs
+        for pair in pairs:
+            assert type(pair) is tuple and len(pair) == 2
+            assert all(type(i) is int for i in pair)
+        json.dumps(sorted(pairs))
+
+    def test_non_contiguous_positions_view(self, detector):
+        wide = np.random.default_rng(5).uniform(0, 300, size=(40, 4))
+        view = wide[:, ::2]
+        assert not view.flags.c_contiguous
+        assert detector.pairs(view, 60.0) == brute_truth(view.copy(), 60.0)
 
 
 class TestAgreement:

@@ -696,6 +696,8 @@ REBUILT_ON_RESTORE: dict[tuple[str, str], str] = {
     ("FaultInjector", "_started"): "start() re-subscribes on restore; guard only blocks double-wiring",
     ("MessageBuffer", "_used"): "re-accumulated as restore re-adds the captured messages",
     ("MessageBuffer", "_pins"): "pins re-established when in-flight transfers re-arm",
+    ("MessageBuffer", "next_expiry"): "lower bound on stored expiries; re-derived by add() as restore re-adds the captured messages",
+    ("Node", "asleep"): "send-scan memo; restored nodes start awake and their first tick's rescan finds exactly what the memo skipped: nothing",
     ("RandomPolicy", "_rng"): "stream re-bound by attach(); state travels with RngFactory state_dict",
     ("MessageFateReport", "fates"): "opt-in post-run report, never part of a snapshot-capable run",
     ("Node", "_world"): "re-bound via attach_world when the world is rebuilt",
