@@ -1,8 +1,8 @@
 """Sharded contact-plane throughput at fleet scale.
 
-Runs a 10k-node fleet (grid detector, paper-like density) end-to-end under
-shard_count 1, 2 and 4 and records ticks/sec for each — the tracked number
-for the crash-tolerant sharded engine (docs/sharding.md).
+Runs a 10k-node fleet (paper-like density) end-to-end under shard_count 1,
+2 and 4 and records ticks/sec for each — the tracked number for the
+crash-tolerant sharded engine (docs/sharding.md).
 
 The replicated-movement design buys byte-identity and crash recovery, not
 raw speed: every barrier ships owned pairs plus a position digest over the
@@ -36,7 +36,6 @@ def fleet_config(shard_count: int) -> ScenarioConfig:
         initial_copies=8,
         router="snw",
         policy="sdsrp",
-        detector="grid",
         shard_count=shard_count,
         seed=7,
     )

@@ -22,13 +22,8 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-from repro.chaos.oracles import ORACLE_BACKEND, ORACLE_SHARD, OracleFailure
-from repro.chaos.runner import (
-    CaseResult,
-    check_backend_identity,
-    check_shard_identity,
-    run_case,
-)
+from repro.chaos.oracles import ORACLE_SHARD, OracleFailure
+from repro.chaos.runner import CaseResult, check_shard_identity, run_case
 from repro.errors import ObsFormatError
 from repro.experiments.checkpoint import config_fingerprint
 from repro.experiments.scenario import ScenarioConfig
@@ -178,13 +173,10 @@ def replay_reproduces(entry: dict[str, Any]) -> bool:
     committed file.)
 
     Invariant-family entries replay through :func:`run_case`; a
-    backend-identity or shard-identity entry re-runs its metamorphic
-    comparison instead, since :func:`run_case` alone can never observe a
-    cross-run divergence."""
+    shard-identity entry re-runs its metamorphic comparison instead, since
+    :func:`run_case` alone can never observe a cross-run divergence."""
     expected = OracleFailure.from_dict(entry["failure"])
-    config = decode_config(entry["config"])
-    if expected.oracle == ORACLE_BACKEND:
-        return expected.matches(check_backend_identity(config))
     if expected.oracle == ORACLE_SHARD:
+        config = decode_config(entry["config"])
         return expected.matches(check_shard_identity(config))
-    return expected.matches(run_case(config).failure)
+    return expected.matches(replay_entry(entry).failure)

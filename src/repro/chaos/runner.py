@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.chaos.oracles import (
-    ORACLE_BACKEND,
     ORACLE_CRASH,
     ORACLE_INVARIANT,
     ORACLE_SHARD,
@@ -32,7 +31,6 @@ from repro.experiments.scenario import ANALYTIC_BACKENDS, ScenarioConfig
 __all__ = [
     "CaseResult",
     "case_digest",
-    "check_backend_identity",
     "check_shard_identity",
     "run_case",
     "stable_summary",
@@ -137,53 +135,16 @@ def case_digest(config: ScenarioConfig) -> str | None:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def check_backend_identity(
-    config: ScenarioConfig, own_digest: str | None = None
-) -> OracleFailure | None:
-    """The backend-identity oracle: the same case on the *other* engine
-    backend (scalar <-> vector) must replay the exact bytes.
-
-    *own_digest*, when provided, skips re-running *config* itself (the
-    fuzzer reuses the digest its replay oracle just computed).  Shared by
-    the fuzzing loop, its failure-replay verification and corpus replay so
-    all three judge a divergence the same way.
-
-    Analytic/hybrid cases have no byte-identical sibling backend (the
-    mean-field expectation is *not* a discrete run), so the oracle
-    vacuously passes for them; the replay oracle still covers their
-    determinism.
-    """
-    if config.engine_backend in ANALYTIC_BACKENDS:
-        return None
-    # Sharding only exists on the scalar backend, so the vector sibling is
-    # always single-process (sharded scalar == single scalar is the
-    # shard-identity oracle's half of the triangle).
-    flipped = config.replace(
-        engine_backend="vector"
-        if config.engine_backend == "scalar"
-        else "scalar",
-        shard_count=1,
-        shard_kill=None,
-    )
-    own = own_digest if own_digest is not None else case_digest(config)
-    other = case_digest(flipped)
-    if own != other:
-        return OracleFailure(
-            oracle=ORACLE_BACKEND,
-            detail=(
-                f"{config.engine_backend} digest {own} != "
-                f"{flipped.engine_backend} digest {other} for the same case"
-            ),
-            invariant="backend-identity",
-        )
-    return None
-
-
 def check_shard_identity(
     config: ScenarioConfig, own_digest: str | None = None
 ) -> OracleFailure | None:
     """The shard-identity oracle: a sharded case must replay the bytes of
     the same case run single-process (docs/sharding.md).
+
+    *own_digest*, when provided, skips re-running *config* itself (the
+    fuzzer reuses the digest its replay oracle just computed).  Shared by
+    the fuzzing loop, its failure-replay verification and corpus replay so
+    all three judge a divergence the same way.
 
     The single-process sibling also drops any scripted ``shard_kill`` —
     the whole point of the barrier-crash fault is that crash *recovery*

@@ -78,16 +78,13 @@ class ChaosSpace:
     #: Event-trace ring size for cases (bounds byte-identity comparisons
     #: and failure context; big enough to hold a whole small case).
     trace_capacity: int = 65536
-    #: Engine backends cases may run on.  Sampling "vector" points the
-    #: whole oracle battery at the struct-of-arrays fast path; the
-    #: backend-identity oracle additionally cross-checks every metamorphic
-    #: case against the *other* backend (docs/vectorization.md).  The
-    #: default excludes "analytic"/"hybrid" so the historical
-    #: (seed, index) -> case corpus mapping stays intact; widen to
-    #: ``("scalar", "vector", "analytic", "hybrid")`` to point the replay /
-    #: crash / summary oracles at the mean-field backend too (cases are
-    #: coerced into its validity envelope — see :func:`sample_case`).
-    engine_backends: tuple[str, ...] = ("scalar", "vector")
+    #: Engine backends cases may run on.  The default is the simulator
+    #: alone; widen to ``("scalar", "analytic", "hybrid")`` to point the
+    #: replay / crash / summary oracles at the mean-field backend too
+    #: (cases are coerced into its validity envelope — see
+    #: :func:`sample_case`, which draws this axis after every classic
+    #: axis, so widening it leaves every earlier draw unchanged).
+    engine_backends: tuple[str, ...] = ("scalar",)
     #: Shard counts scalar-backend cases may run under (docs/sharding.md).
     #: Weighted toward 1 because every sharded case pays real worker-spawn
     #: wall-clock; drawn after every other axis (see :func:`sample_case`)

@@ -7,8 +7,8 @@ Notation (Table I of the paper):
 * ``m_i`` — nodes (excl. source) that have seen message i.
 * ``n_i`` — nodes currently holding a copy.
 
-All functions broadcast over NumPy arrays, so the policy can rank a whole
-buffer in one call and the Fig. 4 benchmark can sweep curves vectorized.
+All functions broadcast over NumPy arrays, so the Fig. 4 benchmark and the
+Taylor-error analysis can sweep whole curves in one call.
 
 The recurring sub-expression is the exponent coefficient
 

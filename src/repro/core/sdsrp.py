@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core import params as P
 from repro.core.dropped_list import DroppedListStore
 from repro.core.intermeeting import (
@@ -95,11 +93,6 @@ class SdsrpPolicy(BufferPolicy):
 
     name = "sdsrp"
     compare_newcomer = True  # Algorithm 1: the newcomer competes
-    # The priority is a pure function of message/estimator state, so batch
-    # evaluation (vector engine backend) is exact; priorities() pushes the
-    # whole buffer through the same repro.core.priority ufuncs the scalar
-    # path uses, which makes the two bit-identical per element.
-    batchable = True
 
     def __init__(
         self,
@@ -183,49 +176,11 @@ class SdsrpPolicy(BufferPolicy):
             value = priority_taylor(pt, pr, n, terms=self.params.taylor_terms)
         return float(value)
 
-    def priorities(self, messages: list[Message], now: float) -> list[float]:
-        """U_i for a whole message list, one ufunc pass (exact vs scalar).
-
-        ``m_i``/``n_i`` estimation stays per message (spray-time lineages
-        have ragged lengths); the float-heavy Eq. 10/13 evaluation is
-        batched.  Element k equals ``priority(messages[k], now)`` to the
-        last bit because both paths run the identical
-        :mod:`repro.core.priority` ufunc pipeline.
-        """
-        if not messages:
-            return []
-        lam = self._lambda()
-        m_list: list[int] = []
-        n_list: list[int] = []
-        for message in messages:
-            m, n = self._infection(message, now)
-            m_list.append(m)
-            n_list.append(n)
-        copies = np.array([self._priority_copies(m) for m in messages])
-        r = np.array([m.remaining_ttl(now) for m in messages])
-        m_arr = np.array(m_list)
-        n_arr = np.array(n_list)
-        if self.params.priority_form == P.FORM_CLOSED:
-            values = priority_closed_form(
-                copies, r, m_arr, n_arr, lam, self._n_nodes
-            )
-        else:
-            pt = p_delivered(m_arr, self._n_nodes)
-            pr = p_remaining(copies, r, n_arr, lam, self._n_nodes)
-            values = priority_taylor(pt, pr, n_arr, terms=self.params.taylor_terms)
-        return [float(v) for v in values]
-
     def send_priority(self, message: Message, now: float) -> float:
         return self.priority(message, now)
 
     def drop_priority(self, message: Message, now: float) -> float:
         return self.priority(message, now)
-
-    def send_priorities(self, messages: list[Message], now: float) -> list[float]:
-        return self.priorities(messages, now)
-
-    def drop_priorities(self, messages: list[Message], now: float) -> list[float]:
-        return self.priorities(messages, now)
 
     # -- hooks ------------------------------------------------------------------
 

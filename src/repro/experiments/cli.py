@@ -91,7 +91,7 @@ def _cmd_run_analytic(args: argparse.Namespace) -> int:
     if args.from_snapshot:
         raise ConfigurationError(
             f"the {args.engine!r} backend has no simulator state; "
-            "--from-snapshot needs the scalar/vector engine"
+            "--from-snapshot needs the scalar engine"
         )
     result = run_analytic(config)
     summary = (
@@ -288,12 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--policy", default="sdsrp")
     p_run.add_argument("--copies", type=int, default=32)
     p_run.add_argument("--engine",
-                       choices=("scalar", "vector", "analytic", "hybrid"),
+                       choices=("scalar", "analytic", "hybrid"),
                        default="scalar",
-                       help="engine backend: per-node scalar loop, the "
-                            "struct-of-arrays vector core (byte-identical "
-                            "output; see docs/vectorization.md), the "
-                            "mean-field analytic surrogate, or the hybrid "
+                       help="engine backend: the simulator, the mean-field "
+                            "analytic surrogate, or the hybrid "
                             "analytic+sampled mode (docs/analytic.md)")
     p_run.add_argument("--shards", type=int, default=1, metavar="N",
                        help="shard the contact plane across N supervised "

@@ -48,8 +48,6 @@ from repro.routing.prophet import ProphetRouter
 from repro.routing.spray_and_focus import SprayAndFocusRouter
 from repro.routing.spray_and_wait import SprayAndWaitRouter
 from repro.traces.format import read_movement_trace
-from repro.vector.world import VectorWorld
-from repro.world.contacts import make_detector
 from repro.world.node import Node
 from repro.world.radio import Radio
 from repro.world.world import World
@@ -203,33 +201,25 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
         for i in range(config.n_nodes)
     ]
     transfer_manager = TransferManager(sim)
-    detector = make_detector(config.n_nodes, config.detector)
     world: World
-    if config.engine_backend == "vector":
-        world = VectorWorld(
-            sim, mobility, nodes, transfer_manager, detector,
-            tick=config.tick, contact_backend=config.contact_backend,
-        )
-    elif config.shard_count > 1:
+    if config.shard_count > 1:
         # Imported here: repro.shard's workers import this module back.
         from repro.shard.coordinator import ShardCoordinator
         from repro.shard.world import ShardedWorld
 
         world = ShardedWorld(
-            sim, mobility, nodes, transfer_manager, detector,
+            sim, mobility, nodes, transfer_manager,
             tick=config.tick, coordinator=ShardCoordinator(config),
         )
     else:
         world = World(
-            sim, mobility, nodes, transfer_manager, detector, tick=config.tick
+            sim, mobility, nodes, transfer_manager, tick=config.tick
         )
 
     policies, shared = _make_policies(config, sim)
-    batch_eval = config.engine_backend == "vector"
     for node, policy in zip(nodes, policies):
         router = _make_router(config, node, policy)
         router.deliverable_first = config.deliverable_first
-        router.batch_eval = batch_eval
         router.bind(sim, transfer_manager, config.n_nodes, rng=rng)
 
     metrics = MetricsCollector(warmup=config.metrics_warmup)
@@ -329,7 +319,7 @@ def run_built(built: BuiltSimulation, wall_start: float | None = None) -> RunSum
         raise
     finally:
         # Tear down external resources (shard workers) even when the run
-        # dies; the in-process worlds implement this as a no-op.
+        # dies; the in-process world implements this as a no-op.
         built.world.close()
     if built.timeseries is not None:
         built.timeseries.finalize(built.sim.now)

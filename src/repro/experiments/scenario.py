@@ -20,13 +20,11 @@ from repro.units import kbps, megabytes, minutes
 MOBILITY_KINDS = (
     "rwp", "taxi", "random-walk", "random-direction", "stationary", "trace",
 )
-#: Engine backends (see docs/vectorization.md and docs/analytic.md):
-#: "scalar" is the per-node reference implementation, "vector" the
-#: struct-of-arrays fast path proven byte-identical by
-#: tests/vector/test_equivalence.py, "analytic" the mean-field surrogate
-#: (repro.analytic; no simulation at all), and "hybrid" the analytic field
-#: plus sampled discrete per-message outcomes.
-ENGINE_BACKENDS = ("scalar", "vector", "analytic", "hybrid")
+#: Engine backends (see docs/analytic.md): "scalar" is the simulator,
+#: "analytic" the mean-field surrogate (repro.analytic; no simulation at
+#: all), and "hybrid" the analytic field plus sampled discrete per-message
+#: outcomes.
+ENGINE_BACKENDS = ("scalar", "analytic", "hybrid")
 #: The two backends served by the mean-field models.
 ANALYTIC_BACKENDS = ("analytic", "hybrid")
 #: Routers with an analytic model (repro.analytic.runner dispatches on
@@ -37,8 +35,6 @@ ANALYTIC_ROUTERS = ("snw", "snw-source", "epidemic", "direct")
 #: Stationary fleets never meet and traces are arbitrary, so neither fits
 #: a homogeneous-rate mean field.
 ANALYTIC_MOBILITIES = ("rwp", "random-walk", "random-direction", "taxi")
-#: Contact kernels the vector backend may use; None picks by fleet size.
-CONTACT_BACKENDS = ("matrix", "grid")
 #: Router kinds understood by the runner.
 ROUTER_KINDS = (
     "snw", "snw-source", "epidemic", "direct", "first-contact", "snf",
@@ -80,14 +76,8 @@ class ScenarioConfig:
     deliverable_first: bool = False
     # -- engine --
     tick: float = 1.0
-    detector: str | None = None
-    #: "scalar" (reference) or "vector" (struct-of-arrays fast path; same
-    #: events, byte-identical traces — see docs/vectorization.md).
+    #: "scalar" (the simulator) or one of :data:`ANALYTIC_BACKENDS`.
     engine_backend: str = "scalar"
-    #: Contact kernel for the vector backend: "matrix" (upper-triangle
-    #: broadcast), "grid" (uniform cell binning for large sparse fleets),
-    #: or None to pick by fleet size.  Ignored by the scalar backend.
-    contact_backend: str | None = None
     #: Spatial shard workers for the contact plane (docs/sharding.md).
     #: 1 runs in-process; N > 1 stripes the map across N supervised
     #: spawn-context workers with byte-identical results for any count.
@@ -159,14 +149,6 @@ class ScenarioConfig:
                 f"unknown engine_backend {self.engine_backend!r}; "
                 f"expected {ENGINE_BACKENDS}"
             )
-        if (
-            self.contact_backend is not None
-            and self.contact_backend not in CONTACT_BACKENDS
-        ):
-            raise ConfigurationError(
-                f"unknown contact_backend {self.contact_backend!r}; "
-                f"expected one of {CONTACT_BACKENDS} or None"
-            )
         if self.shard_count < 1:
             raise ConfigurationError(
                 f"shard_count must be >= 1: {self.shard_count}"
@@ -219,7 +201,7 @@ class ScenarioConfig:
         if self.faults is not None and self.faults.enabled:
             raise ConfigurationError(
                 f"the {backend!r} backend cannot inject faults; "
-                "use the scalar/vector simulator for fault studies"
+                "use the scalar simulator for fault studies"
             )
         if self.sanitize:
             raise ConfigurationError(

@@ -28,6 +28,5 @@ class GbsdPolicy(SdsrpPolicy):
 
     def _priority_copies(self, message: Message) -> int:
         # copies=1 zeroes the spray-penalty/copy terms of Eq. 10, leaving
-        # Krifa & Barakat's utility; both the scalar and the batched ranking
-        # inherit it through this hook.
+        # Krifa & Barakat's utility.
         return 1

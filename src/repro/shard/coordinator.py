@@ -46,7 +46,7 @@ from repro.errors import ConfigurationError, InvariantViolation
 from repro.shard.partition import StripePlan
 from repro.shard.protocol import capture_replica, positions_digest
 from repro.shard.supervisor import ShardHandle, ShardSupervisor
-from repro.world.contacts import ContactDetector, make_detector
+from repro.world.contacts import KDTreeDetector
 
 __all__ = ["ShardCoordinator"]
 
@@ -99,7 +99,8 @@ class ShardCoordinator:
         #: Workers get longer than a barrier to come up: a spawn imports
         #: numpy and rebuilds the scenario's mobility before it can answer.
         self.init_timeout = max(float(barrier_timeout), 15.0)
-        self._detector: ContactDetector | None = None
+        #: Answers the inline stripes; stateless, like the workers' own.
+        self._detector = KDTreeDetector()
         self._mobility: Any = None
         self._stream: np.random.Generator | None = None
         self._started = False
@@ -121,13 +122,6 @@ class ShardCoordinator:
         (the push-recovery source).  Called by ``ShardedWorld.start``."""
         self._mobility = mobility
         self._stream = stream
-
-    def _inline_detector(self) -> ContactDetector:
-        if self._detector is None:
-            self._detector = make_detector(
-                self.config.n_nodes, self.config.detector
-            )
-        return self._detector
 
     @property
     def stats(self) -> dict[str, int]:
@@ -281,7 +275,7 @@ class ShardCoordinator:
         if self._inline:
             merged.update(
                 self.plan.owned_pairs(
-                    positions, self.radius, self._inline_detector(),
+                    positions, self.radius, self._detector,
                     self._inline,
                 )
             )
@@ -401,7 +395,7 @@ class ShardCoordinator:
             # The dead shard still owes this barrier its stripes' pairs;
             # ownership purity lets the coordinator answer for it inline.
             results[shard_id] = self.plan.owned_pairs(
-                positions, self.radius, self._inline_detector(), stripes
+                positions, self.radius, self._detector, stripes
             )
         survivors = sup.live_ids()
         if survivors:

@@ -19,7 +19,7 @@ the span (the midpoint is within ``radius/2`` of each endpoint, and a
 detected pair's endpoints are within ``radius`` of each other), so the
 candidate set is the x-window ``[lo - radius, hi + radius]``.  Detection on
 that subset uses the same per-pair float arithmetic as detection on the
-full array (all three detectors decide each pair from its two coordinate
+full array (the KD-tree decides each pair from its two coordinate
 rows alone), so subset detection is exactly the restriction of full
 detection — including radius-boundary ties.
 """

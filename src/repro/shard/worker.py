@@ -43,7 +43,7 @@ from repro.snapshot.codec import (
     read_snapshot,
     write_snapshot,
 )
-from repro.world.contacts import make_detector
+from repro.world.contacts import KDTreeDetector
 
 __all__ = ["shard_worker_main"]
 
@@ -65,7 +65,7 @@ def shard_worker_main(
     stream = RngFactory(config.seed).stream("mobility")
     mobility.initialize(stream)
     plan = StripePlan.for_area(config.area, config.shard_count)
-    detector = make_detector(config.n_nodes, config.detector)
+    detector = KDTreeDetector()
     radius = float(config.radio_range)
     stripes: tuple[int, ...] = ()
 

@@ -17,7 +17,6 @@ from repro.engine.simulator import Simulator
 from repro.mobility.base import MobilityModel
 from repro.net.transfer import TransferManager
 from repro.shard.coordinator import ShardCoordinator
-from repro.world.contacts import ContactDetector
 from repro.world.node import Node
 from repro.world.world import World
 
@@ -33,14 +32,11 @@ class ShardedWorld(World):
         mobility: MobilityModel,
         nodes: list[Node],
         transfer_manager: TransferManager,
-        detector: ContactDetector | None = None,
         tick: float = 1.0,
         *,
         coordinator: ShardCoordinator,
     ) -> None:
-        super().__init__(
-            sim, mobility, nodes, transfer_manager, detector, tick=tick
-        )
+        super().__init__(sim, mobility, nodes, transfer_manager, tick=tick)
         self.coordinator = coordinator
 
     def start(self, rng: np.random.Generator) -> None:

@@ -48,10 +48,12 @@ __all__ = [
     "write_snapshot",
 ]
 
-#: Bump on any incompatible change to the captured state layout.  Readers
-#: support exactly one version: restoring across schema versions is refused
-#: (see docs/checkpointing.md for the compatibility policy).
-SCHEMA_VERSION = 1
+#: Bump on any incompatible change to the captured state layout or to the
+#: encoded config's fields.  Readers support exactly one version: restoring
+#: across schema versions is refused (see docs/checkpointing.md for the
+#: compatibility policy).  Version 2 dropped the contact-kernel and
+#: detector-choice config fields.
+SCHEMA_VERSION = 2
 
 _MAGIC = "repro.snapshot"
 

@@ -30,7 +30,7 @@ from repro.errors import ConfigurationError
 from repro.mobility.base import MobilityModel
 from repro.net.transfer import TransferManager
 from repro.obs.profiler import timed
-from repro.world.contacts import ContactDetector, make_detector
+from repro.world.contacts import ContactDetector, KDTreeDetector
 from repro.world.node import Node
 
 
@@ -99,7 +99,6 @@ class World:
         mobility: MobilityModel,
         nodes: list[Node],
         transfer_manager: TransferManager,
-        detector: ContactDetector | None = None,
         tick: float = 1.0,
     ) -> None:
         if len(nodes) != mobility.n_nodes:
@@ -114,7 +113,7 @@ class World:
         self.mobility = mobility
         self.nodes = sorted(nodes, key=lambda n: n.id)
         self.transfer_manager = transfer_manager
-        self.detector = detector or make_detector(len(nodes))
+        self.detector: ContactDetector = KDTreeDetector()
         self.tick = float(tick)
         self.links: set[tuple[int, int]] = set()
         #: Nodes currently offline (fault injection); they hold no links and
@@ -172,13 +171,16 @@ class World:
 
         Subclass hook: the sharded world answers this from its worker
         fleet instead of the in-process detector.  Range-heterogeneity
-        and down-node filtering stay in :meth:`update` so every backend
-        applies them identically to the merged set.
+        and down-node filtering stay in :meth:`update` so every world
+        applies them identically to the merged set.  ``self.detector`` is
+        looked up on every call, so a per-instance wrapper of its
+        ``pairs`` installed after build sees every tick.
         """
         return self.detector.pairs(self.positions, self._max_range)
 
     def close(self) -> None:
-        """Release external resources held by the world (subclass hook)."""
+        """Release external resources held by the world (subclass hook;
+        the in-process world holds none)."""
 
     def _filter_heterogeneous(
         self, pairs: set[tuple[int, int]]

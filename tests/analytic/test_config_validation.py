@@ -76,9 +76,7 @@ class TestRunnerGuards:
 
 
 class TestChaosAxis:
-    SPACE = ChaosSpace(
-        engine_backends=("scalar", "vector", "analytic", "hybrid")
-    )
+    SPACE = ChaosSpace(engine_backends=("scalar", "analytic", "hybrid"))
 
     def test_sampled_analytic_cases_construct_and_pass(self):
         """Every analytic/hybrid draw is coerced into the envelope and runs
@@ -97,7 +95,7 @@ class TestChaosAxis:
             result = run_case(config)
             assert result.ok, result.failure
             assert result.trace_jsonl is None
-        # The backend axis is drawn uniformly: 24 draws over 4 backends
+        # The backend axis is drawn uniformly: 24 draws over 3 backends
         # make an analytic-family case overwhelmingly likely.
         assert seen_analytic >= 3
 
@@ -105,6 +103,6 @@ class TestChaosAxis:
         """The default space must keep the historical (seed, index) ->
         case mapping: no analytic backends, identical draws."""
         default = ChaosSpace()
-        assert default.engine_backends == ("scalar", "vector")
+        assert default.engine_backends == ("scalar",)
         config = sample_case(default, base_seed=2024, index=0)
-        assert config.engine_backend in ("scalar", "vector")
+        assert config.engine_backend == "scalar"

@@ -55,32 +55,41 @@ class TestRanges:
             assert case.policy == "fifo"
 
     def test_both_engine_backends_are_sampled(self):
-        backends = {
-            sample_case(ChaosSpace(), 6, i).engine_backend for i in range(30)
-        }
-        assert backends == {"scalar", "vector"}
+        space = ChaosSpace(engine_backends=("scalar", "hybrid"))
+        backends = {sample_case(space, 6, i).engine_backend for i in range(30)}
+        assert backends == {"scalar", "hybrid"}
 
     def test_backend_axis_can_be_restricted(self):
-        space = fast_space(engine_backends=("vector",))
+        space = fast_space(engine_backends=("analytic",))
         for i in range(10):
-            assert sample_case(space, 2, i).engine_backend == "vector"
+            assert sample_case(space, 2, i).engine_backend == "analytic"
 
     def test_backend_draw_does_not_shift_earlier_axes(self):
-        """The backend is drawn after the classic axes: every other field
-        of a case must be unchanged from what a backend-free space would
-        have produced, so pre-existing corpus entries keep their
-        (seed, index) identity.  The shard axes are drawn later still and
-        only on the scalar path, so they are normalized out here."""
-        wide = ChaosSpace()
-        narrow = ChaosSpace(engine_backends=("scalar",))
-        for i in range(15):
-            a = sample_case(wide, 4, i).replace(
-                engine_backend="scalar", shard_count=1, shard_kill=None
-            )
-            b = sample_case(narrow, 4, i).replace(
-                shard_count=1, shard_kill=None
-            )
-            assert a == b
+        """The backend is drawn after every classic axis: widening it to the
+        analytic backends must leave each case's earlier draws unchanged,
+        so the default space keeps its (seed, index) -> case mapping.
+        Analytic draws are then coerced into the mean-field envelope,
+        which may replace the router, mobility, faults, sanitizer and
+        trace; those fields are compared on scalar draws only."""
+        default = ChaosSpace()
+        wide = ChaosSpace(engine_backends=("scalar", "analytic", "hybrid"))
+        # The shard axes are drawn later still and only on the scalar
+        # path, so they are normalized out on both sides.
+        unsharded = dict(shard_count=1, shard_kill=None)
+        coerced = dict(
+            engine_backend="scalar", router="snw", mobility="rwp",
+            faults=None, sanitize=True, trace_capacity=0, **unsharded,
+        )
+        saw = set()
+        for i in range(20):
+            a = sample_case(wide, 4, i)
+            b = sample_case(default, 4, i)
+            saw.add(a.engine_backend)
+            if a.engine_backend == "scalar":
+                assert a.replace(**unsharded) == b.replace(**unsharded)
+            else:
+                assert a.replace(**coerced) == b.replace(**coerced)
+        assert saw == {"scalar", "analytic", "hybrid"}
 
     def test_shard_draw_does_not_shift_earlier_axes(self):
         """The shard axes are drawn last (after the backend): disabling
@@ -97,12 +106,16 @@ class TestRanges:
 
     def test_shard_axis_samples_valid_cases(self):
         """Sharded draws construct (validation allows them) and the kill
-        barrier is always in range; vector cases never shard."""
-        space = ChaosSpace(shard_counts=(2, 4), shard_kill_prob=1.0)
-        saw_sharded = False
+        barrier is always in range; analytic cases never shard."""
+        space = ChaosSpace(
+            shard_counts=(2, 4), shard_kill_prob=1.0,
+            engine_backends=("scalar", "hybrid"),
+        )
+        saw_sharded = saw_unsharded = False
         for i in range(20):
             case = sample_case(space, 11, i)
             if case.engine_backend != "scalar":
+                saw_unsharded = True
                 assert case.shard_count == 1 and case.shard_kill is None
                 continue
             saw_sharded = True
@@ -111,7 +124,7 @@ class TestRanges:
             shard_id, barrier_seq = case.shard_kill
             assert 0 <= shard_id < case.shard_count
             assert barrier_seq >= 1
-        assert saw_sharded
+        assert saw_sharded and saw_unsharded
 
 
 class TestFaultPlans:

@@ -11,6 +11,7 @@ sweep worker resuming mid-run from its in-run snapshot under ``--resume``.
 
 from __future__ import annotations
 
+import gzip
 import json
 import math
 
@@ -33,7 +34,7 @@ from repro.experiments.scenario import (
 from repro.experiments.sweep import run_many
 from repro.faults.plan import FaultPlan
 from repro.reports.summary import RunSummary
-from repro.snapshot import restore, save
+from repro.snapshot import SnapshotError, read_snapshot, restore, save
 from tests.obs.conftest import tiny_config
 from tests.obs.test_determinism import CAPACITY, assert_identical
 
@@ -155,6 +156,28 @@ class TestCrashRecovery:
         self._kill_mid_run(config, at=451.0)
         # Same file, different scenario (the retry-with-fresh-seed case).
         assert _try_resume(config.replace(seed=config.seed + 1)) is None
+
+    def test_version_1_snapshot_is_refused_and_the_run_starts_fresh(
+        self, tmp_path
+    ):
+        """A rolling file from before schema 2 is refused outright (its
+        config encoding is not this build's); the safe runner then starts
+        from t=0 instead of resuming."""
+        path = tmp_path / "roll.snap.gz"
+        config = observed(snapshot_every=150.0, snapshot_to=str(path))
+        baseline = run_scenario(config)
+        self._kill_mid_run(config, at=451.0)
+        doc = json.loads(gzip.decompress(path.read_bytes()))
+        doc["version"] = 1
+        path.write_bytes(gzip.compress(json.dumps(doc).encode("utf-8")))
+
+        with pytest.raises(SnapshotError, match="schema version 1"):
+            read_snapshot(path)
+        assert _try_resume(config) is None
+        result = run_scenario_safe(config)
+        assert isinstance(result, RunSummary)
+        assert stable(result) == stable(baseline)
+        assert not path.exists(), "stale snapshot not replaced and consumed"
 
     def test_killed_sweep_worker_resumes_under_resume(self, tmp_path):
         """Acceptance: a sweep item killed mid-run resumes from its in-run

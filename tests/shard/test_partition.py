@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.shard.partition import StripePlan
-from repro.world.contacts import make_detector
+from repro.world.contacts import KDTreeDetector
+from tests.world.test_contacts import brute_truth
 
 AREA = (1000.0, 600.0)
 RADIUS = 45.0
@@ -34,7 +35,7 @@ def positions_for(seed: int, n: int = 60) -> np.ndarray:
 
 
 def full_pairs(positions: np.ndarray) -> set[tuple[int, int]]:
-    return make_detector(len(positions), "brute").pairs(positions, RADIUS)
+    return brute_truth(positions, RADIUS)
 
 
 class TestGeometry:
@@ -74,7 +75,7 @@ class TestOwnership:
     def test_singleton_stripes_partition_the_full_pair_set(self, count, seed):
         plan = StripePlan.for_area(AREA, count)
         pos = positions_for(seed)
-        detector = make_detector(len(pos), "brute")
+        detector = KDTreeDetector()
         per_stripe = [
             set(plan.owned_pairs(pos, RADIUS, detector, (s,)))
             for s in range(count)
@@ -90,7 +91,7 @@ class TestOwnership:
         property degradation relies on."""
         plan = StripePlan.for_area(AREA, 4)
         pos = positions_for(7)
-        detector = make_detector(len(pos), "brute")
+        detector = KDTreeDetector()
         grouped = set(plan.owned_pairs(pos, RADIUS, detector, (0, 2, 3)))
         singles = (
             set(plan.owned_pairs(pos, RADIUS, detector, (0,)))
@@ -99,20 +100,10 @@ class TestOwnership:
         )
         assert grouped == singles
 
-    @pytest.mark.parametrize("kind", ["brute", "grid", "kdtree"])
-    def test_detector_kinds_agree_on_owned_pairs(self, kind):
-        plan = StripePlan.for_area(AREA, 3)
-        pos = positions_for(11)
-        detector = make_detector(len(pos), kind)
-        union: set[tuple[int, int]] = set()
-        for s in range(3):
-            union |= set(plan.owned_pairs(pos, RADIUS, detector, (s,)))
-        assert union == full_pairs(pos)
-
     def test_candidate_window_is_a_superset_of_owned_endpoints(self):
         plan = StripePlan.for_area(AREA, 4)
         pos = positions_for(13)
-        detector = make_detector(len(pos), "brute")
+        detector = KDTreeDetector()
         for s in range(4):
             candidates = set(plan.candidate_indices(pos, (s,), RADIUS).tolist())
             for i, j in plan.owned_pairs(pos, RADIUS, detector, (s,)):
@@ -121,14 +112,14 @@ class TestOwnership:
     def test_empty_assignment_owns_nothing(self):
         plan = StripePlan.for_area(AREA, 2)
         pos = positions_for(17)
-        assert plan.owned_pairs(pos, RADIUS, make_detector(len(pos)), ()) == []
+        assert plan.owned_pairs(pos, RADIUS, KDTreeDetector(), ()) == []
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), count=st.integers(1, 6))
     def test_partition_property_holds_for_random_fleets(self, seed, count):
         plan = StripePlan.for_area(AREA, count)
         pos = positions_for(seed, n=30)
-        detector = make_detector(len(pos), "brute")
+        detector = KDTreeDetector()
         union: set[tuple[int, int]] = set()
         total = 0
         for s in range(count):

@@ -23,7 +23,7 @@ from repro.shard.coordinator import ShardCoordinator
 from repro.shard.supervisor import _spawn_worker
 from tests.obs.conftest import tiny_config
 from tests.obs.test_determinism import assert_identical
-from tests.vector.test_equivalence import stable_summary
+from tests.shard.test_equivalence import stable_summary
 
 #: Barriers between rolling snapshots in these runs (kept small so a kill
 #: after the first snapshot still happens early in the 300s horizon).

@@ -1,4 +1,5 @@
-"""Contact detectors: correctness, agreement across implementations."""
+"""The KD-tree contact detector: correctness, agreement with O(N^2)
+references, exact radius ties at scale."""
 
 from __future__ import annotations
 
@@ -10,24 +11,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.world.contacts import (
-    BruteForceDetector,
-    GridDetector,
-    KDTreeDetector,
-    make_detector,
-)
+from repro.world.contacts import KDTreeDetector
 
-DETECTORS = [BruteForceDetector(), GridDetector(), KDTreeDetector()]
+DETECTORS = [KDTreeDetector()]
 
 
 def brute_truth(positions: np.ndarray, radius: float) -> set[tuple[int, int]]:
-    out = set()
-    n = len(positions)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.hypot(*(positions[i] - positions[j])) <= radius:
-                out.add((i, j))
-    return out
+    """O(N^2) reference in the detector's own arithmetic: a pair is a
+    contact iff ``dx*dx + dy*dy <= r*r``, so exact ties count."""
+    dx = positions[:, None, 0] - positions[None, :, 0]
+    dy = positions[:, None, 1] - positions[None, :, 1]
+    close = np.triu(dx * dx + dy * dy <= radius * radius, k=1)
+    i, j = np.nonzero(close)
+    return set(zip(i.tolist(), j.tolist()))
 
 
 @pytest.mark.parametrize("detector", DETECTORS, ids=lambda d: type(d).__name__)
@@ -89,16 +85,49 @@ class TestAgreement:
             assert det.pairs(positions, radius) == expected, type(det).__name__
 
 
-class TestFactory:
-    def test_explicit_kinds(self):
-        assert isinstance(make_detector(10, "brute"), BruteForceDetector)
-        assert isinstance(make_detector(10, "grid"), GridDetector)
-        assert isinstance(make_detector(10, "kdtree"), KDTreeDetector)
+def exact_ties(positions: np.ndarray, pairs: set[tuple[int, int]],
+               radius: float) -> int:
+    """How many of *pairs* sit exactly on the radius."""
+    return sum(
+        1 for i, j in pairs
+        if float(np.sum((positions[i] - positions[j]) ** 2)) == radius * radius
+    )
 
-    def test_default_by_size(self):
-        assert isinstance(make_detector(100), BruteForceDetector)
-        assert isinstance(make_detector(10_000), KDTreeDetector)
 
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            make_detector(10, "sonar")
+class TestExactTiesAtScale:
+    """Hundreds of nodes (many KD-tree leaves) with pairs exactly on the
+    boundary: the tree's pruning must never drop a tie."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("radius", [100.0, 37.3])
+    def test_shuffled_lattice_spaced_at_the_radius(self, seed, radius):
+        side = 25
+        xs, ys = np.meshgrid(np.arange(side), np.arange(side))
+        lattice = np.column_stack([xs.ravel(), ys.ravel()]) * radius
+        order = np.random.default_rng(seed).permutation(side * side)
+        positions = lattice[order]
+        expected = brute_truth(positions, radius)
+        if radius == 100.0:
+            # Every lattice edge is an exact tie and nothing else is close.
+            assert len(expected) == 2 * side * (side - 1)
+            assert exact_ties(positions, expected, radius) == len(expected)
+        assert KDTreeDetector().pairs(positions, radius) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_injected_exact_radius_pairs(self, seed, integral):
+        radius = 100.0
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0.0, 3000.0, size=(300, 2))
+        if integral:
+            base = base.round()
+        # Pythagorean offsets: dx*dx + dy*dy == 100**2 exactly.
+        triples = np.array([[100, 0], [0, 100], [60, 80], [80, 60], [28, 96]])
+        signs = rng.choice([-1.0, 1.0], size=(300, 2))
+        offsets = triples[rng.integers(len(triples), size=300)] * signs
+        positions = np.vstack([base, base + offsets])
+        positions = positions[rng.permutation(len(positions))]
+        expected = brute_truth(positions, radius)
+        if integral:
+            assert exact_ties(positions, expected, radius) >= 300
+        assert KDTreeDetector().pairs(positions, radius) == expected

@@ -702,10 +702,6 @@ REBUILT_ON_RESTORE: dict[tuple[str, str], str] = {
     ("MessageFateReport", "fates"): "opt-in post-run report, never part of a snapshot-capable run",
     ("Node", "_world"): "re-bound via attach_world when the world is rebuilt",
     ("PeriodicSnapshotter", "latest"): "holds the snapshot payload itself; only _next_at is state",
-    ("VectorWorld", "positions"): "recomputed from mobility._pos by advance() on restore (same as World)",
-    ("VectorWorld", "_links_set"): "mirror of World.links; rebuilt by the links property setter on restore",
-    ("VectorWorld", "_link_keys"): "int64 encoding of _links_set; lazily re-derived by _sync_keys()",
-    ("VectorWorld", "_keys_dirty"): "lazy-sync flag for _link_keys; restore marks dirty and _sync_keys() rebuilds",
 }
 
 
@@ -740,7 +736,7 @@ can explain how restore reconstructs the value byte-identically.
         "repro.engine", "repro.world", "repro.net", "repro.routing",
         "repro.policies", "repro.mobility", "repro.reports", "repro.obs",
         "repro.core", "repro.faults", "repro.analysis.sanitizer",
-        "repro.snapshot.snapshotter", "repro.vector",
+        "repro.snapshot.snapshotter",
     )
     INIT_METHODS = frozenset({"__init__", "__post_init__", "__new__"})
 
