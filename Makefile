@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-deep sanitize-smoke obs-smoke chaos-smoke analytic-smoke service-smoke shard-smoke determinism snapshot-roundtrip bench perf perf-compare figures-full fig3 fig4 examples clean
+.PHONY: install test lint lint-deep sanitize-smoke obs-smoke chaos-smoke analytic-smoke service-smoke determinism snapshot-roundtrip bench perf perf-compare figures-full fig3 fig4 examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -64,13 +64,6 @@ analytic-smoke:
 # and assert every job terminal with duplicates served from the cache.
 service-smoke:
 	PYTHONPATH=src $(PYTHON) tools/service_smoke.py
-
-# Sharded engine (docs/sharding.md): the byte-identity and kill-recovery
-# proof — run one fixed-seed scenario single-process, 2-sharded, and
-# 2-sharded with a worker SIGKILLed mid-run; all three must produce the
-# same trace, time series and summary bytes.
-shard-smoke:
-	PYTHONPATH=src $(PYTHON) tools/shard_smoke.py
 
 # Byte-identical replay suite (run twice, like CI, to catch cross-run
 # state leaks in the collectors themselves).

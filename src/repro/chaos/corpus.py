@@ -22,8 +22,8 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-from repro.chaos.oracles import ORACLE_SHARD, OracleFailure
-from repro.chaos.runner import CaseResult, check_shard_identity, run_case
+from repro.chaos.oracles import OracleFailure
+from repro.chaos.runner import CaseResult, run_case
 from repro.errors import ObsFormatError
 from repro.experiments.checkpoint import config_fingerprint
 from repro.experiments.scenario import ScenarioConfig
@@ -170,13 +170,6 @@ def replay_entry(entry: dict[str, Any]) -> CaseResult:
 def replay_reproduces(entry: dict[str, Any]) -> bool:
     """Does the entry still fail the same way?  (The replay oracle for
     corpus entries; the corpus-replay test asserts this for every
-    committed file.)
-
-    Invariant-family entries replay through :func:`run_case`; a
-    shard-identity entry re-runs its metamorphic comparison instead, since
-    :func:`run_case` alone can never observe a cross-run divergence."""
+    committed file.)"""
     expected = OracleFailure.from_dict(entry["failure"])
-    if expected.oracle == ORACLE_SHARD:
-        config = decode_config(entry["config"])
-        return expected.matches(check_shard_identity(config))
     return expected.matches(replay_entry(entry).failure)

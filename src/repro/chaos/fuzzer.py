@@ -8,11 +8,9 @@
    (:func:`~repro.chaos.runner.run_case`);
 3. every ``metamorphic_every``-th *clean* case additionally pays for the
    expensive oracles: replay byte-identity (run the same config twice and
-   compare digests), shard identity (a sharded case — worker kill
-   included — must replay the single-process bytes), zero-fault identity
-   (a disabled fault plan must match a plan-free run byte-for-byte) and
-   buffer monotonicity (half the buffer must not *improve* delivery at
-   fixed seed);
+   compare digests), zero-fault identity (a disabled fault plan must match
+   a plan-free run byte-for-byte) and buffer monotonicity (half the buffer
+   must not *improve* delivery at fixed seed);
 4. a failing case is verified by replay (same failure class again — a
    non-reproducing failure is itself a replay-oracle finding), shrunk via
    :mod:`~repro.chaos.shrink`, localized via
@@ -37,12 +35,11 @@ from repro.chaos.oracles import (
     ORACLE_BUFFER_MONOTONE,
     ORACLE_INVARIANT,
     ORACLE_REPLAY,
-    ORACLE_SHARD,
     ORACLE_ZERO_FAULT,
     OracleFailure,
     check_buffer_monotone,
 )
-from repro.chaos.runner import case_digest, check_shard_identity, run_case
+from repro.chaos.runner import case_digest, run_case
 from repro.chaos.shrink import shrink, shrink_stats
 from repro.chaos.space import ChaosSpace, describe_case, sample_case
 from repro.experiments.scenario import ScenarioConfig
@@ -203,15 +200,6 @@ def _metamorphic_checks(
             invariant="self-replay",
         )
 
-    # Shard identity: a sharded case (worker kill included) must replay
-    # the single-process bytes (reuses `first` from the replay check
-    # above); vacuous for unsharded cases.
-    if config.shard_count > 1:
-        report.count(ORACLE_SHARD)
-        shard_failure = check_shard_identity(config, own_digest=first)
-        if shard_failure is not None:
-            return shard_failure
-
     partner = _zero_fault_pair(config)
     if partner is not None:
         report.count(ORACLE_ZERO_FAULT)
@@ -254,13 +242,6 @@ def _handle_failure(
     say: Callable[[str], None],
 ) -> Finding:
     """Verify by replay, shrink, localize and record one failure."""
-    # A shard-identity failure can only be re-observed by its own
-    # sharded-vs-single comparison; run_case alone would always "pass" and
-    # wrongly downgrade the finding to a failure-replay record.  The same
-    # checker drives shrinking, so candidates are accepted on the oracle
-    # that actually fired.
-    if failure.oracle == ORACLE_SHARD:
-        check = check_shard_identity
     replayed = check(config)
     replay_confirmed = failure.matches(replayed)
     if not replay_confirmed:

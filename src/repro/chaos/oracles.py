@@ -10,9 +10,7 @@ Three oracle families judge every fuzzed case (docs/chaos.md):
 * **metamorphic oracles** — a chaos run whose fault plan is disabled must
   be byte-identical to the plain run (:data:`ORACLE_ZERO_FAULT`), at a
   fixed seed the delivery ratio must not *improve* when the buffer shrinks
-  (:data:`ORACLE_BUFFER_MONOTONE`), and a sharded case — even one
-  scripting a mid-barrier worker kill — must replay the single-process
-  bytes (:data:`ORACLE_SHARD`, the contract of docs/sharding.md);
+  (:data:`ORACLE_BUFFER_MONOTONE`);
 * **replay oracles** — re-running any case from its recorded config must
   reproduce it byte-identically; for failures, the same oracle must fire
   with the same invariant (:data:`ORACLE_REPLAY`).
@@ -31,7 +29,6 @@ ORACLE_CRASH = "crash"
 ORACLE_SUMMARY = "summary"
 ORACLE_ZERO_FAULT = "zero-fault-identity"
 ORACLE_BUFFER_MONOTONE = "buffer-monotone"
-ORACLE_SHARD = "shard-identity"
 ORACLE_REPLAY = "replay"
 ORACLE_FAMILIES = (
     ORACLE_INVARIANT,
@@ -39,7 +36,6 @@ ORACLE_FAMILIES = (
     ORACLE_SUMMARY,
     ORACLE_ZERO_FAULT,
     ORACLE_BUFFER_MONOTONE,
-    ORACLE_SHARD,
     ORACLE_REPLAY,
 )
 

@@ -20,7 +20,6 @@ from typing import Any
 from repro.chaos.oracles import (
     ORACLE_CRASH,
     ORACLE_INVARIANT,
-    ORACLE_SHARD,
     OracleFailure,
     check_summary,
 )
@@ -31,7 +30,6 @@ from repro.experiments.scenario import ANALYTIC_BACKENDS, ScenarioConfig
 __all__ = [
     "CaseResult",
     "case_digest",
-    "check_shard_identity",
     "run_case",
     "stable_summary",
 ]
@@ -133,42 +131,3 @@ def case_digest(config: ScenarioConfig) -> str | None:
         stable_summary(result.summary), sort_keys=True
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def check_shard_identity(
-    config: ScenarioConfig, own_digest: str | None = None
-) -> OracleFailure | None:
-    """The shard-identity oracle: a sharded case must replay the bytes of
-    the same case run single-process (docs/sharding.md).
-
-    *own_digest*, when provided, skips re-running *config* itself (the
-    fuzzer reuses the digest its replay oracle just computed).  Shared by
-    the fuzzing loop, its failure-replay verification and corpus replay so
-    all three judge a divergence the same way.
-
-    The single-process sibling also drops any scripted ``shard_kill`` —
-    the whole point of the barrier-crash fault is that crash *recovery*
-    leaves the sharded run indistinguishable from an uninterrupted one.
-    Unsharded cases pass vacuously; their determinism is the replay
-    oracle's job.
-    """
-    if config.shard_count <= 1:
-        return None
-    flipped = config.replace(shard_count=1, shard_kill=None)
-    own = own_digest if own_digest is not None else case_digest(config)
-    other = case_digest(flipped)
-    if own != other:
-        return OracleFailure(
-            oracle=ORACLE_SHARD,
-            detail=(
-                f"{config.shard_count}-shard digest {own} != "
-                f"single-process digest {other} for the same case"
-                + (
-                    f" (scripted worker kill {config.shard_kill})"
-                    if config.shard_kill is not None
-                    else ""
-                )
-            ),
-            invariant="shard-identity",
-        )
-    return None

@@ -201,20 +201,7 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
         for i in range(config.n_nodes)
     ]
     transfer_manager = TransferManager(sim)
-    world: World
-    if config.shard_count > 1:
-        # Imported here: repro.shard's workers import this module back.
-        from repro.shard.coordinator import ShardCoordinator
-        from repro.shard.world import ShardedWorld
-
-        world = ShardedWorld(
-            sim, mobility, nodes, transfer_manager,
-            tick=config.tick, coordinator=ShardCoordinator(config),
-        )
-    else:
-        world = World(
-            sim, mobility, nodes, transfer_manager, tick=config.tick
-        )
+    world = World(sim, mobility, nodes, transfer_manager, tick=config.tick)
 
     policies, shared = _make_policies(config, sim)
     for node, policy in zip(nodes, policies):
@@ -317,10 +304,6 @@ def run_built(built: BuiltSimulation, wall_start: float | None = None) -> RunSum
         if built.trace is not None:
             exc.trace_tail = built.trace.tail(DEFAULT_CONTEXT_EVENTS)
         raise
-    finally:
-        # Tear down external resources (shard workers) even when the run
-        # dies; the in-process world implements this as a no-op.
-        built.world.close()
     if built.timeseries is not None:
         built.timeseries.finalize(built.sim.now)
     metrics = built.metrics

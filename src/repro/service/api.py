@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SnapshotError
 from repro.experiments.checkpoint import config_fingerprint
 from repro.experiments.scenario import ScenarioConfig
 from repro.reports.summary import FailedRun, RunSummary
@@ -283,19 +283,23 @@ class ScenarioService:
                 self.stats.cache_hits += 1
                 continue
             if job.config is None:
-                self.store.record_failed(
-                    job_id,
-                    error_type="MissingConfig",
-                    error_message=(
-                        "journal lost this job's config payload; "
-                        "resubmit the scenario"
-                    ),
-                    attempts=job.attempts,
+                self._fail_undispatched(
+                    job, "MissingConfig",
+                    "journal lost this job's config payload; "
+                    "resubmit the scenario",
                 )
-                self._open_by_fp.pop(job.fingerprint, None)
-                self.stats.failed += 1
                 continue
-            config = decode_config(job.config)
+            try:
+                config = decode_config(job.config)
+            except SnapshotError as exc:
+                # Journaled by a build whose ScenarioConfig differs (a
+                # field added or removed since): fail this job alone, or
+                # every restart would raise here and serve nothing.
+                self._fail_undispatched(
+                    job, "IncompatibleConfig",
+                    f"{exc} (resubmit the scenario)",
+                )
+                continue
             if config.snapshot_every > 0 and config.snapshot_to is None:
                 # Mid-run resume for long jobs, the sweep engine's idiom:
                 # the job rolls a snapshot keyed by its fingerprint under
@@ -310,6 +314,19 @@ class ScenarioService:
                 )
             self.store.record_running(job_id, attempts=job.attempts + 1)
             self.supervisor.submit(job_id, config, attempts=job.attempts)
+
+    def _fail_undispatched(
+        self, job: JobRecord, error_type: str, message: str
+    ) -> None:
+        """Fail a queued job this build cannot run, without dispatching it."""
+        self.store.record_failed(
+            job.job_id,
+            error_type=error_type,
+            error_message=message,
+            attempts=job.attempts,
+        )
+        self._open_by_fp.pop(job.fingerprint, None)
+        self.stats.failed += 1
 
     def _settle(self, job_id: str, outcome: JobOutcome) -> None:
         job = self.store.get(job_id)

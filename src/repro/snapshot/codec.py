@@ -52,8 +52,9 @@ __all__ = [
 #: encoded config's fields.  Readers support exactly one version: restoring
 #: across schema versions is refused (see docs/checkpointing.md for the
 #: compatibility policy).  Version 2 dropped the contact-kernel and
-#: detector-choice config fields.
-SCHEMA_VERSION = 2
+#: detector-choice config fields; version 3 dropped the shard-count and
+#: shard-kill fields.
+SCHEMA_VERSION = 3
 
 _MAGIC = "repro.snapshot"
 

@@ -68,7 +68,7 @@ FORK_OVERRIDES = frozenset({"sim_time", "name", "snapshot_every", "snapshot_to"}
 
 _TUPLE_FIELDS = (
     "area", "speed_range", "pause_range", "interval_range",
-    "message_size_range", "shard_kill",
+    "message_size_range",
 )
 
 
@@ -82,7 +82,7 @@ def decode_config(data: dict[str, Any]) -> Any:
     if unknown:
         raise SnapshotError(
             f"snapshot config has unknown fields {sorted(unknown)}; was it "
-            "written by a newer build?"
+            "written by a different build?"
         )
     kwargs = dict(data)
     for key in _TUPLE_FIELDS:

@@ -7,14 +7,13 @@ publishes ``link.up`` / ``link.down`` / ``world.updated`` events that drive
 the routing layer.
 """
 
-from repro.world.contacts import ContactDetector, KDTreeDetector
+from repro.world.contacts import KDTreeDetector
 from repro.world.node import Node
 from repro.world.radio import Radio
 from repro.world.trace_world import TraceWorld
 from repro.world.world import World
 
 __all__ = [
-    "ContactDetector",
     "KDTreeDetector",
     "Node",
     "Radio",

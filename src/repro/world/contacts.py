@@ -18,8 +18,6 @@ JSON-encode the link set).
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -28,12 +26,16 @@ from repro.errors import ConfigurationError
 PairSet = set[tuple[int, int]]
 
 
-class ContactDetector(ABC):
-    """Strategy interface for range queries over node positions."""
+class KDTreeDetector:
+    """scipy ``cKDTree.query_pairs`` — the detector for every fleet size."""
 
-    @abstractmethod
     def pairs(self, positions: np.ndarray, radius: float) -> PairSet:
         """Return all pairs ``(i, j), i < j`` with distance <= *radius*."""
+        self._check(positions, radius)
+        if positions.shape[0] < 2:
+            return set()
+        found = cKDTree(positions).query_pairs(radius, output_type="ndarray")
+        return set(zip(found[:, 0].tolist(), found[:, 1].tolist()))
 
     @staticmethod
     def _check(positions: np.ndarray, radius: float) -> None:
@@ -43,14 +45,3 @@ class ContactDetector(ABC):
             raise ConfigurationError(
                 f"positions must have shape (N, 2), got {positions.shape}"
             )
-
-
-class KDTreeDetector(ContactDetector):
-    """scipy ``cKDTree.query_pairs`` — the detector for every fleet size."""
-
-    def pairs(self, positions: np.ndarray, radius: float) -> PairSet:
-        self._check(positions, radius)
-        if positions.shape[0] < 2:
-            return set()
-        found = cKDTree(positions).query_pairs(radius, output_type="ndarray")
-        return set(zip(found[:, 0].tolist(), found[:, 1].tolist()))

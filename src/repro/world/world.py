@@ -30,7 +30,7 @@ from repro.errors import ConfigurationError
 from repro.mobility.base import MobilityModel
 from repro.net.transfer import TransferManager
 from repro.obs.profiler import timed
-from repro.world.contacts import ContactDetector, KDTreeDetector
+from repro.world.contacts import KDTreeDetector
 from repro.world.node import Node
 
 
@@ -113,7 +113,9 @@ class World:
         self.mobility = mobility
         self.nodes = sorted(nodes, key=lambda n: n.id)
         self.transfer_manager = transfer_manager
-        self.detector: ContactDetector = KDTreeDetector()
+        #: Looked up on every tick, so a per-instance wrapper of its
+        #: ``pairs`` installed after build sees every call.
+        self.detector = KDTreeDetector()
         self.tick = float(tick)
         self.links: set[tuple[int, int]] = set()
         #: Nodes currently offline (fault injection); they hold no links and
@@ -144,7 +146,7 @@ class World:
         with timed(profiler, "movement"):
             self.positions = self.mobility.advance(now)
         with timed(profiler, "contacts"):
-            new_links = self._detect_pairs()
+            new_links = self.detector.pairs(self.positions, self._max_range)
             if not self._uniform_range:
                 new_links = self._filter_heterogeneous(new_links)
             if self.down_nodes:
@@ -166,21 +168,12 @@ class World:
 
         routing_phase(self.sim, self.nodes, now)
 
-    def _detect_pairs(self) -> set[tuple[int, int]]:
-        """Candidate contact pairs at the current positions.
-
-        Subclass hook: the sharded world answers this from its worker
-        fleet instead of the in-process detector.  Range-heterogeneity
-        and down-node filtering stay in :meth:`update` so every world
-        applies them identically to the merged set.  ``self.detector`` is
-        looked up on every call, so a per-instance wrapper of its
-        ``pairs`` installed after build sees every tick.
-        """
-        return self.detector.pairs(self.positions, self._max_range)
-
     def close(self) -> None:
-        """Release external resources held by the world (subclass hook;
-        the in-process world holds none)."""
+        """Do nothing: the world holds no external resources.
+
+        Kept so callers that finish with a built simulation (the perf
+        benchmark's worker does) need not know that.
+        """
 
     def _filter_heterogeneous(
         self, pairs: set[tuple[int, int]]

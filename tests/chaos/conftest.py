@@ -25,9 +25,6 @@ def fast_space(**overrides) -> ChaosSpace:
         ttl_choices=(600.0,),
         copies_choices=(8,),
         max_fault_events=6,
-        # Sharded cases pay ~2s of worker spawn each — the nightly space
-        # samples them; unit-test campaigns opt in explicitly.
-        shard_counts=(1,),
     )
     return dataclasses.replace(space, **overrides) if overrides else space
 

@@ -73,12 +73,9 @@ class TestRanges:
         trace; those fields are compared on scalar draws only."""
         default = ChaosSpace()
         wide = ChaosSpace(engine_backends=("scalar", "analytic", "hybrid"))
-        # The shard axes are drawn later still and only on the scalar
-        # path, so they are normalized out on both sides.
-        unsharded = dict(shard_count=1, shard_kill=None)
         coerced = dict(
             engine_backend="scalar", router="snw", mobility="rwp",
-            faults=None, sanitize=True, trace_capacity=0, **unsharded,
+            faults=None, sanitize=True, trace_capacity=0,
         )
         saw = set()
         for i in range(20):
@@ -86,45 +83,10 @@ class TestRanges:
             b = sample_case(default, 4, i)
             saw.add(a.engine_backend)
             if a.engine_backend == "scalar":
-                assert a.replace(**unsharded) == b.replace(**unsharded)
+                assert a == b
             else:
                 assert a.replace(**coerced) == b.replace(**coerced)
         assert saw == {"scalar", "analytic", "hybrid"}
-
-    def test_shard_draw_does_not_shift_earlier_axes(self):
-        """The shard axes are drawn last (after the backend): disabling
-        them must reproduce every earlier field exactly — the same
-        corpus-stability discipline the backend axis followed."""
-        wide = ChaosSpace()
-        narrow = ChaosSpace(shard_counts=(1,))
-        for i in range(20):
-            a = sample_case(wide, 4, i).replace(
-                shard_count=1, shard_kill=None
-            )
-            b = sample_case(narrow, 4, i)
-            assert a == b
-
-    def test_shard_axis_samples_valid_cases(self):
-        """Sharded draws construct (validation allows them) and the kill
-        barrier is always in range; analytic cases never shard."""
-        space = ChaosSpace(
-            shard_counts=(2, 4), shard_kill_prob=1.0,
-            engine_backends=("scalar", "hybrid"),
-        )
-        saw_sharded = saw_unsharded = False
-        for i in range(20):
-            case = sample_case(space, 11, i)
-            if case.engine_backend != "scalar":
-                saw_unsharded = True
-                assert case.shard_count == 1 and case.shard_kill is None
-                continue
-            saw_sharded = True
-            assert case.shard_count in (2, 4)
-            assert case.shard_kill is not None
-            shard_id, barrier_seq = case.shard_kill
-            assert 0 <= shard_id < case.shard_count
-            assert barrier_seq >= 1
-        assert saw_sharded and saw_unsharded
 
 
 class TestFaultPlans:

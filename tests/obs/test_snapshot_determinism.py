@@ -160,24 +160,27 @@ class TestCrashRecovery:
     def test_version_1_snapshot_is_refused_and_the_run_starts_fresh(
         self, tmp_path
     ):
-        """A rolling file from before schema 2 is refused outright (its
-        config encoding is not this build's); the safe runner then starts
-        from t=0 instead of resuming."""
+        """A rolling file from an older schema (1 or 2) is refused outright
+        (its config encoding is not this build's); the safe runner then
+        starts from t=0 instead of resuming."""
         path = tmp_path / "roll.snap.gz"
         config = observed(snapshot_every=150.0, snapshot_to=str(path))
         baseline = run_scenario(config)
-        self._kill_mid_run(config, at=451.0)
-        doc = json.loads(gzip.decompress(path.read_bytes()))
-        doc["version"] = 1
-        path.write_bytes(gzip.compress(json.dumps(doc).encode("utf-8")))
+        for version in (1, 2):
+            self._kill_mid_run(config, at=451.0)
+            doc = json.loads(gzip.decompress(path.read_bytes()))
+            doc["version"] = version
+            path.write_bytes(gzip.compress(json.dumps(doc).encode("utf-8")))
 
-        with pytest.raises(SnapshotError, match="schema version 1"):
-            read_snapshot(path)
-        assert _try_resume(config) is None
-        result = run_scenario_safe(config)
-        assert isinstance(result, RunSummary)
-        assert stable(result) == stable(baseline)
-        assert not path.exists(), "stale snapshot not replaced and consumed"
+            with pytest.raises(
+                SnapshotError, match=f"schema version {version}"
+            ):
+                read_snapshot(path)
+            assert _try_resume(config) is None
+            result = run_scenario_safe(config)
+            assert isinstance(result, RunSummary)
+            assert stable(result) == stable(baseline)
+            assert not path.exists(), "stale snapshot not replaced and consumed"
 
     def test_killed_sweep_worker_resumes_under_resume(self, tmp_path):
         """Acceptance: a sweep item killed mid-run resumes from its in-run

@@ -16,7 +16,7 @@ from repro.service.api import (
     ScenarioService,
 )
 from repro.service.queue import SHED_DISPLACED
-from repro.service.store import DONE, FAILED, SHED
+from repro.service.store import DONE, FAILED, QUEUED, SHED
 from tests.service.test_supervisor import (
     FakeClock,
     config,
@@ -194,6 +194,36 @@ class TestExactlyOnce:
         job = revived.status(ticket.job_id)
         assert job.state == DONE
         assert runner.computes == {ticket.fingerprint: 1}
+
+    def test_config_journaled_by_another_build_fails_alone(self, ctx):
+        # A root journaled by a build whose ScenarioConfig had a field this
+        # one lacks: that job must fail on its own, and the restart must
+        # still serve the job queued behind it instead of raising forever.
+        import json
+
+        make, runner, _ = ctx
+        service = make()
+        stale = service.submit(config(seed=1))
+        fresh = service.submit(config(seed=2))
+        service.close()
+        path = service.store.path
+        lines = path.read_text(encoding="utf-8").splitlines()
+        entry = json.loads(lines[0])
+        assert entry["job"] == stale.job_id and entry["event"] == QUEUED
+        entry["config"]["contact_backend"] = None
+        lines[0] = json.dumps(entry, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        revived = make()
+        assert revived.drain()
+        job = revived.status(stale.job_id)
+        assert job.state == FAILED
+        assert job.error_type == "IncompatibleConfig"
+        assert "contact_backend" in job.error_message
+        assert revived.status(fresh.job_id).state == DONE
+        assert runner.computes == {fresh.fingerprint: 1}
+        # Terminal in the journal: a second restart has nothing to retry.
+        assert make().open_jobs() == []
 
 
 class TestOverload:
