@@ -28,7 +28,7 @@ Subpackages
 :mod:`repro.reports`      metrics (delivery/hops/overhead), contact stats
 :mod:`repro.analysis`     exponential fits (Fig. 3), priority curves (Fig. 4)
 :mod:`repro.experiments`  scenario presets, sweeps, figure generators, CLI
-:mod:`repro.parallel`     deterministic process-pool sweeps
+:mod:`repro.parallel`     worker processes: ordered map, crash-safe lanes
 ========================  ====================================================
 """
 
@@ -39,7 +39,6 @@ from repro.errors import (
     ReproBufferError,
     ReproError,
     SimulationError,
-    SweepInterrupted,
     TraceFormatError,
     TransferError,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "ReproBufferError",
     "ReproError",
     "SimulationError",
-    "SweepInterrupted",
     "TraceFormatError",
     "TransferError",
     "__version__",

@@ -53,11 +53,6 @@ class FaultInjectionError(ReproError):
     """Fault injector misuse (double start, unsupported world, etc.)."""
 
 
-class SweepInterrupted(ReproError):
-    """A sweep item could not complete (timeout / worker death) and no
-    failure handler was installed to absorb it."""
-
-
 class SnapshotError(ReproError):
     """A simulation snapshot could not be written, read, or restored —
     unknown schema version, checksum mismatch, truncated file, or state

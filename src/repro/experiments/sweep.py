@@ -1,6 +1,6 @@
 """Parameter sweeps over scenarios.
 
-Thin, deterministic glue between scenario configs and the process pool:
+Thin, deterministic glue between scenario configs and worker processes:
 
 * :func:`replicate` — n seeds per config (seed derivation is stable under
   reordering, see :func:`repro.rng.derive_seed`);
@@ -25,39 +25,25 @@ from repro.experiments.checkpoint import (
 )
 from repro.experiments.runner import run_scenario, run_scenario_safe
 from repro.experiments.scenario import ScenarioConfig
-from repro.parallel.pool import parallel_map
+from repro.parallel.pool import default_workers, parallel_map
+from repro.parallel.supervisor import (
+    BACKOFF_BASE,
+    BACKOFF_CAP,
+    JobOutcome,
+    WorkerSupervisor,
+    backoff_delays,
+)
 from repro.reports.summary import FailedRun, RunSummary
-from repro.rng import RngFactory, derive_seed
+from repro.rng import derive_seed
 
-#: Backoff shape for retry rounds: base * 2^(round-1) seconds, capped.
-BACKOFF_BASE = 0.5
-BACKOFF_CAP = 30.0
-
-
-def backoff_delays(
-    seed: int,
-    attempts: int,
-    *,
-    base: float = BACKOFF_BASE,
-    cap: float = BACKOFF_CAP,
-) -> list[float]:
-    """Exponential backoff with equal jitter, fully determined by *seed*.
-
-    Delay for retry round ``k`` (1-based) is drawn from
-    ``[w/2, w]`` where ``w = min(cap, base * 2**(k-1))`` — the classic
-    equal-jitter scheme, except the jitter comes from a dedicated stream of
-    a :class:`~repro.rng.RngFactory` seeded with *seed*, never from
-    wall-clock or ambient randomness.  Two sweeps over the same grid
-    therefore back off on an identical schedule (and a test can assert the
-    exact sequence), while different sweeps still decorrelate their retry
-    bursts against a shared machine.
-    """
-    stream = RngFactory(seed).stream("sweep.backoff")
-    delays = []
-    for k in range(1, attempts + 1):
-        window = min(cap, base * (2.0 ** (k - 1)))
-        delays.append(window * (0.5 + 0.5 * float(stream.random())))
-    return delays
+__all__ = [
+    "BACKOFF_BASE",
+    "BACKOFF_CAP",
+    "backoff_delays",
+    "replicate",
+    "run_many",
+    "summarize_replicates",
+]
 
 
 def replicate(config: ScenarioConfig, n: int) -> list[ScenarioConfig]:
@@ -76,7 +62,6 @@ def run_many(
     retries: int = 0,
     timeout: float | None = None,
     checkpoint: str | None = None,
-    backoff_base: float = BACKOFF_BASE,
 ) -> list[SweepResult]:
     """Run every config; results are in input order.
 
@@ -84,17 +69,19 @@ def run_many(
 
     The default path propagates the first failure, exactly as before.  With
     ``safe=True`` (implied by ``retries``, ``timeout`` or ``checkpoint``)
-    every failure — a raising scenario, a hung worker (``timeout`` seconds),
-    or a dying worker process — is returned as a :class:`FailedRun` record
-    in the failing config's slot instead of poisoning the sweep:
+    the configs run on a :class:`~repro.parallel.supervisor.WorkerSupervisor`
+    (inline when serial), and every failure — a raising scenario, a hung
+    worker (``timeout`` seconds after its item was handed to it; it is
+    killed), or a dying worker process — is returned as a
+    :class:`FailedRun` record in the failing config's slot instead of
+    poisoning the sweep:
 
     * ``retries`` re-runs failed items up to that many extra times, each
       attempt with a fresh seed derived from the original (a pathological
       seed must not fail the grid point forever), after a seeded
       exponential-with-jitter backoff (:func:`backoff_delays`; transient
       resource exhaustion — OOM-killed workers, a saturated disk — needs
-      breathing room, but the pause must stay deterministic per seed;
-      ``backoff_base=0`` disables the sleep);
+      breathing room, but the pause must stay deterministic per seed);
     * ``checkpoint`` appends each finished item to a JSONL file keyed by
       config fingerprint; re-running with the same path skips configs whose
       summaries are already recorded (``--resume`` in the CLI).
@@ -104,33 +91,19 @@ def run_many(
         return parallel_map(run_scenario, configs, workers=workers)
     return _run_resilient(
         configs,
-        workers=workers,
+        workers=default_workers() if workers is None else workers,
         retries=retries,
         timeout=timeout,
         checkpoint=SweepCheckpoint(checkpoint) if checkpoint else None,
-        backoff_base=backoff_base,
-    )
-
-
-def _failed_from(config: ScenarioConfig, exc: BaseException) -> FailedRun:
-    """A FailedRun for an item the worker never got to report on."""
-    return FailedRun(
-        scenario=config.name,
-        policy=config.policy,
-        seed=config.seed,
-        error_type=type(exc).__name__,
-        # concurrent.futures.TimeoutError stringifies to "" — say something.
-        error_message=str(exc) or "no result (timed out or worker died)",
     )
 
 
 def _run_resilient(
     configs: list[ScenarioConfig],
-    workers: int | None,
+    workers: int,
     retries: int,
     timeout: float | None,
     checkpoint: SweepCheckpoint | None,
-    backoff_base: float = BACKOFF_BASE,
 ) -> list[SweepResult]:
     keys = [config_fingerprint(c) for c in configs]
     # One backoff schedule per sweep, seeded from the grid itself so the
@@ -138,7 +111,6 @@ def _run_resilient(
     backoff = backoff_delays(
         derive_seed(configs[0].seed if configs else 0, "sweep.backoff"),
         retries,
-        base=backoff_base,
     )
     results: dict[int, SweepResult] = {}
     if checkpoint is not None:
@@ -147,55 +119,72 @@ def _run_resilient(
             if hit is not None:
                 results[i] = hit
 
+    # The sweep keeps its own retry policy (whole rounds, a fresh seed per
+    # round), so the supervisor runs each submission exactly once.
+    # workers <= 1 runs inline, in input order.
+    supervisor = WorkerSupervisor(
+        workers if workers > 1 else 0,
+        run_fn=run_scenario_safe,
+        timeout=timeout,
+        max_attempts=1,
+    )
     pending = [i for i in range(len(configs)) if i not in results]
-    for attempt in range(retries + 1):
-        if not pending:
-            break
-        if attempt > 0 and backoff[attempt - 1] > 0:
-            time.sleep(backoff[attempt - 1])
-        batch = []
-        for i in pending:
-            cfg = configs[i]
+    try:
+        for attempt in range(retries + 1):
+            if not pending:
+                break
             if attempt > 0:
-                # Fresh derived seed per retry: a crash tied to one seed's
-                # event sequence must not fail the grid point forever.
-                cfg = cfg.replace(seed=derive_seed(cfg.seed, "retry", attempt))
-            if (
-                checkpoint is not None
-                and cfg.snapshot_every > 0
-                and cfg.snapshot_to is None
-            ):
-                # Mid-run resume for killed workers: each grid point rolls
-                # its own snapshot file next to the sweep checkpoint, keyed
-                # by config fingerprint.  run_scenario_safe resumes from it
-                # when present and removes it on success.  A retry changes
-                # the seed, so a stale snapshot from the crashed attempt
-                # fails the config match and is rebuilt from scratch.
-                snap_dir = checkpoint.path.parent / (
-                    checkpoint.path.name + ".snap"
-                )
-                cfg = cfg.replace(
-                    snapshot_to=str(snap_dir / f"{keys[i]}.snap.gz")
-                )
-            batch.append(cfg)
+                time.sleep(backoff[attempt - 1])
+            batch = []
+            for i in pending:
+                cfg = configs[i]
+                if attempt > 0:
+                    # Fresh derived seed per retry: a crash tied to one
+                    # seed's event sequence must not fail the grid point
+                    # forever.
+                    cfg = cfg.replace(
+                        seed=derive_seed(cfg.seed, "retry", attempt)
+                    )
+                if (
+                    checkpoint is not None
+                    and cfg.snapshot_every > 0
+                    and cfg.snapshot_to is None
+                ):
+                    # Mid-run resume for killed workers: each grid point
+                    # rolls its own snapshot file next to the sweep
+                    # checkpoint, keyed by config fingerprint.
+                    # run_scenario_safe resumes from it when present and
+                    # removes it on success.  A retry changes the seed, so
+                    # a stale snapshot from the crashed attempt fails the
+                    # config match and is rebuilt from scratch.
+                    snap_dir = checkpoint.path.parent / (
+                        checkpoint.path.name + ".snap"
+                    )
+                    cfg = cfg.replace(
+                        snapshot_to=str(snap_dir / f"{keys[i]}.snap.gz")
+                    )
+                batch.append(cfg)
 
-        def write_through(batch_pos: int, result: SweepResult) -> None:
-            if checkpoint is not None:
-                checkpoint.record(keys[pending[batch_pos]], result)
+            def settle(outcomes: list[JobOutcome]) -> None:
+                for outcome in outcomes:
+                    i = int(outcome.job_id)
+                    result = outcome.result
+                    if checkpoint is not None:
+                        checkpoint.record(keys[i], result)
+                    if isinstance(result, FailedRun):
+                        result = result.replace_attempts(attempt + 1)
+                    results[i] = result
 
-        outcomes = parallel_map(
-            run_scenario_safe,
-            batch,
-            workers=workers,
-            timeout=timeout,
-            on_error=_failed_from,
-            on_result=write_through,
-        )
-        for i, outcome in zip(pending, outcomes):
-            if isinstance(outcome, FailedRun):
-                outcome = outcome.replace_attempts(attempt + 1)
-            results[i] = outcome
-        pending = [i for i in pending if isinstance(results[i], FailedRun)]
+            for i, cfg in zip(pending, batch):
+                while not supervisor.has_capacity():
+                    settle(supervisor.wait())
+                supervisor.submit(str(i), cfg)
+                settle(supervisor.poll())
+            while supervisor.pending():
+                settle(supervisor.wait())
+            pending = [i for i in pending if isinstance(results[i], FailedRun)]
+    finally:
+        supervisor.shutdown()
     return [results[i] for i in range(len(configs))]
 
 

@@ -1,4 +1,4 @@
-"""Deterministic process-pool map with failure containment.
+"""Deterministic ordered process-pool map.
 
 Results come back in input order regardless of completion order, and every
 work item carries its own seed (see :func:`repro.rng.derive_seed`), so a
@@ -10,18 +10,9 @@ across Linux (fork default) and macOS/Windows (spawn default): workers never
 inherit lazily-initialized parent state, and fork-unsafe extensions cannot
 corrupt a sweep.
 
-Resilience hooks (all optional, used by the crash-safe sweep path in
-:mod:`repro.experiments.sweep`):
-
-* ``timeout`` — seconds each item may run once the caller starts waiting on
-  it; a hung worker is abandoned (the pool is rebuilt for the remaining
-  items) instead of stalling the whole map;
-* ``on_error`` — called with ``(item, exception)`` for timeouts, dead
-  workers (:class:`BrokenProcessPool`) and raised exceptions; its return
-  value takes the item's slot in the result list.  Without it, failures
-  raise (:class:`~repro.errors.SweepInterrupted` for timeouts/worker death);
-* ``on_result`` — called with ``(index, result)`` as each item resolves, in
-  input order — the checkpoint writer hook.
+:func:`parallel_map` is a plain map: the first exception propagates, and a
+hung or dying worker stalls or breaks it.  Work that must survive those runs
+on :class:`repro.parallel.supervisor.WorkerSupervisor` instead.
 """
 
 from __future__ import annotations
@@ -30,11 +21,7 @@ import multiprocessing
 import os
 from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from typing import TypeVar
-
-from repro.errors import SweepInterrupted
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -55,9 +42,6 @@ def parallel_map(
     items: Sequence[T],
     workers: int | None = None,
     chunksize: int = 1,
-    timeout: float | None = None,
-    on_error: Callable[[T, BaseException], R] | None = None,
-    on_result: Callable[[int, R], None] | None = None,
 ) -> list[R]:
     """Apply *fn* to *items*, optionally across processes.
 
@@ -69,112 +53,9 @@ def parallel_map(
     if workers is None:
         workers = default_workers()
     if workers <= 1 or len(items) <= 1:
-        return _serial_map(fn, items, on_error, on_result)
-    if timeout is None and on_error is None and on_result is None:
-        # Fast path: chunked pool.map amortizes IPC for many small items.
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(items)), mp_context=_pool_context()
-        ) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
-    return _resilient_map(fn, items, workers, timeout, on_error, on_result)
-
-
-def _serial_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    on_error: Callable[[T, BaseException], R] | None,
-    on_result: Callable[[int, R], None] | None,
-) -> list[R]:
-    results: list[R] = []
-    for i, item in enumerate(items):
-        try:
-            result = fn(item)
-        except Exception as exc:
-            if on_error is None:
-                raise
-            result = on_error(item, exc)
-        results.append(result)
-        if on_result is not None:
-            on_result(i, result)
-    return results
-
-
-def _resilient_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    workers: int,
-    timeout: float | None,
-    on_error: Callable[[T, BaseException], R] | None,
-    on_result: Callable[[int, R], None] | None,
-) -> list[R]:
-    """Submit-based map that survives hung and dying workers.
-
-    Items are awaited in input order; a timeout or a broken pool marks the
-    offending item failed and restarts a fresh pool for the items after it
-    (completed futures keep their results).  An abandoned hung worker keeps
-    running detached until process exit — that is the price of not blocking
-    a multi-hour sweep on one pathological item.
-    """
-    results: dict[int, R] = {}
-
-    def settle(index: int, result: R) -> None:
-        results[index] = result
-        if on_result is not None:
-            on_result(index, result)
-
-    pending = list(range(len(items)))
-    while pending:
-        pool = ProcessPoolExecutor(
-            max_workers=min(workers, len(pending)), mp_context=_pool_context()
-        )
-        rebuild_from: int | None = None
-        try:
-            futures = {i: pool.submit(fn, items[i]) for i in pending}
-            for pos, i in enumerate(pending):
-                try:
-                    settle(i, futures[i].result(timeout=timeout))
-                except FutureTimeoutError as exc:
-                    futures[i].cancel()
-                    if on_error is None:
-                        raise SweepInterrupted(
-                            f"item {i} exceeded the {timeout}s timeout"
-                        ) from exc
-                    settle(i, on_error(items[i], exc))
-                    rebuild_from = pos + 1
-                    break
-                except BrokenProcessPool as exc:
-                    if on_error is None:
-                        raise SweepInterrupted(
-                            f"worker died while running item {i}"
-                        ) from exc
-                    settle(i, on_error(items[i], exc))
-                    rebuild_from = pos + 1
-                    break
-                except Exception as exc:
-                    if on_error is None:
-                        raise
-                    settle(i, on_error(items[i], exc))
-        finally:
-            # wait=False: a hung worker must not block the sweep; the pool's
-            # processes are reaped when they finish or at interpreter exit.
-            pool.shutdown(wait=False, cancel_futures=True)
-        if rebuild_from is None:
-            pending = []
-            continue
-        # Harvest what the dying pool already finished.  Work that
-        # completed before the failure point must not be recomputed on the
-        # fresh pool — recomputation is wasted wall-clock and re-runs the
-        # item's side effects (snapshot and checkpoint writes).  Only the
-        # contiguous run after the failure is harvestable: on_result is
-        # documented to fire in input order, so a completed item beyond a
-        # still-unfinished gap cannot settle yet and is resubmitted.
-        tail = pending[rebuild_from:]
-        harvested = 0
-        for j in tail:
-            fut = futures[j]
-            if fut.cancelled() or not fut.done() or fut.exception() is not None:
-                break
-            settle(j, fut.result())
-            harvested += 1
-        pending = tail[harvested:]
-    return [results[i] for i in range(len(items))]
+        return [fn(item) for item in items]
+    # Chunked pool.map amortizes IPC for many small items.
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(items)), mp_context=_pool_context()
+    ) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))

@@ -2,11 +2,11 @@
 
 A supervised, crash-tolerant job service over the existing scenario
 machinery: an append-only job journal that replays on restart, a worker
-supervisor with heartbeat/timeout detection and seeded retry backoff,
-bounded admission with explicit backpressure and load shedding, and a
-result cache keyed by the deterministic config fingerprint (same
-fingerprint → same bytes, so serving a hit is indistinguishable from
-recomputing).
+supervisor (:mod:`repro.parallel.supervisor`) with heartbeat/timeout
+detection and seeded retry backoff, bounded admission with explicit
+backpressure and load shedding, and a result cache keyed by the
+deterministic config fingerprint (same fingerprint → same bytes, so
+serving a hit is indistinguishable from recomputing).
 """
 
 from repro.service.api import ScenarioService, ServiceStats, Ticket
@@ -23,14 +23,12 @@ from repro.service.store import (
     JobRecord,
     JobStore,
 )
-from repro.service.supervisor import JobOutcome, WorkerSupervisor
 
 __all__ = [
     "AdmissionQueue",
     "CANCELLED",
     "DONE",
     "FAILED",
-    "JobOutcome",
     "JobRecord",
     "JobStore",
     "QUEUED",
@@ -41,5 +39,4 @@ __all__ = [
     "ServiceStats",
     "TERMINAL_STATES",
     "Ticket",
-    "WorkerSupervisor",
 ]

@@ -3,7 +3,7 @@
 :class:`ScenarioService` glues the journal (:mod:`repro.service.store`),
 the fingerprint result cache (:mod:`repro.service.cache`), the bounded
 admission queue (:mod:`repro.service.queue`) and the worker supervisor
-(:mod:`repro.service.supervisor`) into one crash-tolerant job service:
+(:mod:`repro.parallel.supervisor`) into one crash-tolerant job service:
 
 * ``submit(config)`` → a :class:`Ticket`: served from cache immediately,
   coalesced onto an identical in-flight job, queued, or rejected with an
@@ -37,7 +37,9 @@ from typing import Any
 
 from repro.errors import ConfigurationError, SnapshotError
 from repro.experiments.checkpoint import config_fingerprint
+from repro.experiments.runner import run_scenario_safe
 from repro.experiments.scenario import ScenarioConfig
+from repro.parallel.supervisor import JobOutcome, WorkerSupervisor
 from repro.reports.summary import FailedRun, RunSummary
 from repro.service.cache import ResultCache
 from repro.service.queue import SHED_DISPLACED, AdmissionQueue
@@ -49,7 +51,6 @@ from repro.service.store import (
     JobRecord,
     JobStore,
 )
-from repro.service.supervisor import JobOutcome, WorkerSupervisor
 from repro.snapshot.capture import encode_config
 from repro.snapshot.restore import decode_config
 
@@ -124,7 +125,7 @@ class ScenarioService:
         self.queue = AdmissionQueue(queue_capacity)
         self.supervisor = WorkerSupervisor(
             workers,
-            run_fn=run_fn,
+            run_fn=run_fn if run_fn is not None else run_scenario_safe,
             timeout=timeout,
             max_attempts=max_attempts,
             seed=seed,

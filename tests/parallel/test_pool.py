@@ -1,15 +1,18 @@
-"""Process-pool map: ordering, serial/parallel equivalence, resilience."""
+"""Process-pool map: ordering, serial/parallel equivalence; supervised
+lanes: failure containment."""
 
 from __future__ import annotations
 
 import os
 import signal
 import time
+from dataclasses import dataclass
 
 import pytest
 
-from repro.errors import SweepInterrupted
 from repro.parallel.pool import _pool_context, default_workers, parallel_map
+from repro.parallel.supervisor import WorkerSupervisor
+from repro.reports.summary import RunSummary
 
 
 def square(x: int) -> int:
@@ -20,18 +23,6 @@ def flaky(x: int) -> int:
     """Raises on negative inputs (picklable, for spawn workers)."""
     if x < 0:
         raise ValueError(f"bad item {x}")
-    return x * x
-
-
-def hang_or_square(x):
-    if x == "hang":
-        time.sleep(60.0)
-    return x * x
-
-
-def die_or_square(x):
-    if x == "die":
-        os._exit(1)  # hard worker death, not an exception
     return x * x
 
 
@@ -64,23 +55,6 @@ def test_pool_uses_spawn_start_method():
 
 
 class TestOnError:
-    def test_serial_on_error_takes_the_slot(self):
-        calls = []
-
-        def absorb(item, exc):
-            calls.append((item, type(exc)))
-            return -1
-
-        got = parallel_map(flaky, [2, -3, 4], workers=1, on_error=absorb)
-        assert got == [4, -1, 16]
-        assert calls == [(-3, ValueError)]
-
-    def test_parallel_on_error_takes_the_slot(self):
-        got = parallel_map(
-            flaky, [2, -3, 4], workers=2, on_error=lambda item, exc: -1
-        )
-        assert got == [4, -1, 16]
-
     def test_without_on_error_exceptions_propagate(self):
         with pytest.raises(ValueError):
             parallel_map(flaky, [2, -3, 4], workers=1)
@@ -88,168 +62,157 @@ class TestOnError:
             parallel_map(flaky, [2, -3, 4], workers=2)
 
 
-class TestOnResult:
-    def test_reports_in_input_order(self):
-        seen = []
-        parallel_map(
-            square, [3, 1, 2], workers=2,
-            on_result=lambda i, r: seen.append((i, r)),
-        )
-        assert seen == [(0, 9), (1, 1), (2, 4)]
+# -- supervised lanes --------------------------------------------------------
+# Failure containment is the supervisor's job (parallel_map has none); these
+# drive it the way a sweep round does: two lanes, one attempt per job unless
+# a test asks for more.  Everything below is module-level and light to
+# import, because every spawn worker imports this module to find `act`.
 
 
-class TestTimeout:
-    def test_hung_item_becomes_error_and_rest_complete(self):
-        got = parallel_map(
-            hang_or_square, [2, "hang", 3], workers=2, timeout=1.0,
-            on_error=lambda item, exc: "timed-out",
-        )
-        assert got == [4, "timed-out", 9]
+@dataclass(frozen=True)
+class Job:
+    """What the supervisor needs of a config, plus what `act` should do."""
 
-    def test_timeout_without_on_error_raises(self):
-        with pytest.raises(SweepInterrupted):
-            parallel_map(hang_or_square, [2, "hang", 3], workers=2,
-                         timeout=1.0)
+    name: str  # the tag: "hang", "kill", "die-*", or a plain label
+    delay: float = 0.0  # seconds `act` sleeps before acting
+    policy: str = "fifo"
+    seed: int = 0
 
 
-class TestWorkerDeath:
-    def test_dead_worker_becomes_error_and_rest_complete(self):
-        got = parallel_map(
-            die_or_square, [2, "die", 3, 4], workers=2, timeout=30.0,
-            on_error=lambda item, exc: "crashed",
-        )
-        # A dying worker breaks the whole pool, so item 0 is "crashed" too
-        # unless its future resolved before the break — both are valid.
-        assert got[0] in (4, "crashed")
-        assert got[1] == "crashed"
-        # Items after the rebuild still completed.
-        assert got[2:] == [9, 16]
+def act(job: Job) -> RunSummary:
+    """Sleeps, then hangs, SIGKILLs its own worker, or logs one line.
 
-
-def log_then_return(item):
-    """Sleeps, optionally SIGKILLs its own worker, else logs one line.
-
-    The log file counts executions — the harvest regression asserts an
-    item that completed on a dying pool is *not* recomputed on the fresh
-    one.  Module-level so spawn workers can unpickle it.
+    The log file counts executions.  ``die-*`` jobs die on their first
+    execution only (a marker file), so a retry succeeds.
     """
-    tag, delay, logdir = item
-    time.sleep(delay)
-    if tag == "kill":
-        os.kill(os.getpid(), signal.SIGKILL)
-    with open(
-        os.path.join(logdir, f"{tag}.log"), "a", encoding="utf-8"
-    ) as fh:
-        fh.write(f"{os.getpid()}\n")
-    return tag
-
-
-class TestHarvestAfterWorkerDeath:
-    def test_completed_items_harvested_not_recomputed(self, tmp_path):
-        # Worker 2 sleeps 2s then SIGKILLs itself; worker 1 meanwhile
-        # finishes a, b and c.  When the pool breaks, b and c have
-        # completed futures — the rebuild must harvest them, not rerun
-        # them (each log file counts executions).
-        items = [
-            ("a", 0.0, str(tmp_path)),
-            ("kill", 2.0, str(tmp_path)),
-            ("b", 0.0, str(tmp_path)),
-            ("c", 0.0, str(tmp_path)),
-        ]
-        seen = []
-        got = parallel_map(
-            log_then_return, items, workers=2,
-            on_error=lambda item, exc: "crashed",
-            on_result=lambda i, r: seen.append(i),
-        )
-        assert got == ["a", "crashed", "b", "c"]
-        assert seen == [0, 1, 2, 3]  # input order, despite the break
-        for tag in ("a", "b", "c"):
-            runs = (tmp_path / f"{tag}.log").read_text().splitlines()
-            assert len(runs) == 1, f"item {tag} ran {len(runs)} times"
-
-    def test_unfinished_item_is_retried_on_a_fresh_pool(self, tmp_path):
-        # The SIGKILL lands while d is still running, so d's future is
-        # broken with the pool: it must be resubmitted (exactly one
-        # completed execution) and keep its slot.
-        items = [("kill", 0.5, str(tmp_path)), ("d", 3.0, str(tmp_path))]
-        got = parallel_map(
-            log_then_return, items, workers=2, timeout=30.0,
-            on_error=lambda item, exc: "crashed",
-        )
-        assert got == ["crashed", "d"]
-        runs = (tmp_path / "d.log").read_text().splitlines()
-        assert len(runs) == 1
-
-
-def die_twice_or_square(item):
-    """Dies on its first execution for "die-*" items, succeeds on retry.
-
-    The death marker file makes the crash once-per-item across pool
-    rebuilds without any shared state in the parent.
-    """
-    tag, logdir = item
-    marker = os.path.join(logdir, f"{tag}.died")
-    if tag.startswith("die") and not os.path.exists(marker):
+    logdir = os.environ["REPRO_LANE_TEST_DIR"]
+    time.sleep(job.delay)
+    if job.name == "hang":
+        time.sleep(60.0)
+    marker = os.path.join(logdir, f"{job.name}.died")
+    if job.name == "kill" or (
+        job.name.startswith("die") and not os.path.exists(marker)
+    ):
         with open(marker, "w", encoding="utf-8"):
             pass
         os.kill(os.getpid(), signal.SIGKILL)
     with open(
-        os.path.join(logdir, f"{tag}.log"), "a", encoding="utf-8"
+        os.path.join(logdir, f"{job.name}.log"), "a", encoding="utf-8"
     ) as fh:
         fh.write(f"{os.getpid()}\n")
-    return tag
+    return RunSummary(
+        scenario=job.name, policy=job.policy, seed=job.seed, sim_time=1.0,
+        initial_copies=1, buffer_bytes=1, interval_range=(1.0, 1.0),
+        created=0, delivered=0, relayed=0, delivery_ratio=0.0,
+        average_hopcount=0.0, overhead_ratio=0.0, average_latency=0.0,
+    )
+
+
+@pytest.fixture
+def lane_dir(tmp_path, monkeypatch):
+    # Spawn workers inherit the environment, so `act` finds its log dir.
+    monkeypatch.setenv("REPRO_LANE_TEST_DIR", str(tmp_path))
+    return tmp_path
+
+
+def supervise(jobs, *, timeout=None, max_attempts=1):
+    """Runs *jobs* on two lanes; returns (outcomes in input order, stats)."""
+    sup = WorkerSupervisor(
+        2, run_fn=act, timeout=timeout, max_attempts=max_attempts,
+        backoff_base=0.0,
+    )
+    outcomes = {}
+    try:
+        for i, job in enumerate(jobs):
+            while not sup.has_capacity():
+                outcomes.update((o.job_id, o) for o in sup.wait())
+            sup.submit(str(i), job)
+        while sup.pending():
+            outcomes.update((o.job_id, o) for o in sup.wait())
+    finally:
+        sup.shutdown()
+    return [outcomes[str(i)] for i in range(len(jobs))], sup.stats
+
+
+def verdicts(outcomes):
+    """Each job's tag when it completed, else its error type."""
+    return [
+        o.result.scenario
+        if isinstance(o.result, RunSummary)
+        else o.result.error_type
+        for o in outcomes
+    ]
+
+
+def runs(logdir):
+    """Completed executions per tag."""
+    return {
+        log.stem: len(log.read_text(encoding="utf-8").splitlines())
+        for log in logdir.glob("*.log")
+    }
+
+
+class TestTimeout:
+    def test_hung_item_becomes_error_and_rest_complete(self, lane_dir):
+        outcomes, stats = supervise(
+            [Job("a"), Job("hang"), Job("b")], timeout=3.0
+        )
+        assert verdicts(outcomes) == ["a", "WorkerTimeout", "b"]
+        assert stats.timeouts == 1
+        assert runs(lane_dir) == {"a": 1, "b": 1}
+
+
+class TestWorkerDeath:
+    def test_dead_worker_becomes_error_and_rest_complete(self, lane_dir):
+        outcomes, stats = supervise(
+            [Job("a"), Job("kill"), Job("b"), Job("c")]
+        )
+        # One process per lane: the death is charged to its own job only.
+        assert verdicts(outcomes) == ["a", "WorkerDeath", "b", "c"]
+        assert stats.worker_deaths == 1
+
+
+class TestHarvestAfterWorkerDeath:
+    def test_completed_items_harvested_not_recomputed(self, lane_dir):
+        # One lane sleeps 2s then SIGKILLs its worker; the other lane
+        # meanwhile finishes a, b and c.  None of them may run again.
+        outcomes, _ = supervise(
+            [Job("a"), Job("kill", 2.0), Job("b"), Job("c")]
+        )
+        assert verdicts(outcomes) == ["a", "WorkerDeath", "b", "c"]
+        assert runs(lane_dir) == {"a": 1, "b": 1, "c": 1}
+
+    def test_other_lane_item_completes_once_uncharged(self, lane_dir):
+        # The SIGKILL lands while d is still running on the other lane: d
+        # completes exactly once and is charged no attempt.
+        outcomes, _ = supervise([Job("kill", 0.5), Job("d", 2.0)])
+        assert verdicts(outcomes) == ["WorkerDeath", "d"]
+        assert outcomes[1].attempts == 1
+        assert runs(lane_dir) == {"d": 1}
 
 
 class TestTwoDeathsSameGeneration:
     def test_two_workers_dying_together_cost_two_rebuilds_not_the_map(
-        self, tmp_path
+        self, lane_dir
     ):
-        """Both workers of the first pool generation die at once.
+        """Both lanes' first jobs die at once.
 
-        A broken pool only attributes the failure to the first item the
-        parent is awaiting; the other in-flight item is resubmitted on the
-        fresh pool, where its own death triggers a second rebuild.  The
-        regression pins that no item is lost, duplicated, or reordered
-        across the two consecutive rebuilds — and that the items after the
-        break still complete exactly once each.
+        Each death is charged to its own job and replaces its own lane; the
+        retries and the jobs behind them lose, duplicate and reorder
+        nothing: every job completes exactly once, in its slot.
         """
-        items = [
-            ("die-a", str(tmp_path)),
-            ("die-b", str(tmp_path)),
-            ("c", str(tmp_path)),
-            ("d", str(tmp_path)),
-        ]
-        seen = []
-        absorbed = []
-
-        def absorb(item, exc):
-            absorbed.append(item[0])
-            return "crashed"
-
-        got = parallel_map(
-            die_twice_or_square, items, workers=2, timeout=60.0,
-            on_error=absorb, on_result=lambda i, r: seen.append(i),
+        outcomes, stats = supervise(
+            [Job("die-a"), Job("die-b"), Job("c"), Job("d")], max_attempts=2
         )
-        # Each die-* item either crashed its slot or (having already
-        # burned its one death on a pool that broke before its result was
-        # awaited) completed on a later generation — both are correct;
-        # what is pinned is slot stability and input-order settlement.
-        assert len(got) == 4
-        assert got[0] in ("die-a", "crashed")
-        assert got[1] in ("die-b", "crashed")
-        assert got[2:] == ["c", "d"]
-        assert "crashed" in got[:2], "at least one death must surface"
-        assert seen == [0, 1, 2, 3]
-        assert set(absorbed) <= {"die-a", "die-b"}
-        for tag in ("c", "d"):
-            runs = (tmp_path / f"{tag}.log").read_text().splitlines()
-            assert len(runs) == 1, f"item {tag} ran {len(runs)} times"
+        assert verdicts(outcomes) == ["die-a", "die-b", "c", "d"]
+        assert [o.attempts for o in outcomes] == [2, 2, 1, 1]
+        assert stats.worker_deaths == 2
+        assert runs(lane_dir) == {"die-a": 1, "die-b": 1, "c": 1, "d": 1}
 
     def test_retry_seeds_for_crashed_items_are_fresh_and_distinct(self):
-        """The sweep convention layered on top of on_error: each crashed
-        item retries under a derived seed, so two items dying in the same
-        generation never retry correlated."""
+        """The sweep's retry convention: each crashed item retries under a
+        derived seed, so two items dying in the same generation never
+        retry correlated."""
         from repro.rng import derive_seed
 
         base_a, base_b = 101, 202

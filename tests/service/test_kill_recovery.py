@@ -1,8 +1,9 @@
 """The kill-recovery proof, end to end through the real CLI.
 
-A serve process is SIGKILLed mid-batch; re-running the same command
-against the same root must finish every accepted job, serve duplicate
-fingerprints from the cache, and exit 0.
+A serve process is SIGKILLed mid-batch; its worker and resource tracker
+must exit with it, and re-running the same command against the same root
+must finish every accepted job, serve duplicate fingerprints from the
+cache, and exit 0.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
@@ -52,6 +54,39 @@ def wait_for_mid_batch(journal, budget=90.0):
     return False
 
 
+def proc_stat(pid):
+    """(state, ppid) of *pid* from /proc, or None once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except OSError:
+        return None
+    fields = stat.rsplit(")", 1)[1].split()
+    return fields[0], int(fields[1])
+
+
+def child_pids(pid):
+    """Direct children of *pid*: serve's spawn workers and resource tracker."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        info = proc_stat(int(stat.parent.name))
+        if info is not None and info[1] == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+def still_alive(pids, budget=5.0):
+    """The *pids* still running (neither gone nor zombies) after *budget* s."""
+    deadline = time.perf_counter() + budget
+    while True:
+        alive = [
+            p for p in pids
+            if (info := proc_stat(p)) is not None and info[0] != "Z"
+        ]
+        if not alive or time.perf_counter() > deadline:
+            return alive
+        time.sleep(0.05)
+
+
 def test_sigkill_mid_batch_then_restart_completes_everything(tmp_path):
     batch = tmp_path / "batch.json"
     root = tmp_path / "root"
@@ -68,12 +103,16 @@ def test_sigkill_mid_batch_then_restart_completes_everything(tmp_path):
     victim = spawn_cli(*serve_args)
     try:
         assert wait_for_mid_batch(root / "journal.jsonl")
+        children = child_pids(victim.pid)
         victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=30)
     finally:
         if victim.poll() is None:
             victim.kill()
     assert victim.returncode == -signal.SIGKILL
+    # The victim's children exit with it: nothing orphaned keeps running.
+    assert children, "serve had no worker process to check"
+    assert still_alive(children) == []
 
     # Same command, same root: recovery replays the journal and finishes.
     revived = run_cli(*serve_args)

@@ -11,14 +11,14 @@ import pytest
 from repro.chaos.corpus import load_entry
 from repro.errors import ConfigurationError
 from repro.experiments.scenario import ScenarioConfig
-from repro.experiments.sweep import backoff_delays
-from repro.reports.summary import FailedRun, RunSummary
-from repro.rng import derive_seed
-from repro.service.supervisor import (
+from repro.parallel.supervisor import (
     ERROR_TIMEOUT,
     ERROR_WORKER_DEATH,
     WorkerSupervisor,
+    backoff_delays,
 )
+from repro.reports.summary import FailedRun, RunSummary
+from repro.rng import derive_seed
 
 
 def config(seed=1, **kw):
@@ -123,10 +123,12 @@ class TestInline:
 
     def test_max_attempts_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            WorkerSupervisor(0, max_attempts=0)
+            WorkerSupervisor(0, run_fn=quick_summary, max_attempts=0)
 
     def test_backoff_schedule_is_deterministic_per_job(self):
-        sup = WorkerSupervisor(0, seed=7, max_attempts=4)
+        sup = WorkerSupervisor(
+            0, run_fn=quick_summary, seed=7, max_attempts=4
+        )
         expected = backoff_delays(
             derive_seed(7, "service.backoff", "jX"), 3,
             base=0.05, cap=2.0,
@@ -157,6 +159,10 @@ def quick_summary(cfg):
     return fake_summary(cfg.seed)
 
 
+def die(cfg):
+    os._exit(1)  # hard worker death, not an exception
+
+
 def wait_for(sup, n, budget=30.0):
     """Real-time poll loop until *n* outcomes arrive (process mode)."""
     outcomes = []
@@ -166,6 +172,14 @@ def wait_for(sup, n, budget=30.0):
         if len(outcomes) < n:
             time.sleep(0.05)
     return outcomes
+
+
+def pid_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 class TestProcessMode:
@@ -199,14 +213,33 @@ class TestProcessMode:
             ):
                 time.sleep(0.05)
             assert (tmp_path / "ran-6").exists()
-            assert sup.kill_worker(0) is not None
+            killed = sup.kill_worker(0)
+            assert killed is not None
             outcomes = wait_for(sup, 1)
             assert len(outcomes) == 1
             assert isinstance(outcomes[0].result, RunSummary)
             assert outcomes[0].attempts == 2
             assert sup.stats.worker_deaths == 1
-            assert sup.stats.pool_rebuilds >= 1
-            assert sup.healthy  # rebuilt, not degraded
+            # The retry ran on a replacement worker, not a degraded lane.
+            assert sup.worker_pids() and killed not in sup.worker_pids()
+            assert sup.healthy
+        finally:
+            sup.shutdown()
+
+    def test_worker_that_died_idle_is_replaced_on_next_job(self):
+        sup = WorkerSupervisor(1, run_fn=quick_summary)
+        try:
+            sup.submit("j1", config(seed=1))
+            assert len(wait_for(sup, 1)) == 1
+            idle = sup.kill_worker(0)
+            deadline = time.perf_counter() + 5.0
+            while pid_alive(idle) and time.perf_counter() < deadline:
+                time.sleep(0.05)
+            sup.submit("j2", config(seed=2))  # must not raise
+            outcomes = wait_for(sup, 1)
+            assert isinstance(outcomes[0].result, RunSummary)
+            assert outcomes[0].attempts == 1  # no job was charged
+            assert sup.stats.worker_deaths == 0
         finally:
             sup.shutdown()
 
@@ -231,22 +264,43 @@ class TestProcessMode:
         finally:
             sup.shutdown()
 
-    def test_worker_death_failure_names_the_attempt(self, tmp_path):
-        # A job that dies on every attempt quarantines with WorkerDeath.
+    def test_timed_out_worker_is_killed(self):
+        # A hung worker is killed, not abandoned: it must neither keep
+        # running nor hold the interpreter at exit.
+        clock = FakeClock()
         sup = WorkerSupervisor(
-            1, run_fn=hang_forever, timeout=0.0, max_attempts=1,
-            backoff_base=0.0, quarantine_dir=tmp_path,
-            clock=FakeClock().now,
+            1, run_fn=hang_forever, timeout=5.0, max_attempts=1,
+            clock=clock.now,
+        )
+        try:
+            sup.submit("j1", config(seed=8))
+            [hung] = sup.worker_pids()
+            clock.advance(5.1)
+            outcomes = wait_for(sup, 1, budget=10.0)
+            assert outcomes[0].result.error_type == ERROR_TIMEOUT
+            deadline = time.perf_counter() + 5.0
+            while pid_alive(hung) and time.perf_counter() < deadline:
+                time.sleep(0.05)
+            assert not pid_alive(hung)
+        finally:
+            sup.shutdown()
+
+    def test_worker_death_failure_names_the_attempt(self, tmp_path):
+        # A job whose worker dies on its only attempt quarantines with
+        # WorkerDeath.
+        sup = WorkerSupervisor(
+            1, run_fn=die, max_attempts=1, quarantine_dir=tmp_path,
         )
         try:
             sup.submit("j1", config(seed=9))
-            # timeout=0 with a fake clock stuck at 0: deadline == now, so
-            # advance is needed; use a real poll loop after bumping.
-            sup._clock = lambda: 1.0
-            outcomes = wait_for(sup, 1, budget=10.0)
+            outcomes = wait_for(sup, 1, budget=30.0)
             assert len(outcomes) == 1
-            assert outcomes[0].result.error_type == ERROR_TIMEOUT
-            assert outcomes[0].quarantine  # max_attempts exhausted
+            result = outcomes[0].result
+            assert result.error_type == ERROR_WORKER_DEATH
+            assert "(attempt 1)" in result.error_message
+            entry = load_entry(outcomes[0].quarantine)
+            assert entry["failure"]["invariant"] == ERROR_WORKER_DEATH
+            assert sup.stats.worker_deaths == 1
         finally:
             sup.shutdown()
 

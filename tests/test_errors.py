@@ -9,8 +9,7 @@ def test_all_derive_from_repro_error():
     for name in ("ConfigurationError", "SimulationError", "ReproBufferError",
                  "MessageNotFoundError", "DuplicateMessageError",
                  "TransferError", "TraceFormatError", "SchedulingError",
-                 "FaultInjectionError", "SweepInterrupted",
-                 "InvariantViolation"):
+                 "FaultInjectionError", "InvariantViolation"):
         exc = getattr(errors, name)
         assert issubclass(exc, errors.ReproError), name
 

@@ -6,6 +6,8 @@ process mid-batch (after at least one result is cached, while another job
 is journaled as running), then re-runs the identical command against the
 same root and asserts:
 
+* every child of the killed process (its spawn worker and resource
+  tracker, read from ``/proc``) exits within 5 s of the kill;
 * the re-serve exits 0 with every accepted job in a terminal state;
 * no fingerprint was computed twice — duplicates (including the whole
   resubmitted batch) were served from the fingerprint cache;
@@ -64,6 +66,39 @@ def wait_for_mid_batch(journal: Path, budget: float = 120.0) -> bool:
     return False
 
 
+def proc_stat(pid: int) -> tuple[str, int] | None:
+    """(state, ppid) of *pid* from /proc, or None once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except OSError:
+        return None
+    fields = stat.rsplit(")", 1)[1].split()
+    return fields[0], int(fields[1])
+
+
+def child_pids(pid: int) -> list[int]:
+    """Direct children of *pid*: serve's spawn workers and resource tracker."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        info = proc_stat(int(stat.parent.name))
+        if info is not None and info[1] == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+def still_alive(pids: list[int], budget: float = 5.0) -> list[int]:
+    """The *pids* still running (neither gone nor zombies) after *budget* s."""
+    deadline = time.perf_counter() + budget
+    while True:
+        alive = [
+            p for p in pids
+            if (info := proc_stat(p)) is not None and info[0] != "Z"
+        ]
+        if not alive or time.perf_counter() > deadline:
+            return alive
+        time.sleep(0.05)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--artifact-dir", type=str, default="service-smoke",
@@ -100,18 +135,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not wait_for_mid_batch(root / "journal.jsonl"):
             raise SystemExit("batch never reached the mid-run kill window")
+        children = child_pids(victim.pid)
         victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=60)
     finally:
         if victim.poll() is None:
             victim.kill()
     print(f"killed serve pid {victim.pid} mid-batch (SIGKILL)")
+    failures: list[str] = []
+    if not children:
+        failures.append("serve had no worker process to check")
+    orphans = still_alive(children)
+    if orphans:
+        failures.append(f"serve's children {orphans} outlived it by 5 s")
 
     revived = cli(*serve)
     print(revived.stdout.strip().splitlines()[-1])
 
     report = json.loads(cli("report", "--root", str(root)).stdout)
-    failures: list[str] = []
     counts = report["counts"]
     if counts["queued"] or counts["running"]:
         failures.append(f"non-terminal jobs remain: {counts}")
