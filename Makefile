@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-deep sanitize-smoke obs-smoke chaos-smoke analytic-smoke service-smoke determinism snapshot-roundtrip bench perf perf-compare figures-full fig3 fig4 examples clean
+.PHONY: install test lint lint-deep sanitize-smoke obs-smoke chaos-smoke analytic-smoke service-smoke determinism snapshot-roundtrip bench perf perf-compare perf-pairs figures-full fig3 fig4 examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -92,6 +92,17 @@ perf-compare:
 	fi
 	$(PYTHON) benchmarks/perf/compare.py $(A) $(B)
 
+# Paired end-to-end runs of a parent revision (git archive'd into a temp
+# directory) against the working tree, alternating which side runs first,
+# then compare.py over all pairs; result files land in perf-pairs/.
+# Extra run.py options go in PERF_ARGS, e.g. PERF_ARGS="--seed 7".
+PAIRS ?= 10
+perf-pairs:
+	@if [ -z "$(PARENT)" ]; then \
+		echo "usage: make perf-pairs PARENT=<rev> [PAIRS=10] [PERF_ARGS=...]"; exit 2; \
+	fi
+	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) --pairs $(PAIRS) $(PERF_ARGS)
+
 # The paper's exact grids (Tables II/III). Hours of CPU; tune --workers.
 # Each sweep checkpoints to *.ckpt.jsonl, so a killed run resumes from its
 # completed grid points when you re-run the target.
@@ -123,4 +134,5 @@ examples:
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache
 	rm -f *.ckpt.jsonl obs-metrics.json obs-trace.jsonl fig-validate.json perf.json
+	rm -rf perf-pairs
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -23,23 +23,33 @@ tick:
   (which skips buffers whose ``next_expiry`` bound has not passed);
 * **scan memo** — every idle, linked node the tick's idle-sender loop is
   about to skip as asleep really has nothing to send: a full rescan finds
-  no candidate.
+  no candidate;
+* **dropped count** — every SDSRP node's maintained d_i counts equal a
+  recount over its dropped-list records, and the store's prune bound
+  (``next_expiry``) is no later than any stored expiry.  A store is
+  recounted whenever a record's time or length, the bound or the counts
+  changed since its last passing recount.
 
 Violations raise :class:`~repro.errors.InvariantViolation` naming the
 invariant, the node, the message and the simulation time, so a corrupted run
 dies at the first bad tick instead of producing silently skewed figures.
 
 Checks are O(total buffered messages) per tick, plus the send scans the
-scan memo saved — cheap enough for CI smoke runs
-(``make sanitize-smoke``), too slow for large sweeps; enable explicitly
-via ``Simulator(sanitize=True)``, ``ScenarioConfig(sanitize=True)``,
-``repro-exp run --sanitize`` or ``REPRO_SANITIZE=1``.
+scan memo saved and a recount of each dropped-list store that changed —
+cheap enough for CI smoke runs (``make sanitize-smoke``), too slow for
+large sweeps; enable explicitly via ``Simulator(sanitize=True)``,
+``ScenarioConfig(sanitize=True)``, ``repro-exp run --sanitize`` or
+``REPRO_SANITIZE=1``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import math
+from collections import Counter
+from itertools import chain
+from typing import TYPE_CHECKING, Any
 
+from repro.core.dropped_list import DroppedListStore
 from repro.errors import InvariantViolation
 from repro.units import TIME_EPS
 
@@ -79,6 +89,9 @@ class Sanitizer:
         # ratchets down as drops destroy tokens).
         self._copy_budget: dict[str, int] = {}
         self._committed_seqs: set[int] = set()
+        # node id -> ((store, prune bound, record shapes), counts) as of its
+        # last passing dropped-list recount.
+        self._dropped_verified: dict[int, tuple[Any, ...]] = {}
 
     # -- wiring ------------------------------------------------------------
 
@@ -172,6 +185,7 @@ class Sanitizer:
         for node in self.nodes:
             if node.router is not None:
                 self._check_purged(node, now)
+                self._check_dropped_counts(node, now)
                 self._check_scan_memo(node, now)
 
         self.ticks_checked += 1
@@ -188,6 +202,49 @@ class Sanitizer:
                     msg_id=m.msg_id,
                     time=now,
                 )
+
+    def _check_dropped_counts(self, node: Node, now: float) -> None:
+        assert node.router is not None
+        store = getattr(node.router.policy, "dropped", None)
+        if not isinstance(store, DroppedListStore):
+            return
+        records = store.known_records()
+        # Every change a store makes to its records moves some record's
+        # time (a drop, an adoption) or length (a new drop, a prune), so
+        # while neither that, the bound nor the counts moved, the last
+        # recount still stands.
+        state = (store, store.next_expiry, [
+            (origin, rec.record_time, len(rec.dropped))
+            for origin, rec in records.items()
+        ])
+        if self._dropped_verified.get(node.id) == (state, store._counts):
+            return
+        lists = [record.dropped for record in records.values()]
+        bound = min(chain.from_iterable(d.values() for d in lists), default=math.inf)
+        if bound < store.next_expiry:
+            msg_id = next(m for d in lists for m, exp in d.items() if exp == bound)
+            raise InvariantViolation(
+                "dropped-count",
+                f"stored expiry {bound:.6f}s precedes the prune bound "
+                f"{store.next_expiry:.6f}s",
+                node_id=node.id,
+                msg_id=msg_id,
+                time=now,
+            )
+        recount = dict(Counter(chain.from_iterable(lists)))
+        # A count kept for an id no record lists is corruption too.
+        for msg_id in sorted(recount.keys() | store._counts.keys()):
+            kept, actual = store.count_drops(msg_id), recount.get(msg_id, 0)
+            if kept != actual:
+                raise InvariantViolation(
+                    "dropped-count",
+                    f"maintained d_i is {kept} but {actual} records list "
+                    "the message",
+                    node_id=node.id,
+                    msg_id=msg_id,
+                    time=now,
+                )
+        self._dropped_verified[node.id] = (state, recount)
 
     def _check_scan_memo(self, node: Node, now: float) -> None:
         if not node.asleep or node.sending or not node.neighbors:

@@ -1,7 +1,8 @@
 """SDSRP — the paper's contribution.
 
 * :mod:`repro.core.priority` — the delivery-probability and priority math
-  (Eqs. 4-13 of the paper), scalar and vectorized.
+  (Eqs. 4-13 of the paper): broadcasting functions for curves, and
+  bit-identical scalar kernels for the policy's per-message ranking.
 * :mod:`repro.core.intermeeting` — intermeeting-time estimation
   (Definitions 1-2, Eq. 3): λ and λ_min = (N-1)λ.
 * :mod:`repro.core.dropped_list` — the gossiped dropped-message records

@@ -7,8 +7,18 @@ Notation (Table I of the paper):
 * ``m_i`` — nodes (excl. source) that have seen message i.
 * ``n_i`` — nodes currently holding a copy.
 
-All functions broadcast over NumPy arrays, so the Fig. 4 benchmark and the
-Taylor-error analysis can sweep whole curves in one call.
+The broadcasting functions take NumPy arrays, so the Fig. 4 benchmark and
+the Taylor-error analysis can sweep whole curves in one call.  The policy
+ranks one message at a time, and on Python scalars a broadcasting call is
+mostly array conversion and ufunc dispatch (~29 µs per Eq. 10 call against
+~1.5 µs for the scalar kernel, on a 2-core x86-64 VM).  So the policy uses
+the scalar kernels :func:`priority_closed_form_scalar` (Eq. 10) and
+:func:`priority_taylor_scalar` (Eq. 13).  They perform the same float64
+operations in the same order, with the same clamps and validation, and
+take :math:`\log_2 C_i` and the one exponential from NumPy, so they return
+the broadcasting result bit for bit (``math.exp`` differs from ``np.exp``
+in the last bit on a few percent of inputs; pinned by
+``tests/core/test_priority.py``).
 
 The recurring sub-expression is the exponent coefficient
 
@@ -155,6 +165,65 @@ def priority_taylor(p_t, p_r, n_holders, terms: int = 8):
     # Horner-style accumulation of sum_{k=1}^{K} x^k / k.
     acc = np.zeros(np.broadcast(p_t, p_r, n_holders).shape)
     power = np.ones_like(acc)
+    for k in range(1, terms + 1):
+        power = power * p_r
+        acc = acc + power / k
+    return (1.0 - p_t) * (1.0 - p_r) * acc / n_holders
+
+
+# -- scalar kernels (the policy's per-message path) ---------------------------
+
+#: C -> float64 log2(C), computed by ``np.log2`` exactly as
+#: :func:`exponent_coefficient` does.  Copy counts are small integers, so
+#: the table stays tiny.
+_LOG2: dict[float, float] = {}
+
+
+def _scalar_terms(copies, remaining_ttl: float, m_seen, n_holders,
+                  lam: float, n_nodes: int) -> tuple[float, float, float]:
+    """(P(T_i), A_i, clamped exponent -λ n_i A_i) for one message, with the
+    validation of :func:`exponent_coefficient` in its order."""
+    if n_nodes < 2:
+        raise ConfigurationError(f"need at least 2 nodes, got {n_nodes}")
+    if lam <= 0:
+        raise ConfigurationError(f"lambda must be positive: {lam}")
+    if copies < 1:
+        raise ConfigurationError("copies must be >= 1")
+    log_c = _LOG2.get(copies)
+    if log_c is None:
+        log_c = _LOG2[copies] = float(np.log2(np.asarray(copies, dtype=float)))
+    spray_penalty = log_c * (log_c + 1.0) / (2.0 * (n_nodes - 1) * lam)
+    coeff = (log_c + 1.0) * remaining_ttl - spray_penalty
+    exponent = -lam * n_holders * coeff
+    # The clamps of np.clip, which also let NaN through.
+    if exponent < _EXP_MIN:
+        exponent = _EXP_MIN
+    elif exponent > _EXP_MAX:
+        exponent = _EXP_MAX
+    p_t = m_seen / (n_nodes - 1)
+    p_t = 0.0 if p_t < 0.0 else 1.0 if p_t > 1.0 else p_t
+    return p_t, coeff, exponent
+
+
+def priority_closed_form_scalar(copies, remaining_ttl: float, m_seen, n_holders,
+                                lam: float, n_nodes: int) -> float:
+    """:func:`priority_closed_form` for one message, bit-identical."""
+    p_t, coeff, exponent = _scalar_terms(copies, remaining_ttl, m_seen,
+                                         n_holders, lam, n_nodes)
+    return (1.0 - p_t) * lam * coeff * float(np.exp(exponent))
+
+
+def priority_taylor_scalar(copies, remaining_ttl: float, m_seen, n_holders,
+                           lam: float, n_nodes: int, terms: int = 8) -> float:
+    """``priority_taylor(p_delivered(m), p_remaining(C, R, n), n, terms)``
+    for one message, bit-identical."""
+    p_t, _, exponent = _scalar_terms(copies, remaining_ttl, m_seen,
+                                     n_holders, lam, n_nodes)
+    if terms < 1:
+        raise ConfigurationError(f"terms must be >= 1: {terms}")
+    p_r = 1.0 - float(np.exp(exponent))
+    acc = 0.0
+    power = 1.0
     for k in range(1, terms + 1):
         power = power * p_r
         acc = acc + power / k

@@ -34,10 +34,8 @@ from repro.core.intermeeting import (
 from repro.core.oracle import GlobalInfectionOracle
 from repro.core.params import SdsrpParams
 from repro.core.priority import (
-    p_delivered,
-    p_remaining,
-    priority_closed_form,
-    priority_taylor,
+    priority_closed_form_scalar,
+    priority_taylor_scalar,
 )
 from repro.core.spray_tree import estimate_infected
 from repro.errors import ConfigurationError
@@ -135,9 +133,6 @@ class SdsrpPolicy(BufferPolicy):
             raise ConfigurationError("policy used before attach()")
         return self._estimator
 
-    def _lambda(self) -> float:
-        return self.estimator.rate()
-
     def _infection(self, message: Message, now: float) -> tuple[int, int]:
         """(m_i, n_i) for *message* per the configured estimator."""
         assert self.dropped is not None
@@ -165,16 +160,14 @@ class SdsrpPolicy(BufferPolicy):
     def priority(self, message: Message, now: float) -> float:
         """U_i (Eq. 10 / Eq. 13) for *message* as held by this node."""
         m, n = self._infection(message, now)
-        lam = self._lambda()
+        lam = self.estimator.rate()
         c = self._priority_copies(message)
         r = message.remaining_ttl(now)
         if self.params.priority_form == P.FORM_CLOSED:
-            value = priority_closed_form(c, r, m, n, lam, self._n_nodes)
-        else:
-            pt = p_delivered(m, self._n_nodes)
-            pr = p_remaining(c, r, n, lam, self._n_nodes)
-            value = priority_taylor(pt, pr, n, terms=self.params.taylor_terms)
-        return float(value)
+            return priority_closed_form_scalar(c, r, m, n, lam, self._n_nodes)
+        return priority_taylor_scalar(
+            c, r, m, n, lam, self._n_nodes, terms=self.params.taylor_terms
+        )
 
     def send_priority(self, message: Message, now: float) -> float:
         return self.priority(message, now)

@@ -68,16 +68,18 @@ def estimate_infected(
         raise ConfigurationError(f"need at least 2 nodes: {n_nodes}")
     if not spray_times:
         return 0
-    t_ref = now if extrapolate else max(spray_times)
-    if now < max(spray_times):
+    latest = max(spray_times)
+    if now < latest:
         raise ConfigurationError(
-            f"spray time {max(spray_times)} is in the future (now={now})"
+            f"spray time {latest} is in the future (now={now})"
         )
+    t_ref = now if extrapolate else latest
+    cap = n_nodes - 1
     total = 0
     for t_k in spray_times:
-        exponent = min(int((t_ref - t_k) // mean_min_intermeeting), _MAX_EXP)
-        total += 1 << exponent
-        if total >= n_nodes - 1:
-            return n_nodes - 1
+        exponent = int((t_ref - t_k) // mean_min_intermeeting)
+        total += 1 << (exponent if exponent < _MAX_EXP else _MAX_EXP)
+        if total >= cap:
+            return cap
     # At least one distinct node per recorded spray event actually exists.
     return max(total, len(spray_times))

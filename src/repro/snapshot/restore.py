@@ -346,21 +346,20 @@ def _restore_policy_state(policy: Any, data: dict[str, Any] | None) -> None:
                     "snapshot carries a dropped-list store but the rebuilt "
                     "policy has none"
                 )
-            store._records = {
-                int(origin): DropRecord(
+            records = [
+                DropRecord(
                     int(origin),
                     float(record_time),
                     {str(mid): float(exp) for mid, exp in dropped.items()},
                 )
                 for origin, record_time, dropped in data["dropped"]
-            }
-            own = store._records.get(store.node_id)
-            if own is None:
+            ]
+            if all(rec.node_id != store.node_id for rec in records):
                 raise SnapshotError(
                     f"dropped-list store for node {store.node_id} lost its "
                     "own record"
                 )
-            store._own = own
+            store.load(records)
     elif kind == "arrival":
         if not isinstance(policy, (FifoPolicy, LifoPolicy)):
             raise SnapshotError(

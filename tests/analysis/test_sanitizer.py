@@ -200,6 +200,42 @@ def test_frozen_expiry_bound_is_caught(monkeypatch):
     assert exc.value.msg_id is not None
 
 
+# -- seeded corruption of SDSRP's dropped-list bookkeeping ----------------------
+
+
+def _store_with_entries(built):
+    return next(
+        node.router.policy.dropped
+        for node in built.nodes
+        if len(node.router.policy.dropped)
+    )
+
+
+def test_corrupt_dropped_count_is_caught():
+    built = build_and_warm(small(), until=600.0)
+    store = _store_with_entries(built)
+    victim = next(iter(store._counts))
+    store._counts[victim] += 1  # the seeded bug: d_i drifts off by one
+
+    with pytest.raises(InvariantViolation) as exc:
+        built.sim.run()
+    assert exc.value.invariant == "dropped-count"
+    assert exc.value.node_id == store.node_id
+    assert exc.value.msg_id == victim
+
+
+def test_late_prune_bound_is_caught():
+    built = build_and_warm(small(), until=600.0)
+    store = _store_with_entries(built)
+    store.next_expiry = math.inf  # the seeded bug: entries never pruned
+
+    with pytest.raises(InvariantViolation) as exc:
+        built.sim.run()
+    assert exc.value.invariant == "dropped-count"
+    assert exc.value.node_id == store.node_id
+    assert exc.value.msg_id is not None
+
+
 # -- clean runs ---------------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.priority import (
@@ -14,8 +14,10 @@ from repro.core.priority import (
     p_delivered,
     p_remaining,
     priority_closed_form,
+    priority_closed_form_scalar,
     priority_from_probabilities,
     priority_taylor,
+    priority_taylor_scalar,
 )
 from repro.errors import ConfigurationError
 
@@ -226,3 +228,78 @@ class TestEq12PeakCondition:
         u_lo = float(priority_closed_form(c_i, r * 0.5, 0, n_i, LAM, N))
         u_hi = float(priority_closed_form(c_i, r * 2.0, 0, n_i, LAM, N))
         assert u_peak > u_lo and u_peak > u_hi
+
+
+# -- the scalar kernels the policy uses --------------------------------------
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(C, R, m, n, λ, N) over the ranges the simulator produces: every
+    copy count up to 64 (odd splits give non-powers of two), R from just
+    expired to a full Table II horizon, λ over six decades."""
+    n_nodes = draw(st.sampled_from([40, 100, 200, 10_000]))
+    return (
+        draw(st.integers(min_value=1, max_value=64)),
+        draw(st.floats(min_value=-100.0, max_value=18_000.0)),
+        draw(st.integers(min_value=0, max_value=n_nodes)),
+        draw(st.integers(min_value=1, max_value=n_nodes)),
+        10.0 ** draw(st.floats(min_value=-7.0, max_value=-1.0)),
+        n_nodes,
+    )
+
+
+def _taylor_broadcast(c, r, m, n, lam, n_nodes, terms):
+    return priority_taylor(
+        p_delivered(m, n_nodes), p_remaining(c, r, n, lam, n_nodes), n,
+        terms=terms,
+    )
+
+
+def _error(fn, *args, **kwargs) -> str:
+    with pytest.raises(ConfigurationError) as exc:
+        fn(*args, **kwargs)
+    return str(exc.value)
+
+
+class TestScalarKernels:
+    """The scalar kernels return the broadcasting functions' float64 bit
+    for bit (``==``, not approx): the ranking, and so every golden, must
+    not move."""
+
+    @settings(max_examples=1000)
+    @given(kernel_inputs())
+    def test_closed_form_is_bit_identical(self, args):
+        assert priority_closed_form_scalar(*args) == float(priority_closed_form(*args))
+
+    @settings(max_examples=500)
+    @given(kernel_inputs(), st.integers(min_value=1, max_value=12))
+    def test_taylor_is_bit_identical(self, args, terms):
+        expected = float(_taylor_broadcast(*args, terms))
+        assert priority_taylor_scalar(*args, terms=terms) == expected
+
+    def test_returns_python_floats(self):
+        assert type(priority_closed_form_scalar(4, 100.0, 3, 2, LAM, N)) is float
+        assert type(priority_taylor_scalar(4, 100.0, 3, 2, LAM, N)) is float
+
+    @pytest.mark.parametrize("args", [
+        (0, 100.0, 0, 1, LAM, N),      # C < 1
+        (0.5, 100.0, 0, 1, LAM, N),
+        (4, 100.0, 0, 1, 0.0, N),      # λ <= 0
+        (4, 100.0, 0, 1, -LAM, N),
+        (4, 100.0, 0, 1, LAM, 1),      # N < 2
+        (0, 100.0, 0, 1, -LAM, 1),     # all three: the same one is reported
+    ])
+    def test_validation_parity(self, args):
+        assert _error(priority_closed_form_scalar, *args) == _error(
+            priority_closed_form, *args
+        )
+        assert _error(priority_taylor_scalar, *args, terms=4) == _error(
+            _taylor_broadcast, *args, 4
+        )
+
+    def test_taylor_terms_validation_parity(self):
+        args = (4, 100.0, 0, 1, LAM, N)
+        assert _error(priority_taylor_scalar, *args, terms=0) == _error(
+            _taylor_broadcast, *args, 0
+        )

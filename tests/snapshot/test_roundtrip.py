@@ -8,8 +8,12 @@ reproduces the exact snapshot payload (same canonical JSON, same checksum).
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import gzip
 import json
+import math
+from collections import Counter
 
 import pytest
 
@@ -202,6 +206,49 @@ class TestRouterRoundtrip:
         assert asleep > len(baseline.nodes) / 2
         restored = restore(snap)
         assert not any(node.asleep for node in restored.nodes)
+        assert canonical_json(save(restored).state) == canonical_json(snap.state)
+        run_built(restored)
+        assert outputs(restored) == outputs(baseline)
+
+
+# -- SDSRP dropped-list stores -------------------------------------------------
+
+
+def congested() -> ScenarioConfig:
+    # Fast traffic: SDSRP nodes overflow, drop and gossip before mid-horizon.
+    return observed(interval_range=(10.0, 15.0))
+
+
+class TestDroppedListRoundtrip:
+    def test_restored_counts_equal_a_recount(self):
+        snap, baseline = run_with_snapshot(congested())
+        restored = restore(snap)
+        stores = [node.router.policy.dropped for node in restored.nodes]
+        assert sum(len(store) for store in stores) > 0, (
+            "no store holds a drop at mid-horizon; test is vacuous"
+        )
+        for store in stores:
+            lists = [rec.dropped for rec in store.known_records().values()]
+            recount = Counter(mid for dropped in lists for mid in dropped)
+            assert len(store) == sum(recount.values())
+            for msg_id, count in recount.items():
+                assert store.count_drops(msg_id) == count
+            expiries = [exp for dropped in lists for exp in dropped.values()]
+            assert store.next_expiry <= min(expiries, default=math.inf)
+        run_built(restored)
+        assert outputs(restored) == outputs(baseline)
+
+    def test_never_dropped_records_of_older_snapshots_are_inert(self):
+        # Older snapshots list a record for every origin a store had heard
+        # of, including those that never dropped (record time -inf).
+        snap, baseline = run_with_snapshot(congested())
+        state = copy.deepcopy(snap.state)
+        ids = [node["id"] for node in state["nodes"]]
+        for node in state["nodes"]:
+            dropped = node["policy"]["dropped"]
+            listed = {origin for origin, _, _ in dropped}
+            dropped += [[o, float("-inf"), {}] for o in ids if o not in listed]
+        restored = restore(dataclasses.replace(snap, state=state))
         assert canonical_json(save(restored).state) == canonical_json(snap.state)
         run_built(restored)
         assert outputs(restored) == outputs(baseline)

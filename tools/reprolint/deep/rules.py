@@ -692,6 +692,9 @@ REBUILT_ON_RESTORE: dict[tuple[str, str], str] = {
     ("PhaseProfiler", "_stack"): "empty between events (snapshots run between events)",
     ("Simulator", "queue"): "event queue is re-armed from recurring/transfer/generator cursors",
     ("DroppedListStore", "_own"): "alias of _records[own id]; captured through _records",
+    ("DroppedListStore", "_counts"): "d_i per message; load() recounts it from the captured records",
+    ("DroppedListStore", "next_expiry"): "lower bound on stored expiries; load() re-derives it from the captured records",
+    ("Sanitizer", "_dropped_verified"): "recount memo; empty in the rebuilt sanitizer, so its first check recounts every store",
     ("SdsrpPolicy", "_n_nodes"): "re-derived from the buffer by attach() on rebuild",
     ("ListenerRegistry", "_listeners"): "subscriptions re-created by build_scenario wiring",
     ("FaultInjector", "_started"): "start() re-subscribes on restore; guard only blocks double-wiring",
