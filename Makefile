@@ -50,12 +50,11 @@ obs-smoke:
 chaos-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.chaos --iterations 25 --seed 1 --budget-seconds 60
 
-# Analytic layer (docs/analytic.md): fixed-seed analytic + hybrid runs
-# through the real CLI, the analytic-vs-simulator cross-validation suite,
-# and a reduced fig-validate sweep (simulated curves + analytic overlay).
+# Analytic layer (docs/analytic.md): a fixed-seed analytic run through the
+# real CLI, the analytic-vs-simulator cross-validation suite, and a reduced
+# fig-validate sweep (simulated curves + analytic overlay).
 analytic-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments run --scenario rwp --policy fifo --reduced --engine analytic --seed 1
-	PYTHONPATH=src $(PYTHON) -m repro.experiments run --scenario rwp --policy fifo --reduced --engine hybrid --seed 1
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/analytic
 	PYTHONPATH=src $(PYTHON) -m repro.experiments fig-validate --axis copies --policies fifo sdsrp --workers 1 --json fig-validate.json
 

@@ -56,12 +56,3 @@ __all__ = [
     "TransferError",
     "__version__",
 ]
-
-
-def __getattr__(name: str) -> object:
-    """Forward deprecated names to :mod:`repro.errors` (warns on access)."""
-    if name == "BufferError_":
-        from repro import errors
-
-        return getattr(errors, "BufferError_")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

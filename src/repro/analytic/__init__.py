@@ -29,11 +29,6 @@ returns an :class:`~repro.analytic.result.AnalyticResult`, which renders
 into the existing :class:`~repro.reports.summary.RunSummary` and
 time-series shapes — the CLI, experiment presets, figure pipelines and the
 ``repro.service`` result cache all consume analytic results unchanged.
-
-``engine_backend="hybrid"`` additionally samples a small set of discrete
-per-message outcomes from the model's delay CDF via named RNG streams
-(:mod:`repro.analytic.hybrid`), keeping the determinism contract: same
-config, same bytes.
 """
 
 from repro.analytic.meeting import MeetingRate, meeting_rate

@@ -20,8 +20,6 @@ grid build.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -146,20 +144,3 @@ class DelayModel:
             return float("nan")
         depth = float(np.interp(w, self.times, self._int_depth_flux))
         return 1.0 + depth / flux
-
-    # -- hybrid-mode sampling ------------------------------------------------
-
-    def sample_delay(self, u: float, window: float) -> float | None:
-        """Inverse-CDF draw: ``u`` ∈ [0,1) → delay, or None if undelivered.
-
-        A draw above ``F(window)`` means the message misses its residual
-        window.  Interpolation inverts the grid CDF, so equal seeds give
-        equal delays — the hybrid determinism contract.
-        """
-        if not 0.0 <= u < 1.0 or math.isnan(u):
-            raise ConfigurationError(f"inverse-CDF draw needs u in [0,1): {u}")
-        w = min(window, self.window)
-        bound = self.ratio_at(w)
-        if u >= bound:
-            return None
-        return float(np.interp(u, self.cdf, self.times))

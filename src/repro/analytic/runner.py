@@ -4,11 +4,8 @@
 build the router-appropriate delay model (with a damped buffer-blocking
 fixed point for the spray routers, mirroring the epidemic model's ρ), and
 wrap everything in an :class:`~repro.analytic.result.AnalyticResult`.
-
-:func:`run_analytic_summary` is what
-:func:`repro.experiments.runner.run_scenario` dispatches to — it returns a
-plain :class:`~repro.reports.summary.RunSummary`, sampled discretely for
-``engine_backend="hybrid"`` and as pure expectations otherwise.
+:func:`repro.experiments.runner.run_scenario` renders that result's
+expectations as a plain :class:`~repro.reports.summary.RunSummary`.
 """
 
 from __future__ import annotations
@@ -22,9 +19,8 @@ from repro.analytic.result import AnalyticResult
 from repro.analytic.snw import direct_delay_model, snw_delay_model
 from repro.errors import ConfigurationError
 from repro.experiments.scenario import ANALYTIC_ROUTERS, ScenarioConfig
-from repro.reports.summary import RunSummary
 
-__all__ = ["ANALYTIC_ROUTERS", "run_analytic", "run_analytic_summary"]
+__all__ = ["ANALYTIC_ROUTERS", "run_analytic"]
 
 #: Damped fixed-point iterations for the spray-router blocking factor.
 _RHO_ITERATIONS = 6
@@ -113,15 +109,3 @@ def run_analytic(
         blocking=blocking,
         wall_seconds=time.perf_counter() - wall_start,
     )
-
-
-def run_analytic_summary(config: ScenarioConfig) -> RunSummary:
-    """The dispatch target for analytic/hybrid engine backends."""
-    result = run_analytic(config)
-    if config.engine_backend == "hybrid":
-        # Imported lazily: hybrid builds on AnalyticResult, which this
-        # module constructs — keep the dependency one-directional at import.
-        from repro.analytic.hybrid import hybrid_summary
-
-        return hybrid_summary(result)
-    return result.summary()

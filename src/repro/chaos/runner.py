@@ -24,8 +24,8 @@ from repro.chaos.oracles import (
     check_summary,
 )
 from repro.errors import InvariantViolation
-from repro.experiments.runner import build_scenario, run_built, run_scenario
-from repro.experiments.scenario import ANALYTIC_BACKENDS, ScenarioConfig
+from repro.experiments.runner import build_scenario, run_built
+from repro.experiments.scenario import ScenarioConfig
 
 __all__ = [
     "CaseResult",
@@ -66,16 +66,9 @@ def stable_summary(summary: Any) -> dict[str, Any]:
 
 def run_case(config: ScenarioConfig) -> CaseResult:
     """Run *config* and apply the invariant-family oracles."""
-    trace_source = None
     try:
-        if config.engine_backend in ANALYTIC_BACKENDS:
-            # Mean-field cases build no simulator (hence no trace); the
-            # crash and summary-consistency oracles still apply in full.
-            summary = run_scenario(config)
-        else:
-            built = build_scenario(config)
-            trace_source = built
-            summary = run_built(built)
+        built = build_scenario(config)
+        summary = run_built(built)
     except (KeyboardInterrupt, SystemExit):
         raise
     except InvariantViolation as exc:
@@ -104,11 +97,7 @@ def run_case(config: ScenarioConfig) -> CaseResult:
                 invariant=type(exc).__name__,
             ),
         )
-    trace_jsonl = (
-        trace_source.trace.to_jsonl()
-        if trace_source is not None and trace_source.trace is not None
-        else None
-    )
+    trace_jsonl = built.trace.to_jsonl() if built.trace is not None else None
     failure = check_summary(summary)
     return CaseResult(
         config=config,

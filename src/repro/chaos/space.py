@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.scenario import (
-    ANALYTIC_BACKENDS,
-    ANALYTIC_MOBILITIES,
-    ANALYTIC_ROUTERS,
-    ScenarioConfig,
-)
+from repro.experiments.scenario import ScenarioConfig
 from repro.faults.plan import EVENT_KINDS, FaultEvent, FaultPlan
 from repro.rng import RngFactory, derive_seed
 
@@ -78,13 +73,6 @@ class ChaosSpace:
     #: Event-trace ring size for cases (bounds byte-identity comparisons
     #: and failure context; big enough to hold a whole small case).
     trace_capacity: int = 65536
-    #: Engine backends cases may run on.  The default is the simulator
-    #: alone; widen to ``("scalar", "analytic", "hybrid")`` to point the
-    #: replay / crash / summary oracles at the mean-field backend too
-    #: (cases are coerced into its validity envelope — see
-    #: :func:`sample_case`, which draws this axis after every classic
-    #: axis, so widening it leaves every earlier draw unchanged).
-    engine_backends: tuple[str, ...] = ("scalar",)
 
 
 def _sample_plan(
@@ -160,30 +148,6 @@ def sample_case(
     lo = float(rng.uniform(*space.interval_lo))
     hi = lo + float(rng.uniform(1.0, 10.0))
     faults = _sample_plan(space, rng, n_nodes, sim_time)
-    # Drawn last so adding the backend axis left every pre-existing
-    # (seed, index) -> case mapping — and thus the corpus — intact.
-    backend = space.engine_backends[
-        int(rng.integers(len(space.engine_backends)))
-    ]
-    sanitize = True
-    trace_capacity = space.trace_capacity
-    if backend in ANALYTIC_BACKENDS:
-        # The mean-field backend validates a narrower envelope (no faults,
-        # no tracing/sanitizing, modelled routers/mobilities only —
-        # ScenarioConfig raises ConfigurationError otherwise).  Coerce the
-        # draw into that envelope deterministically so every sampled case
-        # constructs; the *rejection* path is covered by
-        # tests/analytic/test_config_validation.py.
-        if router not in ANALYTIC_ROUTERS:
-            router = ANALYTIC_ROUTERS[int(rng.integers(len(ANALYTIC_ROUTERS)))]
-        if mobility not in ANALYTIC_MOBILITIES:
-            mobility = ANALYTIC_MOBILITIES[
-                int(rng.integers(len(ANALYTIC_MOBILITIES)))
-            ]
-        faults = None
-        sanitize = False
-        trace_capacity = 0
-
     # Area scales with fleet size at roughly the Table-II node density, so
     # contact rates stay in a regime where messages actually move.
     side = 350.0 * float(np.sqrt(n_nodes))
@@ -202,11 +166,10 @@ def sample_case(
         initial_copies=copies,
         router=router,
         policy=policy,
-        engine_backend=backend,
         seed=seed,
         faults=faults,
-        sanitize=sanitize,
-        trace_capacity=trace_capacity,
+        sanitize=True,
+        trace_capacity=space.trace_capacity,
     )
 
 
@@ -221,8 +184,7 @@ def describe_case(config: ScenarioConfig) -> str:
         )
     return (
         f"{config.name}: {config.router}/{config.policy}/{config.mobility} "
-        f"({config.engine_backend}) n={config.n_nodes} "
-        f"t={config.sim_time:.0f}s "
+        f"n={config.n_nodes} t={config.sim_time:.0f}s "
         f"buf={config.buffer_bytes}B ttl={config.ttl:.0f}s "
         f"L={config.initial_copies} [{fault_bits}]"
     )

@@ -20,7 +20,6 @@ from repro.core.knapsack import KnapsackSdsrpPolicy
 from repro.core.intermeeting import (
     IntermeetingEstimator,
     MinIntermeetingEstimator,
-    OnlineIntermeetingEstimator,
     PairIntermeetingEstimator,
     StaticIntermeetingEstimator,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "IntermeetingEstimator",
     "KnapsackSdsrpPolicy",
     "MinIntermeetingEstimator",
-    "OnlineIntermeetingEstimator",
     "PairIntermeetingEstimator",
     "SdsrpParams",
     "SdsrpPolicy",

@@ -176,7 +176,3 @@ class MinIntermeetingEstimator(IntermeetingEstimator):
 
     def mean_intermeeting(self) -> float:
         return self._acc.mean() * (self.n_nodes - 1)
-
-
-#: Backwards-compatible alias: the original online estimator was pair-based.
-OnlineIntermeetingEstimator = PairIntermeetingEstimator

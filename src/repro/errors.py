@@ -96,24 +96,3 @@ class InvariantViolation(SimulationError):
             where.append(f"t={time:.3f}")
         suffix = f" [{' '.join(where)}]" if where else ""
         super().__init__(f"{invariant}: {detail}{suffix}")
-
-
-def __getattr__(name: str) -> type[ReproError]:
-    """Deprecated aliases kept importable for external users.
-
-    ``BufferError_`` (the old trailing-underscore name that shadowed the
-    :class:`BufferError` builtin) emits :class:`DeprecationWarning` on
-    access; first-party code must use :class:`ReproBufferError` directly
-    (enforced by reprolint REP007).
-    """
-    if name == "BufferError_":
-        import warnings
-
-        warnings.warn(
-            "repro.errors.BufferError_ is deprecated; use "
-            "repro.errors.ReproBufferError",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ReproBufferError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

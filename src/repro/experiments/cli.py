@@ -22,7 +22,11 @@ from typing import Any
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.experiments import figures as F
 from repro.experiments.runner import build_scenario, run_built
-from repro.experiments.scenario import epfl_scenario, random_waypoint_scenario
+from repro.experiments.scenario import (
+    ScenarioConfig,
+    epfl_scenario,
+    random_waypoint_scenario,
+)
 from repro.faults.plan import FaultPlan
 from repro.obs.trace import DEFAULT_TRACE_CAPACITY, format_record
 from repro.reports.summary import RunSummary
@@ -60,43 +64,17 @@ def _dump_json(path: str, payload: Any) -> None:
     print(f"wrote {path}")
 
 
-def _cmd_run_analytic(args: argparse.Namespace) -> int:
-    """The ``run --engine analytic|hybrid`` path: no simulator is built."""
+def _run_analytic(config: ScenarioConfig, args: argparse.Namespace) -> int:
+    """The ``run --engine analytic`` path: no simulator is built."""
     from repro.analytic.runner import run_analytic
-    from repro.analytic.hybrid import hybrid_summary
 
-    base = random_waypoint_scenario() if args.scenario == "rwp" else epfl_scenario()
-    config = base.replace(
-        policy=args.policy, seed=args.seed, initial_copies=args.copies,
-        engine_backend=args.engine,
-    )
-    if args.reduced:
-        config = F.reduced(config)
-    # Plumb every simulator-path flag into the config so out-of-envelope
-    # requests (--churn, --trace, --sanitize, --profile, --snapshot-every)
-    # fail loudly in _validate_analytic instead of being silently ignored.
-    if args.churn:
-        duty = config.sim_time / 5.0
-        config = config.replace(faults=FaultPlan(
-            churn_fraction=args.churn, churn_off_time=duty, churn_on_time=duty
-        ))
-    config = config.replace(
-        sanitize=args.sanitize,
-        obs_interval=args.obs_interval if args.obs_out else 0.0,
-        trace_capacity=args.trace_capacity if args.trace else 0,
-        profile=args.profile,
-        snapshot_every=args.snapshot_every,
-        snapshot_to=args.snapshot_to,
-    )
     if args.from_snapshot:
         raise ConfigurationError(
-            f"the {args.engine!r} backend has no simulator state; "
+            "the 'analytic' backend has no simulator state; "
             "--from-snapshot needs the scalar engine"
         )
     result = run_analytic(config)
-    summary = (
-        hybrid_summary(result) if args.engine == "hybrid" else result.summary()
-    )
+    summary = result.summary()
     print(f"meeting rate: λ = {result.meeting.rate:.3e} /s "
           f"({result.meeting.method}: {result.meeting.detail})")
     if result.blocking > 0:
@@ -112,27 +90,32 @@ def _cmd_run_analytic(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.engine in ("analytic", "hybrid"):
-        return _cmd_run_analytic(args)
     base = random_waypoint_scenario() if args.scenario == "rwp" else epfl_scenario()
     config = base.replace(
         policy=args.policy, seed=args.seed, initial_copies=args.copies,
-        sanitize=args.sanitize, engine_backend=args.engine,
+        engine_backend=args.engine,
     )
     if args.reduced:
         config = F.reduced(config)
+    # Every simulator-path flag goes into the config, so an analytic run
+    # rejects out-of-envelope requests (--churn, --trace, --sanitize,
+    # --profile, --snapshot-every) in _validate_analytic instead of
+    # silently ignoring them.
     if args.churn:
         duty = config.sim_time / 5.0
         config = config.replace(faults=FaultPlan(
             churn_fraction=args.churn, churn_off_time=duty, churn_on_time=duty
         ))
     config = config.replace(
+        sanitize=args.sanitize,
         obs_interval=args.obs_interval if args.obs_out else 0.0,
         trace_capacity=args.trace_capacity if args.trace else 0,
         profile=args.profile,
         snapshot_every=args.snapshot_every,
         snapshot_to=args.snapshot_to,
     )
+    if config.engine_backend == "analytic":
+        return _run_analytic(config, args)
     if args.from_snapshot:
         from repro.snapshot import read_snapshot, restore
 
@@ -286,12 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", choices=("rwp", "epfl"), default="rwp")
     p_run.add_argument("--policy", default="sdsrp")
     p_run.add_argument("--copies", type=int, default=32)
-    p_run.add_argument("--engine",
-                       choices=("scalar", "analytic", "hybrid"),
+    p_run.add_argument("--engine", choices=("scalar", "analytic"),
                        default="scalar",
-                       help="engine backend: the simulator, the mean-field "
-                            "analytic surrogate, or the hybrid "
-                            "analytic+sampled mode (docs/analytic.md)")
+                       help="engine backend: the simulator or the mean-field "
+                            "analytic surrogate (docs/analytic.md)")
     p_run.add_argument("--reduced", action="store_true",
                        help="run the reduced-scale variant")
     p_run.add_argument("--churn", type=float, default=0.0, metavar="FRACTION",

@@ -133,10 +133,6 @@ def reduced(
     )
 
 
-#: Deprecated private alias of :func:`reduced` (kept for old callers).
-_reduced = reduced
-
-
 def _sweep_figure(
     figure: str,
     base: ScenarioConfig,

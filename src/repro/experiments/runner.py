@@ -51,7 +51,7 @@ from repro.traces.format import read_movement_trace
 from repro.world.node import Node
 from repro.world.radio import Radio
 from repro.world.world import World
-from repro.experiments.scenario import ANALYTIC_BACKENDS, ScenarioConfig
+from repro.experiments.scenario import ScenarioConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.snapshot.snapshotter import PeriodicSnapshotter
@@ -185,7 +185,7 @@ _TOKEN_CONSERVING_ROUTERS = ("snw", "snf")
 
 def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
     """Assemble the simulator stack without running it."""
-    if config.engine_backend in ANALYTIC_BACKENDS:
+    if config.engine_backend == "analytic":
         raise ConfigurationError(
             f"engine_backend {config.engine_backend!r} runs no simulator; "
             "use run_scenario() (which dispatches to repro.analytic) "
@@ -334,18 +334,18 @@ def run_built(built: BuiltSimulation, wall_start: float | None = None) -> RunSum
 def run_scenario(config: ScenarioConfig) -> RunSummary:
     """Build, run to the horizon, and summarize one scenario.
 
-    ``engine_backend="analytic"``/``"hybrid"`` configs never build a
-    simulator: they dispatch to the mean-field surrogate
-    (:func:`repro.analytic.runner.run_analytic_summary`), which returns the
+    ``engine_backend="analytic"`` configs never build a simulator: they
+    dispatch to the mean-field surrogate
+    (:func:`repro.analytic.runner.run_analytic`), whose result renders the
     same :class:`RunSummary` shape — sweeps, figures, the service cache and
     the CLI are backend-agnostic.
     """
-    if config.engine_backend in ANALYTIC_BACKENDS:
+    if config.engine_backend == "analytic":
         # Imported lazily: repro.analytic's calibration fallback runs short
         # simulations through build_scenario, so the import must not cycle.
-        from repro.analytic.runner import run_analytic_summary
+        from repro.analytic.runner import run_analytic
 
-        return run_analytic_summary(config)
+        return run_analytic(config).summary()
     wall_start = time.perf_counter()
     return run_built(build_scenario(config), wall_start=wall_start)
 
@@ -389,7 +389,7 @@ def run_scenario_safe(config: ScenarioConfig) -> RunSummary | FailedRun:
     the run completes.
     """
     try:
-        if config.engine_backend in ANALYTIC_BACKENDS:
+        if config.engine_backend == "analytic":
             return run_scenario(config)
         wall_start = time.perf_counter()
         built = _try_resume(config)

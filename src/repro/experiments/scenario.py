@@ -20,13 +20,10 @@ from repro.units import kbps, megabytes, minutes
 MOBILITY_KINDS = (
     "rwp", "taxi", "random-walk", "random-direction", "stationary", "trace",
 )
-#: Engine backends (see docs/analytic.md): "scalar" is the simulator,
+#: Engine backends (see docs/analytic.md): "scalar" is the simulator and
 #: "analytic" the mean-field surrogate (repro.analytic; no simulation at
-#: all), and "hybrid" the analytic field plus sampled discrete per-message
-#: outcomes.
-ENGINE_BACKENDS = ("scalar", "analytic", "hybrid")
-#: The two backends served by the mean-field models.
-ANALYTIC_BACKENDS = ("analytic", "hybrid")
+#: all).
+ENGINE_BACKENDS = ("scalar", "analytic")
 #: Routers with an analytic model (repro.analytic.runner dispatches on
 #: these; utility-routed protocols have no closed form).
 ANALYTIC_ROUTERS = ("snw", "snw-source", "epidemic", "direct")
@@ -76,7 +73,7 @@ class ScenarioConfig:
     deliverable_first: bool = False
     # -- engine --
     tick: float = 1.0
-    #: "scalar" (the simulator) or one of :data:`ANALYTIC_BACKENDS`.
+    #: "scalar" (the simulator) or "analytic" (the mean-field surrogate).
     engine_backend: str = "scalar"
     seed: int = 1
     #: Optional fault model (node churn, link flaps, transfer truncation);
@@ -140,7 +137,7 @@ class ScenarioConfig:
                 f"unknown engine_backend {self.engine_backend!r}; "
                 f"expected {ENGINE_BACKENDS}"
             )
-        if self.engine_backend in ANALYTIC_BACKENDS:
+        if self.engine_backend == "analytic":
             self._validate_analytic()
 
     def _validate_analytic(self) -> None:

@@ -98,10 +98,6 @@ class TransferManager:
 
     # -- queries -----------------------------------------------------------
 
-    def active_transfer(self, node: Node) -> Transfer | None:
-        """The node's outgoing transfer, if any."""
-        return self._active.get(node.id)
-
     @property
     def active_count(self) -> int:
         return len(self._active)

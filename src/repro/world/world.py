@@ -161,9 +161,11 @@ class World:
             # never of set memory layout — keeps snapshot/restore runs
             # byte-identical to uninterrupted ones (link.up already sorts).
             for i, j in sorted(self.links - new_links):
-                self._link_down(self.nodes[i], self.nodes[j])
+                link_down(
+                    self.sim, self.transfer_manager, self.nodes[i], self.nodes[j]
+                )
             for i, j in sorted(new_links - self.links):
-                self._link_up(self.nodes[i], self.nodes[j])
+                link_up(self.sim, self.nodes[i], self.nodes[j])
             self.links = new_links
 
         routing_phase(self.sim, self.nodes, now)
@@ -187,14 +189,6 @@ class World:
                 keep.add((i, j))
         return keep
 
-    # -- link transitions ---------------------------------------------------
-
-    def _link_up(self, a: Node, b: Node) -> None:
-        link_up(self.sim, a, b)
-
-    def _link_down(self, a: Node, b: Node) -> None:
-        link_down(self.sim, self.transfer_manager, a, b)
-
     # -- fault hooks -------------------------------------------------------
 
     def set_node_down(self, node_id: int) -> None:
@@ -205,7 +199,9 @@ class World:
         self.down_nodes.add(node_id)
         for i, j in sorted(pair for pair in self.links if node_id in pair):
             self.links.discard((i, j))
-            self._link_down(self.nodes[i], self.nodes[j])
+            link_down(
+                self.sim, self.transfer_manager, self.nodes[i], self.nodes[j]
+            )
 
     def set_node_up(self, node_id: int) -> None:
         """Bring a node back online; links re-form on the next tick."""
@@ -218,7 +214,9 @@ class World:
         if key not in self.links:
             return False
         self.links.discard(key)
-        self._link_down(self.nodes[key[0]], self.nodes[key[1]])
+        link_down(
+            self.sim, self.transfer_manager, self.nodes[key[0]], self.nodes[key[1]]
+        )
         return True
 
     # -- convenience -------------------------------------------------------

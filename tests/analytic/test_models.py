@@ -119,20 +119,6 @@ def test_mean_hops_nan_when_nothing_delivered():
     assert math.isnan(model.mean_hops(0.0))
 
 
-def test_sample_delay_contract():
-    model = direct_delay_model(rate=RATE, window=WINDOW)
-    bound = model.ratio_at(WINDOW)
-    # A draw below F(W) inverts the CDF...
-    delay = model.sample_delay(bound / 2.0, WINDOW)
-    assert delay is not None and 0.0 < delay < WINDOW
-    assert model.ratio_at(delay) == pytest.approx(bound / 2.0, abs=1e-9)
-    # ...a draw above it means the window was missed.
-    assert model.sample_delay(min(0.999999, bound + 1e-6), WINDOW) is None
-    for bad in (-0.01, 1.0, float("nan")):
-        with pytest.raises(ConfigurationError):
-            model.sample_delay(bad, WINDOW)
-
-
 def test_delay_model_validates_grids():
     t = np.linspace(0.0, 10.0, 8)
     with pytest.raises(ConfigurationError):

@@ -104,9 +104,8 @@ class TestServiceCache:
         )
         assert cache.get_bytes(fingerprint) == blob
 
-    @pytest.mark.parametrize("backend", ["analytic", "hybrid"])
-    def test_repeat_submission_serves_cached_bytes(self, tmp_path, backend):
-        config = analytic_config(backend=backend)
+    def test_repeat_submission_serves_cached_bytes(self, tmp_path):
+        config = analytic_config()
         service = ScenarioService(
             tmp_path / "svc",
             workers=0,

@@ -19,7 +19,6 @@ def analytic_config(
     copies: int = 8,
     buffer_msgs: int = 40,
     router: str = "snw",
-    backend: str = "analytic",
     seed: int = 1,
     sim_time: float = 6000.0,
     **overrides,
@@ -40,7 +39,7 @@ def analytic_config(
         initial_copies=copies,
         router=router,
         policy="fifo",
-        engine_backend=backend,
+        engine_backend="analytic",
         seed=seed,
     )
     return base.replace(**overrides) if overrides else base

@@ -54,40 +54,6 @@ class TestRanges:
             assert case.router == "snw"
             assert case.policy == "fifo"
 
-    def test_both_engine_backends_are_sampled(self):
-        space = ChaosSpace(engine_backends=("scalar", "hybrid"))
-        backends = {sample_case(space, 6, i).engine_backend for i in range(30)}
-        assert backends == {"scalar", "hybrid"}
-
-    def test_backend_axis_can_be_restricted(self):
-        space = fast_space(engine_backends=("analytic",))
-        for i in range(10):
-            assert sample_case(space, 2, i).engine_backend == "analytic"
-
-    def test_backend_draw_does_not_shift_earlier_axes(self):
-        """The backend is drawn after every classic axis: widening it to the
-        analytic backends must leave each case's earlier draws unchanged,
-        so the default space keeps its (seed, index) -> case mapping.
-        Analytic draws are then coerced into the mean-field envelope,
-        which may replace the router, mobility, faults, sanitizer and
-        trace; those fields are compared on scalar draws only."""
-        default = ChaosSpace()
-        wide = ChaosSpace(engine_backends=("scalar", "analytic", "hybrid"))
-        coerced = dict(
-            engine_backend="scalar", router="snw", mobility="rwp",
-            faults=None, sanitize=True, trace_capacity=0,
-        )
-        saw = set()
-        for i in range(20):
-            a = sample_case(wide, 4, i)
-            b = sample_case(default, 4, i)
-            saw.add(a.engine_backend)
-            if a.engine_backend == "scalar":
-                assert a == b
-            else:
-                assert a.replace(**coerced) == b.replace(**coerced)
-        assert saw == {"scalar", "analytic", "hybrid"}
-
 
 class TestFaultPlans:
     def test_events_are_valid_and_time_sorted(self):

@@ -50,7 +50,7 @@ def test_removing_sorted_in_world_teardown_yields_one_rep102(src_copy: Path):
     finding = result.findings[0]
     assert finding.path == "src/repro/world/world.py"
     assert "World.update" in finding.message
-    assert "_link_down" in finding.message
+    assert "`link_down(...)`" in finding.message
 
 
 def test_dropping_a_snapshot_codec_field_yields_one_rep103(src_copy: Path):

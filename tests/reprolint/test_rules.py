@@ -185,24 +185,6 @@ def test_rep006_scoped_to_failure_critical_dirs():
     assert out == []
 
 
-# -- REP007: deprecated alias ------------------------------------------------
-
-
-def test_rep007_flags_every_alias_reference():
-    out = lint_source(
-        fixture("rep007_deprecated_alias.py"), "src/repro/anywhere.py",
-        codes=["REP007"],
-    )
-    assert codes(out) == ["REP007"] * 3
-    assert all("ReproBufferError" in v.message for v in out)
-
-
-def test_rep007_getattr_string_access_is_invisible():
-    # The sanctioned way to exercise the deprecation path in tests.
-    src = 'import repro.errors as e\nx = getattr(e, "BufferError_")\n'
-    assert lint_source(src, "tests/test_errors.py", codes=["REP007"]) == []
-
-
 # -- REP008: pickled simulator state -----------------------------------------
 
 

@@ -14,22 +14,6 @@ def test_all_derive_from_repro_error():
         assert issubclass(exc, errors.ReproError), name
 
 
-def test_deprecated_buffer_error_alias_warns():
-    # The old trailing-underscore name remains reachable but warns.  Accessed
-    # via getattr-with-a-string: reprolint REP007 bans direct references.
-    with pytest.warns(DeprecationWarning, match="ReproBufferError"):
-        alias = getattr(errors, "BufferError_")
-    assert alias is errors.ReproBufferError
-
-
-def test_deprecated_alias_forwarded_from_package():
-    import repro
-
-    with pytest.warns(DeprecationWarning):
-        alias = getattr(repro, "BufferError_")
-    assert alias is errors.ReproBufferError
-
-
 def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError):
         errors.NoSuchName  # noqa: B018

@@ -17,7 +17,6 @@ REP003    no ``==``/``!=`` on sim-time floats (use ``repro.units.time_eq``)
 REP004    no mutable default arguments
 REP005    policies registered + drop reasons use declared constants
 REP006    no bare/silently-swallowed exceptions in engine/net/parallel
-REP007    no references to the deprecated ``BufferError_`` alias
 ========  ==============================================================
 
 Run it from the repo root::

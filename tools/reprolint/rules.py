@@ -591,41 +591,6 @@ class Rep006SwallowedException(Rule):
         )
 
 
-# -- REP007 ------------------------------------------------------------------
-
-
-class Rep007DeprecatedAlias(Rule):
-    """The ``BufferError_`` alias is deprecated — use ``ReproBufferError``.
-
-    The old trailing-underscore name confusingly shadowed the builtin
-    :class:`BufferError`; it now lives behind a module ``__getattr__`` that
-    emits :class:`DeprecationWarning` for external users.  First-party code
-    must not reference it at all (tests exercising the deprecation path use
-    ``getattr`` with a string, which this rule deliberately cannot see).
-    """
-
-    code = "REP007"
-    title = "reference to deprecated BufferError_ alias"
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ctx.nodes(ast.Name, ast.Attribute, ast.ImportFrom):
-            name: str | None = None
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if alias.name == "BufferError_":
-                        name = alias.name
-                        break
-            if name == "BufferError_":
-                yield self.violation(
-                    ctx, node,
-                    "BufferError_ is deprecated; use ReproBufferError",
-                )
-
-
 # -- REP008 ------------------------------------------------------------------
 
 
@@ -834,7 +799,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     Rep004MutableDefault,
     Rep005PolicyRegistry,
     Rep006SwallowedException,
-    Rep007DeprecatedAlias,
     Rep008PickledState,
     Rep009SwallowedInvariant,
     Rep010AmbientSleep,
