@@ -28,16 +28,19 @@ tick:
   recount over its dropped-list records, and the store's prune bound
   (``next_expiry``) is no later than any stored expiry.  A store is
   recounted whenever a record's time or length, the bound or the counts
-  changed since its last passing recount.
+  changed since its last passing recount;
+* **link mirror** — the world's link keys strictly increase, no link
+  touches a down node, and the links are exactly the node pairs that list
+  each other in their ``neighbors`` maps.
 
 Violations raise :class:`~repro.errors.InvariantViolation` naming the
 invariant, the node, the message and the simulation time, so a corrupted run
 dies at the first bad tick instead of producing silently skewed figures.
 
-Checks are O(total buffered messages) per tick, plus the send scans the
-scan memo saved and a recount of each dropped-list store that changed —
-cheap enough for CI smoke runs (``make sanitize-smoke``), too slow for
-large sweeps; enable explicitly via ``Simulator(sanitize=True)``,
+Checks are O(total buffered messages + links) per tick, plus the send
+scans the scan memo saved and a recount of each dropped-list store that
+changed — cheap enough for CI smoke runs (``make sanitize-smoke``), too
+slow for large sweeps; enable explicitly via ``Simulator(sanitize=True)``,
 ``ScenarioConfig(sanitize=True)``, ``repro-exp run --sanitize`` or
 ``REPRO_SANITIZE=1``.
 """
@@ -49,14 +52,18 @@ from collections import Counter
 from itertools import chain
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 from repro.core.dropped_list import DroppedListStore
 from repro.errors import InvariantViolation
 from repro.units import TIME_EPS
+from repro.world.contacts import decode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.simulator import Simulator
     from repro.net.transfer import Transfer
     from repro.world.node import Node
+    from repro.world.world import World
 
 #: Remaining-TTL slack: two ticks reading the same copy must not see the
 #: remaining TTL grow by more than float noise.
@@ -68,8 +75,9 @@ class Sanitizer:
 
     Parameters
     ----------
-    nodes:
-        The fleet to watch.
+    world:
+        The world to watch: its nodes' message state, and its link set,
+        which the link-mirror check holds against the nodes' neighbor maps.
     check_copies:
         Enable the spray-token conservation check.  Only meaningful for
         token-splitting routers ("snw", "snf"): vanilla source-spray and
@@ -77,8 +85,9 @@ class Sanitizer:
         invariant would (correctly, but uselessly) reject.
     """
 
-    def __init__(self, nodes: list[Node], check_copies: bool = True) -> None:
-        self.nodes = nodes
+    def __init__(self, world: World, check_copies: bool = True) -> None:
+        self.world = world
+        self.nodes: list[Node] = world.nodes
         self.check_copies = bool(check_copies)
         #: Ticks validated so far (diagnostics; lets smoke tests assert the
         #: sanitizer actually ran rather than silently doing nothing).
@@ -180,6 +189,8 @@ class Sanitizer:
         if self.check_copies:
             self._check_copy_conservation(copy_sums, initial, now)
 
+        self._check_link_mirror(now)
+
         # Checked last: corrupted message state (e.g. inflated tokens) can
         # also create a send candidate, and the checks above name the cause.
         for node in self.nodes:
@@ -189,6 +200,35 @@ class Sanitizer:
                 self._check_scan_memo(node, now)
 
         self.ticks_checked += 1
+
+    def _check_link_mirror(self, now: float) -> None:
+        world = self.world
+        keys = world.link_keys
+        if np.any(keys[1:] <= keys[:-1]):
+            raise InvariantViolation(
+                "link-mirror", "link keys do not strictly increase", time=now
+            )
+        pairs = decode(keys, len(world.nodes))
+        for i, j in pairs:
+            if i in world.down_nodes or j in world.down_nodes:
+                raise InvariantViolation(
+                    "link-mirror",
+                    f"link ({i}, {j}) touches a down node",
+                    node_id=i if i in world.down_nodes else j,
+                    time=now,
+                )
+        linked = set(pairs) | {(j, i) for i, j in pairs}
+        listed = {(node.id, peer) for node in self.nodes for peer in node.neighbors}
+        mismatched = sorted(linked ^ listed)
+        if mismatched:
+            a, b = mismatched[0]
+            link = (min(a, b), max(a, b))
+            detail = (
+                f"link {link} is up but node {a} does not list {b} as a neighbor"
+                if (a, b) in linked
+                else f"node {a} lists {b} as a neighbor but link {link} is down"
+            )
+            raise InvariantViolation("link-mirror", detail, node_id=a, time=now)
 
     def _check_purged(self, node: Node, now: float) -> None:
         buf = node.buffer

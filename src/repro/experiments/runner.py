@@ -242,7 +242,7 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
     sanitizer = None
     if sim.sanitize:
         sanitizer = Sanitizer(
-            nodes, check_copies=config.router in _TOKEN_CONSERVING_ROUTERS
+            world, check_copies=config.router in _TOKEN_CONSERVING_ROUTERS
         )
         sanitizer.subscribe(sim)
 

@@ -24,6 +24,7 @@ stream), so runs are bit-reproducible.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
@@ -51,9 +52,10 @@ class FaultTarget(Protocol):
 
     sim: "Simulator"
     nodes: list["Node"]
-    links: set[tuple[int, int]]
     transfer_manager: "TransferManager"
 
+    @property
+    def links(self) -> AbstractSet[tuple[int, int]]: ...
     def set_node_down(self, node_id: int) -> None: ...
     def set_node_up(self, node_id: int) -> None: ...
     def force_link_down(self, i: int, j: int) -> bool: ...

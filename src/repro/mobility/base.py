@@ -135,56 +135,54 @@ class WaypointEngine(MobilityModel):
         return self._pos
 
     def _step(self, dt: float) -> None:
-        rng = self._rng
-        # Budget of travel time per node for this step, net of pauses.
-        budget = np.full(self.n_nodes, dt)
-        paused = self._pause_left > 0
-        if paused.any():
-            consumed = np.minimum(self._pause_left[paused], budget[paused])
-            self._pause_left[paused] -= consumed
-            budget[paused] -= consumed
+        pos, target, speed = self._pos, self._target, self._speed
+        pause_left = self._pause_left
+        # One whole-array pass.  Pauses absorb travel time first (a node
+        # not pausing has pause_left == 0.0); every node with time left then
+        # moves toward its waypoint, unless it gets there.
+        consumed = np.minimum(pause_left, dt)
+        pause_left -= consumed
+        budget = dt - consumed
+        vec = target - pos
+        dist = np.hypot(vec[:, 0], vec[:, 1])
+        reach = speed * budget
+        active = budget > 1e-12
+        arriving = active & (reach >= dist)
+        step = reach / np.maximum(dist, 1e-12)
+        np.add(pos, vec * step[:, None], out=pos, where=(active & ~arriving)[:, None])
 
-        # A node can pass through at most a few waypoints per (small) step;
-        # loop until every node's budget is spent.
-        for _ in range(64):
-            active = budget > 1e-12
-            # Nodes that became paused mid-step consume budget from pause.
-            pause_active = active & (self._pause_left > 0)
-            if pause_active.any():
-                consumed = np.minimum(
-                    self._pause_left[pause_active], budget[pause_active]
-                )
-                self._pause_left[pause_active] -= consumed
-                budget[pause_active] -= consumed
-                active = budget > 1e-12
-            if not active.any():
-                break
-            idx = np.nonzero(active & (self._pause_left <= 0))[0]
+        # Per-node work only for nodes that reached their waypoint: each
+        # draws a new leg and pause, then spends what is left of dt on them.
+        # A node may pass a few waypoints in one step, up to 64 legs in all.
+        idx = np.flatnonzero(arriving)
+        budget, dist = budget[idx], dist[idx]
+        for _ in range(63):
             if idx.size == 0:
-                break
-            vec = self._target[idx] - self._pos[idx]
+                return
+            pos[idx] = target[idx]
+            budget -= dist / speed[idx]
+            k = idx.size
+            target[idx] = self.sample_targets(k, self._rng)
+            speed[idx] = self.sample_speeds(k, self._rng)
+            pause_left[idx] = self.sample_pauses(k, self._rng)
+            pausing = (budget > 1e-12) & (pause_left[idx] > 0)
+            if pausing.any():
+                held = idx[pausing]
+                consumed = np.minimum(pause_left[held], budget[pausing])
+                pause_left[held] -= consumed
+                budget[pausing] -= consumed
+            going = (budget > 1e-12) & (pause_left[idx] <= 0)
+            idx, budget = idx[going], budget[going]
+            if idx.size == 0:
+                return
+            vec = target[idx] - pos[idx]
             dist = np.hypot(vec[:, 0], vec[:, 1])
-            reach = self._speed[idx] * budget[idx]
+            reach = speed[idx] * budget
             arriving = reach >= dist
             moving = ~arriving
-
-            move_idx = idx[moving]
-            if move_idx.size:
-                d = dist[moving]
-                step = reach[moving] / np.maximum(d, 1e-12)
-                self._pos[move_idx] += vec[moving] * step[:, None]
-                budget[move_idx] = 0.0
-
-            arrive_idx = idx[arriving]
-            if arrive_idx.size:
-                self._pos[arrive_idx] = self._target[arrive_idx]
-                travel_time = dist[arriving] / self._speed[arrive_idx]
-                budget[arrive_idx] -= travel_time
-                k = arrive_idx.size
-                self._target[arrive_idx] = self.sample_targets(k, rng)
-                self._speed[arrive_idx] = self.sample_speeds(k, rng)
-                self._pause_left[arrive_idx] = self.sample_pauses(k, rng)
-        else:  # pragma: no cover - defensive: absurdly fast nodes
-            raise SimulationError(
-                "waypoint engine did not converge; speed too high for max_step"
-            )
+            step = reach[moving] / np.maximum(dist[moving], 1e-12)
+            pos[idx[moving]] += vec[moving] * step[:, None]
+            idx, budget, dist = idx[arriving], budget[arriving], dist[arriving]
+        raise SimulationError(  # pragma: no cover - absurdly fast nodes
+            "waypoint engine did not converge; speed too high for max_step"
+        )

@@ -251,9 +251,7 @@ def _restore_mobility(mob: Any, data: dict[str, Any]) -> None:
 
 
 def _restore_world(world: Any, data: dict[str, Any]) -> None:
-    # Set layout never matters for links (all behaviour-relevant iterations
-    # sort first), so a plain rebuild is exact.
-    world.links = {(int(i), int(j)) for i, j in data["links"]}
+    world.set_links((int(i), int(j)) for i, j in data["links"])
     world.down_nodes = {int(i) for i in data["down_nodes"]}
 
 

@@ -22,6 +22,8 @@ world) skip nodes whose inputs cannot have changed:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from repro.engine.events import PRIORITY_WORLD
@@ -30,7 +32,7 @@ from repro.errors import ConfigurationError
 from repro.mobility.base import MobilityModel
 from repro.net.transfer import TransferManager
 from repro.obs.profiler import timed
-from repro.world.contacts import KDTreeDetector
+from repro.world.contacts import KDTreeDetector, decode, diff_keys
 from repro.world.node import Node
 
 
@@ -117,7 +119,9 @@ class World:
         #: ``pairs`` installed after build sees every call.
         self.detector = KDTreeDetector()
         self.tick = float(tick)
-        self.links: set[tuple[int, int]] = set()
+        #: The link set: sorted int64 keys ``i * N + j``
+        #: (:mod:`repro.world.contacts`), replaced, never edited in place.
+        self.link_keys = np.empty(0, dtype=np.int64)
         #: Nodes currently offline (fault injection); they hold no links and
         #: the detector's candidate pairs touching them are discarded.
         self.down_nodes: set[int] = set()
@@ -146,27 +150,27 @@ class World:
         with timed(profiler, "movement"):
             self.positions = self.mobility.advance(now)
         with timed(profiler, "contacts"):
-            new_links = self.detector.pairs(self.positions, self._max_range)
+            keys = self.detector.pairs(self.positions, self._max_range)
             if not self._uniform_range:
-                new_links = self._filter_heterogeneous(new_links)
+                keys = self._within_both_ranges(keys)
             if self.down_nodes:
-                new_links = {
-                    (i, j)
-                    for i, j in new_links
-                    if i not in self.down_nodes and j not in self.down_nodes
-                }
+                keys = keys[~self._touches(keys, self.down_nodes)]
 
         with timed(profiler, "links"):
-            # Sorted so teardown order is a function of the pair ids alone,
-            # never of set memory layout — keeps snapshot/restore runs
-            # byte-identical to uninterrupted ones (link.up already sorts).
-            for i, j in sorted(self.links - new_links):
-                link_down(
-                    self.sim, self.transfer_manager, self.nodes[i], self.nodes[j]
-                )
-            for i, j in sorted(new_links - self.links):
-                link_up(self.sim, self.nodes[i], self.nodes[j])
-            self.links = new_links
+            old = self.link_keys
+            if not np.array_equal(keys, old):
+                gone, came = diff_keys(old, keys)
+                # Key order is pair order, so events fire in an order that
+                # is a function of the pair ids alone; snapshot/restore runs
+                # stay byte-identical to uninterrupted ones.
+                n = len(self.nodes)
+                for i, j in decode(gone, n):
+                    link_down(
+                        self.sim, self.transfer_manager, self.nodes[i], self.nodes[j]
+                    )
+                for i, j in decode(came, n):
+                    link_up(self.sim, self.nodes[i], self.nodes[j])
+            self.link_keys = keys
 
         routing_phase(self.sim, self.nodes, now)
 
@@ -177,17 +181,23 @@ class World:
         benchmark's worker does) need not know that.
         """
 
-    def _filter_heterogeneous(
-        self, pairs: set[tuple[int, int]]
-    ) -> set[tuple[int, int]]:
+    def _within_both_ranges(self, keys: np.ndarray) -> np.ndarray:
         """Keep pairs within the *smaller* of the two nodes' radio ranges."""
-        keep: set[tuple[int, int]] = set()
-        for i, j in pairs:
-            limit = min(self._ranges[i], self._ranges[j])
-            diff = self.positions[i] - self.positions[j]
-            if float(diff @ diff) <= limit * limit:
-                keep.add((i, j))
-        return keep
+        i, j = np.divmod(keys, len(self.nodes))
+        limit = np.minimum(self._ranges[i], self._ranges[j])
+        diff = self.positions[i] - self.positions[j]
+        # Row by row ``diff @ diff``: the dot kernel of a single pair's
+        # ``diff @ diff``, which may fuse the multiply-add, so a distance
+        # at the limit rounds (and ties) as it does for one pair.
+        squared = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+        return keys[squared <= limit * limit]
+
+    def _touches(self, keys: np.ndarray, node_ids: set[int]) -> np.ndarray:
+        """Mask of the links in *keys* with an end in *node_ids*."""
+        marked = np.zeros(len(self.nodes), dtype=bool)
+        marked[sorted(node_ids)] = True
+        i, j = np.divmod(keys, len(self.nodes))
+        return marked[i] | marked[j]
 
     # -- fault hooks -------------------------------------------------------
 
@@ -197,8 +207,10 @@ class World:
         if node_id in self.down_nodes:
             return
         self.down_nodes.add(node_id)
-        for i, j in sorted(pair for pair in self.links if node_id in pair):
-            self.links.discard((i, j))
+        touching = self._touches(self.link_keys, {node_id})
+        gone = self.link_keys[touching]
+        self.link_keys = self.link_keys[~touching]
+        for i, j in decode(gone, len(self.nodes)):
             link_down(
                 self.sim, self.transfer_manager, self.nodes[i], self.nodes[j]
             )
@@ -210,16 +222,32 @@ class World:
     def force_link_down(self, i: int, j: int) -> bool:
         """Drop the (i, j) link now (fault injection).  Returns True if the
         link existed.  If both nodes stay in range it re-forms next tick."""
-        key = (min(i, j), max(i, j))
-        if key not in self.links:
+        a, b = min(i, j), max(i, j)
+        n = len(self.nodes)
+        if not 0 <= a < b < n:
             return False
-        self.links.discard(key)
-        link_down(
-            self.sim, self.transfer_manager, self.nodes[key[0]], self.nodes[key[1]]
-        )
+        key = a * n + b
+        at = int(np.searchsorted(self.link_keys, key))
+        if at == self.link_keys.size or self.link_keys[at] != key:
+            return False
+        self.link_keys = np.delete(self.link_keys, at)
+        link_down(self.sim, self.transfer_manager, self.nodes[a], self.nodes[b])
         return True
 
+    def set_links(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Make *pairs* ``(i, j), i < j`` the link set without firing link
+        events (snapshot restore, which restores neighbor maps itself)."""
+        n = len(self.nodes)
+        keys = np.array([i * n + j for i, j in pairs], dtype=np.int64)
+        keys.sort()
+        self.link_keys = keys
+
     # -- convenience -------------------------------------------------------
+
+    @property
+    def links(self) -> frozenset[tuple[int, int]]:
+        """The current link set as (i, j) with i < j, decoded on each read."""
+        return frozenset(decode(self.link_keys, len(self.nodes)))
 
     def node(self, node_id: int) -> Node:
         """Node by id."""

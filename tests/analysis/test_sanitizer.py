@@ -18,6 +18,7 @@ from repro.errors import InvariantViolation
 from repro.experiments.runner import build_scenario
 from repro.experiments.scenario import random_waypoint_scenario, scale_scenario
 from repro.net.buffer import MessageBuffer
+from repro.world.contacts import decode
 from repro.world.node import Node
 
 
@@ -123,7 +124,7 @@ def test_double_commit_is_caught():
 
 
 def test_double_commit_unit():
-    sanitizer = Sanitizer(nodes=[])
+    sanitizer = Sanitizer(SimpleNamespace(nodes=[]))
     transfer = SimpleNamespace(
         seq=7,
         sender=SimpleNamespace(id=1),
@@ -234,6 +235,47 @@ def test_late_prune_bound_is_caught():
     assert exc.value.invariant == "dropped-count"
     assert exc.value.node_id == store.node_id
     assert exc.value.msg_id is not None
+
+
+# -- seeded corruption of the link set -------------------------------------------
+
+
+def _drop_key(world, i, j):
+    """A teardown that forgot link_down: both ends still list each other."""
+    world.link_keys = world.link_keys[1:]
+    return i
+
+
+def _drop_neighbor_entry(world, i, j):
+    del world.nodes[i].neighbors[j]
+    return i
+
+
+def _link_to_a_down_node(world, i, j):
+    world.down_nodes.add(j)
+    return j
+
+
+def _unsorted_keys(world, i, j):
+    world.link_keys = world.link_keys[::-1].copy()
+    return None
+
+
+@pytest.mark.parametrize("corrupt", [
+    _drop_key, _drop_neighbor_entry, _link_to_a_down_node, _unsorted_keys,
+])
+def test_link_set_corruption_is_caught(corrupt):
+    built = build_and_warm(small())
+    world = built.world
+    assert built.sanitizer.world is world
+    assert world.link_keys.size >= 2, "too few links to corrupt; test is vacuous"
+    i, j = decode(world.link_keys[:1], len(world.nodes))[0]
+    culprit = corrupt(world, i, j)
+
+    with pytest.raises(InvariantViolation) as exc:
+        built.sanitizer.check_tick(built.sim.now)
+    assert exc.value.invariant == "link-mirror"
+    assert exc.value.node_id == culprit
 
 
 # -- clean runs ---------------------------------------------------------------

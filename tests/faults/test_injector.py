@@ -283,9 +283,10 @@ class TestWipeDuringTransfer:
         # Node 0 goes down (with a buffer wipe) while its transfer to node 1
         # is in flight.  The link teardown aborts the transfer and releases
         # the pin before the wipe runs; the armed sanitizer then proves no
-        # pin leaked and no spray token was double-counted on any tick.
+        # pin leaked, no spray token was double-counted and the world's
+        # links matched the neighbor maps on every tick.
         mw = build_micro_world(points=LINKED, sim_time=40.0)
-        sanitizer = Sanitizer(mw.nodes)
+        sanitizer = Sanitizer(mw.world)
         sanitizer.subscribe(mw.sim)
         plan = FaultPlan(events=(
             FaultEvent(time=5.0, kind="node_down", node=0),

@@ -1,0 +1,214 @@
+"""The waypoint engine's step, bit for bit against the loop it replaced.
+
+``WaypointEngine._step`` moves every node in one whole-array pass and keeps
+a per-node loop only for nodes that reach their waypoint.  The loop it
+replaced is kept here as :func:`reference_step`; positions, targets,
+speeds, pauses and the RNG state must match it exactly.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import numpy as np
+import pytest
+
+from repro.errors import SimulationError
+from repro.mobility.base import WaypointEngine
+from repro.mobility.random_waypoint import RandomWaypoint
+from repro.mobility.taxi import TaxiFleet
+
+STATE = ("_pos", "_target", "_speed", "_pause_left")
+
+
+def reference_step(m: WaypointEngine, dt: float) -> None:
+    """The step as a loop over shrinking index sets (the reference)."""
+    rng = m._rng
+    budget = np.full(m.n_nodes, dt)
+    paused = m._pause_left > 0
+    if paused.any():
+        consumed = np.minimum(m._pause_left[paused], budget[paused])
+        m._pause_left[paused] -= consumed
+        budget[paused] -= consumed
+
+    for _ in range(64):
+        active = budget > 1e-12
+        pause_active = active & (m._pause_left > 0)
+        if pause_active.any():
+            consumed = np.minimum(m._pause_left[pause_active], budget[pause_active])
+            m._pause_left[pause_active] -= consumed
+            budget[pause_active] -= consumed
+            active = budget > 1e-12
+        if not active.any():
+            break
+        idx = np.nonzero(active & (m._pause_left <= 0))[0]
+        if idx.size == 0:
+            break
+        vec = m._target[idx] - m._pos[idx]
+        dist = np.hypot(vec[:, 0], vec[:, 1])
+        reach = m._speed[idx] * budget[idx]
+        arriving = reach >= dist
+        moving = ~arriving
+
+        move_idx = idx[moving]
+        if move_idx.size:
+            d = dist[moving]
+            step = reach[moving] / np.maximum(d, 1e-12)
+            m._pos[move_idx] += vec[moving] * step[:, None]
+            budget[move_idx] = 0.0
+
+        arrive_idx = idx[arriving]
+        if arrive_idx.size:
+            m._pos[arrive_idx] = m._target[arrive_idx]
+            travel_time = dist[arriving] / m._speed[arrive_idx]
+            budget[arrive_idx] -= travel_time
+            k = arrive_idx.size
+            m._target[arrive_idx] = m.sample_targets(k, rng)
+            m._speed[arrive_idx] = m.sample_speeds(k, rng)
+            m._pause_left[arrive_idx] = m.sample_pauses(k, rng)
+    else:
+        raise SimulationError("reference step did not converge")
+
+
+def with_reference(engine: WaypointEngine) -> WaypointEngine:
+    """A deep copy of *engine* (RNG included) that steps by the reference."""
+    twin = copy.deepcopy(engine)
+    twin._step = lambda dt: reference_step(twin, dt)
+    return twin
+
+
+def assert_identical(engine: WaypointEngine, reference: WaypointEngine) -> None:
+    for name in STATE:
+        got, want = getattr(engine, name), getattr(reference, name)
+        assert got.tobytes() == want.tobytes(), name
+    assert engine._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
+def started(engine: WaypointEngine, seed: int) -> WaypointEngine:
+    engine.initialize(np.random.default_rng(seed))
+    return engine
+
+
+def assert_same_walk(engine: WaypointEngine, steps: int) -> int:
+    """Advance *engine* and its reference twin one second at a time,
+    comparing every step; returns how many steps had a node arrive."""
+    reference = with_reference(engine)
+    steps_with_arrivals = 0
+    for t in range(1, steps + 1):
+        before = engine._rng.bit_generator.state
+        engine.advance(float(t))
+        reference.advance(float(t))
+        assert_identical(engine, reference)
+        steps_with_arrivals += engine._rng.bit_generator.state != before
+    return steps_with_arrivals
+
+
+class TestLongWalks:
+    def test_paper_random_waypoint(self):
+        # Table II's fleet: 100 nodes at 2 m/s over 4500 m x 3400 m.
+        engine = started(RandomWaypoint(100, (4500.0, 3400.0), (2.0, 2.0)), 1)
+        assert assert_same_walk(engine, 3000) > 100
+
+    def test_random_waypoint_with_pauses(self):
+        engine = started(
+            RandomWaypoint(60, (400.0, 300.0), (1.0, 12.0), (0.0, 4.0)), 2
+        )
+        assert assert_same_walk(engine, 2000) > 1000
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_taxi_fleet(self, seed):
+        engine = started(TaxiFleet(200), seed)
+        assert assert_same_walk(engine, 2000) > 100
+
+    def test_ten_thousand_node_fleet(self):
+        # The benchmark's fleet-10k mobility.
+        engine = started(
+            RandomWaypoint(10_000, (12_000.0, 12_000.0), (1.0, 3.0)), 1
+        )
+        assert assert_same_walk(engine, 2000) > 100
+
+    def test_fractional_steps(self):
+        # advance() hands _step dt < 1 when asked for times between ticks.
+        engine = started(
+            RandomWaypoint(30, (200.0, 200.0), (1.0, 8.0), (0.0, 3.0)), 4
+        )
+        reference = with_reference(engine)
+        for t in np.cumsum(np.full(2000, 0.37)):
+            engine.advance(float(t))
+            reference.advance(float(t))
+            assert_identical(engine, reference)
+
+
+class ScriptedTargets(RandomWaypoint):
+    """Waypoints drawn from a fixed list (RNG-free), for hand-built legs;
+    the first is the one initialize() draws."""
+
+    def __init__(self, targets: list[tuple[float, float]], **kwargs) -> None:
+        super().__init__(1, (1000.0, 1000.0), **kwargs)
+        self._script = list(targets)
+
+    def sample_targets(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        return np.array([self._script.pop(0) for _ in range(n)])
+
+
+def one_node(pos, target, speed, pause_left, **kwargs) -> WaypointEngine:
+    engine = RandomWaypoint(1, (1000.0, 1000.0), **kwargs)
+    engine.initialize(np.random.default_rng(0))
+    return set_leg(engine, pos, target, speed, pause_left)
+
+
+def set_leg(engine, pos, target, speed, pause_left) -> WaypointEngine:
+    engine._pos = np.array([pos], dtype=float)
+    engine._target = np.array([target], dtype=float)
+    engine._speed = np.array([speed], dtype=float)
+    engine._pause_left = np.array([pause_left], dtype=float)
+    return engine
+
+
+def step_both(engine: WaypointEngine, dt: float = 1.0) -> None:
+    reference = with_reference(engine)
+    engine._step(dt)
+    reference._step(dt)
+    assert_identical(engine, reference)
+
+
+class TestEdgeCases:
+    def test_pause_ending_exactly_at_dt_does_not_move(self):
+        engine = one_node((10.0, 10.0), (500.0, 10.0), 2.0, 1.0)
+        step_both(engine)
+        assert engine._pos.tolist() == [[10.0, 10.0]]
+        assert engine._pause_left.tolist() == [0.0]
+
+    def test_pause_ending_mid_step_moves_for_the_rest(self):
+        engine = one_node((10.0, 10.0), (522.0, 10.0), 2.0, 0.25)
+        step_both(engine)
+        assert engine._pos.tolist() == [[11.5, 10.0]]
+        assert engine._pause_left.tolist() == [0.0]
+
+    def test_reach_equal_to_distance_arrives(self):
+        engine = one_node(
+            (10.0, 10.0), (12.0, 10.0), 2.0, 0.0, speed_range=(3.0, 3.0)
+        )
+        step_both(engine)
+        # Arrived with no time left: a new leg at the new speed, not moved.
+        assert engine._pos.tolist() == [[12.0, 10.0]]
+        assert engine._speed.tolist() == [3.0]
+        assert engine._target.tolist() != [[12.0, 10.0]]
+
+    @pytest.mark.parametrize("dt", [1e-12, 5e-13])
+    def test_budget_at_or_below_the_threshold_does_not_move(self, dt):
+        engine = one_node((10.0, 10.0), (500.0, 10.0), 2.0, 0.0)
+        step_both(engine, dt)
+        assert engine._pos.tolist() == [[10.0, 10.0]]
+
+    def test_two_waypoints_passed_in_one_step(self):
+        engine = ScriptedTargets(
+            [(0.0, 0.0), (13.0, 14.0), (13.0, 20.0), (13.0, 40.0)],
+            speed_range=(10.0, 10.0),
+        )
+        engine.initialize(np.random.default_rng(0))
+        set_leg(engine, (10.0, 10.0), (10.0, 14.0), 10.0, 0.0)
+        step_both(engine)
+        # At 10 m/s: the 4 m leg, the 3 m leg, then 3 m of the 6 m leg.
+        assert engine._pos.tolist() == [[13.0, 17.0]]
+        assert engine._target.tolist() == [[13.0, 20.0]]

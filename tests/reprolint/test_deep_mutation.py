@@ -41,16 +41,15 @@ def test_unmutated_copy_is_clean(src_copy: Path):
 def test_removing_sorted_in_world_teardown_yields_one_rep102(src_copy: Path):
     _mutate(
         src_copy,
-        "src/repro/world/world.py",
-        "for i, j in sorted(self.links - new_links):",
-        "for i, j in self.links - new_links:",
+        "src/repro/world/trace_world.py",
+        "for i, j in sorted(pair for pair in self.links if node_id in pair):",
+        "for i, j in (pair for pair in self.links if node_id in pair):",
     )
     result = analyze(src_copy)
     assert [f.code for f in result.findings] == ["REP102"]
     finding = result.findings[0]
-    assert finding.path == "src/repro/world/world.py"
-    assert "World.update" in finding.message
-    assert "`link_down(...)`" in finding.message
+    assert finding.path == "src/repro/world/trace_world.py"
+    assert "TraceWorld.set_node_down" in finding.message
 
 
 def test_dropping_a_snapshot_codec_field_yields_one_rep103(src_copy: Path):

@@ -55,6 +55,14 @@ def test_rep101_suppression_is_matched_and_counted():
     assert not result.unused
 
 
+def test_provenance_cycles_terminate():
+    # A method reading the attribute it rebinds, and two methods reading
+    # each other's attributes, once recursed until RecursionError.
+    result = analyze(FIXTURES / "rngcycle")
+    assert not result.broken
+    assert not result.findings, messages(result.findings)
+
+
 # -- REP102: order-sensitivity taint -----------------------------------------
 
 

@@ -1,5 +1,5 @@
-"""The KD-tree contact detector: correctness, agreement with O(N^2)
-references, exact radius ties at scale."""
+"""The KD-tree contact detector: correctness of its sorted link keys,
+agreement with O(N^2) references, exact radius ties at scale."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.world.contacts import KDTreeDetector
+from repro.world.contacts import KDTreeDetector, decode
 
 DETECTORS = [KDTreeDetector()]
 
@@ -26,27 +26,38 @@ def brute_truth(positions: np.ndarray, radius: float) -> set[tuple[int, int]]:
     return set(zip(i.tolist(), j.tolist()))
 
 
+def found(detector, positions: np.ndarray, radius: float) -> set[tuple[int, int]]:
+    """The detector's pairs, decoded from its keys, which must be sorted
+    int64 with one key per pair."""
+    keys = detector.pairs(positions, radius)
+    assert keys.dtype == np.int64
+    assert np.all(keys[1:] > keys[:-1])
+    pairs = decode(keys, positions.shape[0])
+    assert len(pairs) == len(keys)
+    return set(pairs)
+
+
 @pytest.mark.parametrize("detector", DETECTORS, ids=lambda d: type(d).__name__)
 class TestBasics:
     def test_simple_layout(self, detector):
         pts = np.array([[0.0, 0.0], [50.0, 0.0], [500.0, 0.0], [540.0, 0.0]])
-        assert detector.pairs(pts, 100.0) == {(0, 1), (2, 3)}
+        assert found(detector, pts, 100.0) == {(0, 1), (2, 3)}
 
     def test_boundary_is_inclusive(self, detector):
         pts = np.array([[0.0, 0.0], [100.0, 0.0]])
-        assert detector.pairs(pts, 100.0) == {(0, 1)}
+        assert found(detector, pts, 100.0) == {(0, 1)}
 
     def test_just_out_of_range(self, detector):
         pts = np.array([[0.0, 0.0], [100.001, 0.0]])
-        assert detector.pairs(pts, 100.0) == set()
+        assert found(detector, pts, 100.0) == set()
 
     def test_empty_and_single(self, detector):
-        assert detector.pairs(np.zeros((0, 2)), 10.0) == set()
-        assert detector.pairs(np.zeros((1, 2)), 10.0) == set()
+        assert found(detector, np.zeros((0, 2)), 10.0) == set()
+        assert found(detector, np.zeros((1, 2)), 10.0) == set()
 
     def test_coincident_points(self, detector):
         pts = np.zeros((3, 2))
-        assert detector.pairs(pts, 1.0) == {(0, 1), (0, 2), (1, 2)}
+        assert found(detector, pts, 1.0) == {(0, 1), (0, 2), (1, 2)}
 
     def test_rejects_bad_inputs(self, detector):
         with pytest.raises(ConfigurationError):
@@ -57,18 +68,19 @@ class TestBasics:
     def test_pairs_are_tuples_of_python_ints(self, detector):
         # Snapshots JSON-encode the link set; NumPy integers do not encode.
         positions = np.random.default_rng(4).uniform(0, 300, size=(40, 2))
-        pairs = detector.pairs(positions, 60.0)
+        pairs = decode(detector.pairs(positions, 60.0), 40)
         assert pairs
         for pair in pairs:
             assert type(pair) is tuple and len(pair) == 2
             assert all(type(i) is int for i in pair)
-        json.dumps(sorted(pairs))
+        assert pairs == sorted(pairs)
+        json.dumps(pairs)
 
     def test_non_contiguous_positions_view(self, detector):
         wide = np.random.default_rng(5).uniform(0, 300, size=(40, 4))
         view = wide[:, ::2]
         assert not view.flags.c_contiguous
-        assert detector.pairs(view, 60.0) == brute_truth(view.copy(), 60.0)
+        assert found(detector, view, 60.0) == brute_truth(view.copy(), 60.0)
 
 
 class TestAgreement:
@@ -82,7 +94,7 @@ class TestAgreement:
         positions = rng.uniform(0, 1000, size=(n, 2))
         expected = brute_truth(positions, radius)
         for det in DETECTORS:
-            assert det.pairs(positions, radius) == expected, type(det).__name__
+            assert found(det, positions, radius) == expected, type(det).__name__
 
 
 def exact_ties(positions: np.ndarray, pairs: set[tuple[int, int]],
@@ -111,7 +123,7 @@ class TestExactTiesAtScale:
             # Every lattice edge is an exact tie and nothing else is close.
             assert len(expected) == 2 * side * (side - 1)
             assert exact_ties(positions, expected, radius) == len(expected)
-        assert KDTreeDetector().pairs(positions, radius) == expected
+        assert found(KDTreeDetector(), positions, radius) == expected
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("integral", [True, False])
@@ -130,4 +142,4 @@ class TestExactTiesAtScale:
         expected = brute_truth(positions, radius)
         if integral:
             assert exact_ties(positions, expected, radius) >= 300
-        assert KDTreeDetector().pairs(positions, radius) == expected
+        assert found(KDTreeDetector(), positions, radius) == expected

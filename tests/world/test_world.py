@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.mobility.stationary import Stationary
 from repro.net.transfer import TransferManager
 from repro.units import kbps
+from repro.world.contacts import KDTreeDetector, decode
 from repro.world.node import Node
 from repro.world.radio import Radio
 from repro.world.world import World
@@ -112,6 +115,137 @@ class TestHeterogeneousRanges:
         world.start(np.random.default_rng(0))
         sim.run(until=2.0)
         assert world.connected_pairs() == {(0, 1)}
+
+    def test_distance_equal_to_the_smaller_range_links(self):
+        sim = Simulator(end_time=10.0)
+        mobility = Stationary(2, (1000.0, 1000.0), points=[(0.0, 0.0), (50.0, 0.0)])
+        nodes = [
+            Node(0, Radio(200.0, kbps(250)), 1000),
+            Node(1, Radio(50.0, kbps(250)), 1000),
+        ]
+        world = World(sim, mobility, nodes, TransferManager(sim))
+        world.start(np.random.default_rng(0))
+        sim.run(until=2.0)
+        assert world.connected_pairs() == {(0, 1)}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mask_matches_the_per_pair_test(self, seed):
+        """Pairs placed on their smaller range, where rounding decides the
+        tie: the link set equals the per-pair ``diff @ diff`` loop's."""
+        rng = np.random.default_rng(seed)
+        ranges = rng.choice([37.3, 50.0, 100.0], size=400)
+        anchors = rng.uniform(0.0, 3000.0, size=(200, 2))
+        limit = np.minimum(ranges[:200], ranges[200:])
+        angle = rng.uniform(0.0, 2 * np.pi, size=200)
+        partners = anchors + limit[:, None] * np.column_stack(
+            [np.cos(angle), np.sin(angle)]
+        )
+        points = np.vstack([anchors, partners])
+        sim = Simulator(end_time=10.0)
+        mobility = Stationary(400, (3200.0, 3200.0), points=points)
+        nodes = [Node(i, Radio(float(r), kbps(250)), 1000) for i, r in enumerate(ranges)]
+        world = World(sim, mobility, nodes, TransferManager(sim))
+        world.start(np.random.default_rng(0))
+        sim.run(until=1.0)
+
+        expected = set()
+        for i, j in decode(KDTreeDetector().pairs(points, 100.0), 400):
+            pair_limit = min(ranges[i], ranges[j])
+            diff = points[i] - points[j]
+            if float(diff @ diff) <= pair_limit * pair_limit:
+                expected.add((i, j))
+        assert 100 < len(expected) < 200
+        assert world.links == expected
+
+
+def keyed_world(n: int):
+    """A world ready for direct ``update()`` calls, and the list its link
+    events are logged to."""
+    sim = Simulator(end_time=10.0)
+    radio = Radio(100.0, kbps(250))
+    nodes = [Node(i, radio, 1000) for i in range(n)]
+    world = World(sim, Stationary(n, (100.0, 100.0)), nodes, TransferManager(sim))
+    world.mobility.initialize(np.random.default_rng(0))
+    events: list = []
+    sim.listeners.subscribe("link.up", lambda a, b: events.append(("up", (a.id, b.id))))
+    sim.listeners.subscribe(
+        "link.down", lambda a, b: events.append(("down", (a.id, b.id)))
+    )
+    return world, events
+
+
+def detect(world: World, pairs) -> None:
+    """Make the world's detector find exactly *pairs* from now on."""
+    n = len(world.nodes)
+    keys = np.array(sorted(i * n + j for i, j in pairs), dtype=np.int64)
+    world.detector.pairs = lambda positions, radius: keys
+
+
+class TestLinkKeyDiff:
+    """The sorted-key link set against the tuple-set diff it replaced: the
+    same link events in the same order, for any sequence of detected sets
+    (empty, identical and all-changed ones among them), down nodes and
+    flaps."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_events_match_the_tuple_set_reference(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=8), label="n")
+        every = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        world, events = keyed_world(n)
+        detected: set = set()
+        links: set = set()  # the reference world's tuple set
+        down: set = set()
+        for _ in range(data.draw(st.integers(min_value=1, max_value=10))):
+            action = data.draw(st.sampled_from(
+                ["tick", "empty", "same", "flip", "down", "up", "flap"]
+            ))
+            expected = []
+            if action == "down":
+                k = data.draw(st.integers(min_value=0, max_value=n - 1))
+                world.set_node_down(k)
+                if k not in down:
+                    down.add(k)
+                    gone = sorted(p for p in links if k in p)
+                    links -= set(gone)
+                    expected = [("down", p) for p in gone]
+            elif action == "up":
+                k = data.draw(st.integers(min_value=0, max_value=n - 1))
+                world.set_node_up(k)
+                down.discard(k)
+            elif action == "flap":
+                i, j = data.draw(st.sampled_from(every))
+                existed = (i, j) in links
+                assert world.force_link_down(j, i) is existed
+                if existed:
+                    links.discard((i, j))
+                    expected = [("down", (i, j))]
+            else:
+                if action == "tick":
+                    detected = data.draw(st.sets(st.sampled_from(every)))
+                elif action == "empty":
+                    detected = set()
+                elif action == "flip":
+                    detected = set(every) - detected
+                detect(world, detected)
+                world.update()
+                new = {p for p in detected if not down & set(p)}
+                expected = [("down", p) for p in sorted(links - new)]
+                expected += [("up", p) for p in sorted(new - links)]
+                links = new
+            assert events == expected
+            events.clear()
+            assert world.links == links
+            assert np.all(world.link_keys[1:] > world.link_keys[:-1])
+
+    def test_out_of_range_flap_is_not_a_link(self):
+        world, _events = keyed_world(3)
+        detect(world, [(1, 2)])
+        world.update()
+        # (0, 5) would alias key 5 = (1, 2) if ids were not range-checked.
+        assert world.force_link_down(0, 5) is False
+        assert world.force_link_down(1, 1) is False
+        assert world.links == {(1, 2)}
 
 
 class TestDeterministicLinkOrder:

@@ -268,7 +268,11 @@ def _annotation_is_generator(text: str | None) -> bool:
 
 
 class RngEnv:
-    """Provenance of generator-holding names inside one function."""
+    """Provenance of generator-holding names inside one function.
+
+    Built by :func:`method_env`: a new env knows only the parameters until
+    :meth:`visit_body` has classified the body's assignments.
+    """
 
     def __init__(self, project: Project, fn: FunctionInfo) -> None:
         self.project = project
@@ -282,8 +286,10 @@ class RngEnv:
                 annotation is None and rng_like_name(name)
             ):
                 self.locals[name] = PARAM
+
+    def visit_body(self) -> None:
         collector = _RngAssigns(self)
-        for stmt in fn.node.body:
+        for stmt in self.fn.node.body:
             collector.visit(stmt)
 
     def classify_value(self, expr: ast.expr) -> str:
@@ -372,10 +378,18 @@ _ENV_CACHE: dict[str, RngEnv] = {}
 
 
 def method_env(project: Project, fn: FunctionInfo) -> RngEnv:
+    """The memoized :class:`RngEnv` of *fn*.
+
+    The env is cached before its body is visited: a body that leads back to
+    its own env (``x = self.a`` in a method that also binds ``self.a``, or
+    two methods reading each other's attributes) gets the env as visited so
+    far instead of building it again without end.
+    """
     env = _ENV_CACHE.get(fn.qualname)
     if env is None or env.fn is not fn:
         env = RngEnv(project, fn)
         _ENV_CACHE[fn.qualname] = env
+        env.visit_body()
     return env
 
 

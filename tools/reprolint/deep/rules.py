@@ -478,9 +478,10 @@ Sets iterate in hash order, which varies with PYTHONHASHSEED and between
 processes; `os.listdir`/`glob` iterate in filesystem order.  If that order
 reaches simulator state — buffer contents, link transitions, RNG draws,
 emitted events, dict insertion order — two runs of the same seed diverge.
-`World.update` is the in-tree case: the contact detector returns a set of
-pairs, and the link diff against the previous tick fires one `link.down`
-or `link.up` event per pair, so it walks `sorted(...)` of each difference.
+`TraceWorld.set_node_down` is the in-tree case: the trace world keeps its
+links as a set of pairs, and taking a node down fires one `link.down`
+event per link it held, so it walks `sorted(...)` of them.  (`World` keeps
+its links as a sorted key array instead, so its events fire in key order.)
 
 The taint model: iterating a set-typed expression (inferred from literals,
 annotations, `set()` constructors, set operators, class attribute types and
@@ -496,8 +497,8 @@ comprehension) or a dict from a tainted iteration is reported at the
 materialization site.
 
 Fix with `sorted(...)` at the iteration site (the repo's convention — see
-`World.update`), or restructure so the loop only builds unordered results
-(set/counter accumulation is safe and not flagged).
+`TraceWorld.set_node_down`), or restructure so the loop only builds
+unordered results (set/counter accumulation is safe and not flagged).
 """
 
     def run(self, project: Project, engine: SummaryEngine) -> list[Finding]:
