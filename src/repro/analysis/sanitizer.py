@@ -31,18 +31,23 @@ tick:
   changed since its last passing recount;
 * **link mirror** — the world's link keys strictly increase, no link
   touches a down node, and the links are exactly the node pairs that list
-  each other in their ``neighbors`` maps.
+  each other in their ``neighbors`` maps;
+* **contact set** — the world's link keys equal what a fresh detector
+  finds at the current positions after the same radio-range and down-node
+  masks (:meth:`~repro.world.world.World.detect_links`), so a stale
+  candidate list in the world's own detector fails the first tick it
+  affects.
 
 Violations raise :class:`~repro.errors.InvariantViolation` naming the
 invariant, the node, the message and the simulation time, so a corrupted run
 dies at the first bad tick instead of producing silently skewed figures.
 
 Checks are O(total buffered messages + links) per tick, plus the send
-scans the scan memo saved and a recount of each dropped-list store that
-changed — cheap enough for CI smoke runs (``make sanitize-smoke``), too
-slow for large sweeps; enable explicitly via ``Simulator(sanitize=True)``,
-``ScenarioConfig(sanitize=True)``, ``repro-exp run --sanitize`` or
-``REPRO_SANITIZE=1``.
+scans the scan memo saved, a recount of each dropped-list store that
+changed and one fresh contact detection — cheap enough for CI smoke runs
+(``make sanitize-smoke``), too slow for large sweeps; enable explicitly
+via ``Simulator(sanitize=True)``, ``ScenarioConfig(sanitize=True)``,
+``repro-exp run --sanitize`` or ``REPRO_SANITIZE=1``.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ import numpy as np
 from repro.core.dropped_list import DroppedListStore
 from repro.errors import InvariantViolation
 from repro.units import TIME_EPS
-from repro.world.contacts import decode
+from repro.world.contacts import KDTreeDetector, decode, diff_keys
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.simulator import Simulator
@@ -190,6 +195,7 @@ class Sanitizer:
             self._check_copy_conservation(copy_sums, initial, now)
 
         self._check_link_mirror(now)
+        self._check_contact_set(now)
 
         # Checked last: corrupted message state (e.g. inflated tokens) can
         # also create a send candidate, and the checks above name the cause.
@@ -229,6 +235,21 @@ class Sanitizer:
                 else f"node {a} lists {b} as a neighbor but link {link} is down"
             )
             raise InvariantViolation("link-mirror", detail, node_id=a, time=now)
+
+    def _check_contact_set(self, now: float) -> None:
+        world = self.world
+        missing, extra = diff_keys(
+            world.detect_links(KDTreeDetector()), world.link_keys
+        )
+        if missing.size or extra.size:
+            key = min(missing[:1].tolist() + extra[:1].tolist())
+            i, j = divmod(key, len(world.nodes))
+            detail = (
+                f"pair ({i}, {j}) is in range but not linked"
+                if key in missing
+                else f"link ({i}, {j}) is up but the pair is out of range"
+            )
+            raise InvariantViolation("contact-set", detail, node_id=i, time=now)
 
     def _check_purged(self, node: Node, now: float) -> None:
         buf = node.buffer

@@ -28,6 +28,9 @@ class TraceMobility(MobilityModel):
         positions = np.asarray(positions, dtype=float)
         if times.ndim != 1 or times.size < 2:
             raise ConfigurationError("trace needs at least 2 time samples")
+        # Checked first: NaN passes every comparison below as False.
+        if not np.all(np.isfinite(times)):
+            raise ConfigurationError("trace times must be finite")
         if np.any(np.diff(times) <= 0):
             raise ConfigurationError("trace times must be strictly increasing")
         if positions.ndim != 3 or positions.shape[0] != times.size or positions.shape[2] != 2:
@@ -35,6 +38,8 @@ class TraceMobility(MobilityModel):
                 f"positions must have shape (T, N, 2) with T={times.size}, "
                 f"got {positions.shape}"
             )
+        if not np.all(np.isfinite(positions)):
+            raise ConfigurationError("trace positions must be finite")
         n_nodes = positions.shape[1]
         width = float(positions[..., 0].max()) + 1.0
         height = float(positions[..., 1].max()) + 1.0
@@ -61,10 +66,7 @@ class TraceMobility(MobilityModel):
             raise ConfigurationError("node_samples must be non-empty")
         if grid_step <= 0:
             raise ConfigurationError(f"grid_step must be positive: {grid_step}")
-        if duration is None:
-            duration = max(float(t[-1]) for t, _ in node_samples)
-        grid = np.arange(0.0, duration + grid_step, grid_step)
-        out = np.empty((grid.size, len(node_samples), 2))
+        samples = []
         for i, (t, p) in enumerate(node_samples):
             t = np.asarray(t, dtype=float)
             p = np.asarray(p, dtype=float)
@@ -72,8 +74,17 @@ class TraceMobility(MobilityModel):
                 raise ConfigurationError(
                     f"node {i}: need times (k,) and positions (k, 2), k >= 1"
                 )
+            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+                # np.interp turns an infinite time into finite garbage.
+                raise ConfigurationError(f"node {i}: samples must be finite")
             if np.any(np.diff(t) < 0):
                 raise ConfigurationError(f"node {i}: times must be non-decreasing")
+            samples.append((t, p))
+        if duration is None:
+            duration = max(float(t[-1]) for t, _ in samples)
+        grid = np.arange(0.0, duration + grid_step, grid_step)
+        out = np.empty((grid.size, len(samples), 2))
+        for i, (t, p) in enumerate(samples):
             out[:, i, 0] = np.interp(grid, t, p[:, 0])
             out[:, i, 1] = np.interp(grid, t, p[:, 1])
         return cls(grid, out)

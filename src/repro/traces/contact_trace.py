@@ -7,6 +7,7 @@ processes (Fig. 3) without rerunning movement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,6 +101,8 @@ class ContactTrace:
                     t, a, b = float(parts[0]), int(parts[1]), int(parts[2])
                 except ValueError as exc:
                     raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
+                if not math.isfinite(t):
+                    raise TraceFormatError(f"{path}:{lineno}: non-finite time {t}")
                 if parts[4] not in ("up", "down"):
                     raise TraceFormatError(f"{path}:{lineno}: bad state {parts[4]!r}")
                 trace.append(ContactEvent(t, a, b, parts[4] == "up"))

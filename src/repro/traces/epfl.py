@@ -50,6 +50,8 @@ def parse_cabspotting_file(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             t = float(parts[3])
         except ValueError as exc:
             raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
+        if not (math.isfinite(lat) and math.isfinite(lon) and math.isfinite(t)):
+            raise TraceFormatError(f"{path}:{lineno}: non-finite value: {line!r}")
         times.append(t)
         coords.append((lat, lon))
     if not times:

@@ -12,6 +12,7 @@ produced movement drops straight into the simulator.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import TextIO
 
@@ -63,6 +64,8 @@ def _parse_lines(fh: TextIO, path: Path) -> tuple[np.ndarray, np.ndarray]:
             t, node, x, y = float(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])
         except ValueError as exc:
             raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
+        if not (math.isfinite(t) and math.isfinite(x) and math.isfinite(y)):
+            raise TraceFormatError(f"{path}:{lineno}: non-finite value: {line!r}")
         samples.setdefault(t, {})[node] = (x, y)
         node_ids.add(node)
     if not samples:

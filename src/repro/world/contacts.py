@@ -6,14 +6,25 @@ int64 array of *link keys* ``i * N + j``.  A key sorts exactly like its
 pair, so key order is ``sorted(pairs)`` order, and keys stay below
 ``N * N``, far inside int64 for any fleet this simulator runs.
 
-One implementation serves every fleet size: scipy's ``cKDTree`` range
-query.  It beats an O(N^2) NumPy broadcast from the paper's 100-node
-fleets upward (46 vs 62 µs per call at 100 nodes, 77 vs 250 µs at 200, on
-a 2-core x86-64 VM with SciPy 1.17; ``benchmarks/test_bench_contacts.py``
-times it), and a uniform grid binned in Python was slower than both at
-these sizes.  Distances are compared as ``dx*dx + dy*dy <= r*r``, so exact
-radius-boundary ties are contacts; ``tests/world/test_contacts.py`` pins
-this against an O(N^2) reference.
+A pair is a contact iff ``dx*dx + dy*dy <= r*r`` with ``dx = x_i - x_j``
+and ``dy = y_i - y_j``, so exact radius ties are contacts;
+``tests/world/test_contacts.py`` pins this against an O(N^2) reference.
+
+One implementation serves every fleet size: a Verlet neighbour list
+(Verlet, Phys. Rev. 159, 98, 1967) over scipy's ``cKDTree``.  In one 1 s
+tick a node moves a few metres (up to 14 m for the fastest taxis) against
+a 100 m radio range, so a fresh KD-tree query per tick would find almost
+the same pairs every time.  The detector instead *rebuilds* rarely: one
+``cKDTree`` range query at the radius plus a skin (:data:`SKIN_RATIO`)
+keeps every pair within it as a candidate, with a copy of the positions
+it saw (the anchor).  Each later call only tests the candidates, until
+some node has moved half a skin from its anchor; until then no pair
+outside the candidates can be in range.  The cache changes the cost,
+never the result.  Replaying the perf benchmark's workloads (first
+instance, 2-core x86-64 VM, SciPy 1.17), a call took 18 µs for 100 RWP
+nodes (a fresh query per tick: 52 µs), 50 µs for 200 taxis (128 µs) and
+1.6 ms for 10k nodes (6.9 ms), rebuilding on 121 of 3,001, 126 of 501
+and 3 of 41 calls.
 
 The world keeps its link set as such an array.  After the first tick only
 a few links change per tick (~280 of ~10.9k at 10k nodes), so
@@ -29,21 +40,80 @@ from scipy.spatial import cKDTree
 
 from repro.errors import ConfigurationError
 
+#: The skin as a multiple of the radius: a rebuild gathers the pairs within
+#: ``radius * (1 + SKIN_RATIO)``.  A thinner skin tests fewer candidates
+#: per call but rebuilds more often.  Swept from 0.2 to 1.0 on the same
+#: replayed positions: the 100-node fleets cost 15-22 µs per call at every
+#: skin from 0.5 to 1.0; the 200 taxis rebuilt on 251 of 501 calls at 0.5
+#: (70 µs per call) and on 126 at 1.0 (50 µs); at 10k nodes 0.5 and 1.0
+#: both cost 1.6 ms, with 24k and 43k candidates for 10.8k pairs.
+SKIN_RATIO = 1.0
+
+#: Half the skin, less a margin, as a multiple of the radius: the largest
+#: displacement from the anchor that keeps the candidates.  A pair left out
+#: by a rebuild was more than ``R = r + s`` apart; if neither end has since
+#: moved more than ``s/2 * (1 - 1e-9)``, the triangle inequality keeps it
+#: more than ``r + 1e-9 * s`` apart.  Each rounding on the way (cKDTree's
+#: test at R, the displacement, the filter's ``dx*dx + dy*dy``) errs by a
+#: few ulp, ~1e-15 of the distance it measures (~r to ~R for any pair near
+#: the boundary), far inside that gap: a left-out pair cannot pass the
+#: filter.
+_HALF_SKIN = SKIN_RATIO / 2 * (1 - 1e-9)
+
 
 class KDTreeDetector:
-    """scipy ``cKDTree.query_pairs`` — the detector for every fleet size."""
+    """A ``cKDTree`` candidate list, rebuilt once a node has moved half a
+    skin (see the module docstring); the detector for every fleet size."""
+
+    def __init__(self) -> None:
+        #: Positions at the last rebuild: a copy, since the mobility model
+        #: moves its live array in place.  ``None`` until the first call.
+        self._anchor: np.ndarray | None = None
+        #: The radius of the last rebuild.
+        self._radius = 0.0
+        #: The candidates: sorted keys and the two ends of each.
+        empty = np.empty(0, dtype=np.int64)
+        self._keys = empty
+        self._ends = (empty, empty)
 
     def pairs(self, positions: np.ndarray, radius: float) -> np.ndarray:
         """Sorted int64 keys ``i * N + j`` of all pairs ``(i, j), i < j``
         with distance <= *radius*."""
         self._check(positions, radius)
-        n = positions.shape[0]
-        if n < 2:
+        if positions.shape[0] < 2:
             return np.empty(0, dtype=np.int64)
-        found = cKDTree(positions).query_pairs(radius, output_type="ndarray")
+        anchor = self._anchor
+        if (
+            anchor is None
+            or anchor.shape != positions.shape
+            or radius != self._radius
+        ):
+            self._rebuild(positions, radius)
+        else:
+            moved = positions - anchor
+            moved *= moved
+            limit = radius * _HALF_SKIN
+            # ``not <=``: a NaN displacement rebuilds, and cKDTree rejects it.
+            if not ((moved[:, 0] + moved[:, 1]).max() <= limit * limit):
+                self._rebuild(positions, radius)
+        i, j = self._ends
+        diff = positions.take(i, axis=0)
+        diff -= positions.take(j, axis=0)
+        dx, dy = diff[:, 0], diff[:, 1]
+        return self._keys[dx * dx + dy * dy <= radius * radius]
+
+    def _rebuild(self, positions: np.ndarray, radius: float) -> None:
+        """Gather the candidates within the radius plus the skin."""
+        n = positions.shape[0]
+        found = cKDTree(positions).query_pairs(
+            radius * (1 + SKIN_RATIO), output_type="ndarray"
+        )
         keys = found[:, 0].astype(np.int64) * n + found[:, 1]
         keys.sort()
-        return keys
+        self._keys = keys
+        self._ends = np.divmod(keys, n)
+        self._anchor = positions.copy()
+        self._radius = radius
 
     @staticmethod
     def _check(positions: np.ndarray, radius: float) -> None:

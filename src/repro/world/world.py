@@ -150,11 +150,7 @@ class World:
         with timed(profiler, "movement"):
             self.positions = self.mobility.advance(now)
         with timed(profiler, "contacts"):
-            keys = self.detector.pairs(self.positions, self._max_range)
-            if not self._uniform_range:
-                keys = self._within_both_ranges(keys)
-            if self.down_nodes:
-                keys = keys[~self._touches(keys, self.down_nodes)]
+            keys = self.detect_links(self.detector)
 
         with timed(profiler, "links"):
             old = self.link_keys
@@ -180,6 +176,16 @@ class World:
         Kept so callers that finish with a built simulation (the perf
         benchmark's worker does) need not know that.
         """
+
+    def detect_links(self, detector: KDTreeDetector) -> np.ndarray:
+        """The link keys *detector* finds at the current positions: pairs
+        within the smaller of the two radio ranges, neither end down."""
+        keys = detector.pairs(self.positions, self._max_range)
+        if not self._uniform_range:
+            keys = self._within_both_ranges(keys)
+        if self.down_nodes:
+            keys = keys[~self._touches(keys, self.down_nodes)]
+        return keys
 
     def _within_both_ranges(self, keys: np.ndarray) -> np.ndarray:
         """Keep pairs within the *smaller* of the two nodes' radio ranges."""

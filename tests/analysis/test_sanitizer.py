@@ -18,6 +18,7 @@ from repro.errors import InvariantViolation
 from repro.experiments.runner import build_scenario
 from repro.experiments.scenario import random_waypoint_scenario, scale_scenario
 from repro.net.buffer import MessageBuffer
+from repro.world import contacts
 from repro.world.contacts import decode
 from repro.world.node import Node
 
@@ -276,6 +277,40 @@ def test_link_set_corruption_is_caught(corrupt):
         built.sanitizer.check_tick(built.sim.now)
     assert exc.value.invariant == "link-mirror"
     assert exc.value.node_id == culprit
+
+
+# -- seeded faults in contact detection ----------------------------------------
+
+
+def test_stale_candidate_list_is_caught(monkeypatch):
+    # The seeded bug: a staleness bound that never trips, so the world's
+    # detector keeps testing its first tick's candidates while nodes move.
+    monkeypatch.setattr(contacts, "_HALF_SKIN", math.inf)
+    built = build_scenario(small())
+
+    with pytest.raises(InvariantViolation) as exc:
+        built.sim.run()
+    assert exc.value.invariant == "contact-set"
+    assert "in range but not linked" in str(exc.value)
+    assert built.sanitizer.ticks_checked > 0, "caught on the first tick: vacuous"
+
+
+def test_link_dropped_everywhere_is_caught():
+    # A link torn out of the keys and both neighbor maps leaves a world
+    # that mirrors itself; only the pair's distance shows it is wrong.
+    built = build_and_warm(small())
+    world = built.world
+    i, j = decode(world.link_keys[:1], len(world.nodes))[0]
+    world.link_keys = world.link_keys[1:]
+    del world.nodes[i].neighbors[j]
+    del world.nodes[j].neighbors[i]
+    built.sanitizer._check_link_mirror(built.sim.now)
+
+    with pytest.raises(InvariantViolation) as exc:
+        built.sanitizer.check_tick(built.sim.now)
+    assert exc.value.invariant == "contact-set"
+    assert exc.value.node_id == i
+    assert f"pair ({i}, {j}) is in range but not linked" in str(exc.value)
 
 
 # -- clean runs ---------------------------------------------------------------

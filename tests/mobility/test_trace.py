@@ -56,6 +56,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             TraceMobility(np.array([0.0, 1.0]), np.zeros((3, 2, 2)))
 
+    @pytest.mark.parametrize("times", [
+        [0.0, np.nan], [0.0, 1.0, np.inf], [-np.inf, 0.0, 1.0],
+    ])
+    def test_times_must_be_finite(self, times):
+        # Each passes the strictly-increasing check (NaN compares False).
+        with pytest.raises(ConfigurationError, match="times must be finite"):
+            TraceMobility(np.array(times), np.zeros((len(times), 2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_positions_must_be_finite(self, bad):
+        # Otherwise the area comes out NaN or infinite, and the first tick
+        # holding the value dies inside contact detection.
+        positions = np.zeros((2, 2, 2))
+        positions[1, 0, 0] = bad
+        with pytest.raises(ConfigurationError, match="positions must be finite"):
+            TraceMobility(np.array([0.0, 1.0]), positions)
+
 
 class TestResampling:
     def test_from_node_samples_aligns_irregular_gps(self):
@@ -67,6 +84,16 @@ class TestResampling:
         pos = m.advance(50.0)
         assert pos[0] == pytest.approx([50.0, 0.0])
         assert pos[1] == pytest.approx([0.0, 60.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_from_node_samples_rejects_non_finite_samples(self, bad):
+        # An infinite sample time interpolates to finite garbage.
+        times = np.array([0.0, 50.0, bad])
+        with pytest.raises(ConfigurationError, match="node 0: samples must be finite"):
+            TraceMobility.from_node_samples([(times, np.zeros((3, 2)))])
+        positions = np.array([[0.0, 0.0], [bad, 0.0]])
+        with pytest.raises(ConfigurationError, match="node 0: samples must be finite"):
+            TraceMobility.from_node_samples([(np.array([0.0, 50.0]), positions)])
 
     def test_from_node_samples_validation(self):
         with pytest.raises(ConfigurationError):

@@ -55,6 +55,14 @@ class TestIO:
         with pytest.raises(TraceFormatError):
             ContactTrace.load(p)
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_load_rejects_non_finite_time(self, tmp_path, time):
+        # A NaN time would pass both the order check and the scheduler's.
+        p = tmp_path / "contacts.txt"
+        p.write_text(f"1.000 0 1 CONN up\n{time} 0 1 CONN down\n")
+        with pytest.raises(TraceFormatError, match=r"contacts\.txt:2: non-finite"):
+            ContactTrace.load(p)
+
 
 class TestRecorder:
     def test_records_world_link_events(self):

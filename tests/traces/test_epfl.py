@@ -53,6 +53,17 @@ class TestParse:
         with pytest.raises(TraceFormatError, match=r"new_nan\.txt:1"):
             parse_cabspotting_file(p)
 
+    @pytest.mark.parametrize("row", [
+        "nan -122.39 0 1213084747",
+        "37.75 inf 0 1213084747",
+        "37.75 -122.39 0 -inf",
+    ])
+    def test_rejects_non_finite_fields(self, tmp_path, row):
+        p = tmp_path / "new_inf.txt"
+        write_cab(p, ["37.75 -122.39 0 1213084687", row])
+        with pytest.raises(TraceFormatError, match=r"new_inf\.txt:2: non-finite"):
+            parse_cabspotting_file(p)
+
     def test_rejects_non_utf8_bytes(self, tmp_path):
         """A corrupted download raises a trace error, not UnicodeDecodeError."""
         p = tmp_path / "new_bin.txt"

@@ -78,3 +78,14 @@ def test_node_missing_early_sample_rejected(tmp_path):
     )
     with pytest.raises(TraceFormatError):
         read_movement_trace(p)
+
+
+@pytest.mark.parametrize("line", [
+    "nan 1 2.0 2.0", "10.0 1 inf 2.0", "10.0 1 2.0 -inf", "10.0 1 2.0 NaN",
+])
+def test_read_non_finite_value_rejected(tmp_path, line):
+    # float() parses these; playback would carry them into contact detection.
+    p = tmp_path / "t.txt"
+    p.write_text("0 10 0 10 0 10\n0.0 0 1.0 1.0\n0.0 1 3.0 3.0\n" + line + "\n")
+    with pytest.raises(TraceFormatError, match=r"t\.txt:4: non-finite"):
+        read_movement_trace(p)

@@ -1,5 +1,6 @@
 """The KD-tree contact detector: correctness of its sorted link keys,
-agreement with O(N^2) references, exact radius ties at scale."""
+agreement with O(N^2) references, exact radius ties at scale, and a
+candidate list that never changes a result however positions move."""
 
 from __future__ import annotations
 
@@ -7,10 +8,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.world import contacts
 from repro.world.contacts import KDTreeDetector, decode
 
 DETECTORS = [KDTreeDetector()]
@@ -143,3 +145,152 @@ class TestExactTiesAtScale:
         if integral:
             assert exact_ties(positions, expected, radius) >= 300
         assert found(KDTreeDetector(), positions, radius) == expected
+
+
+@pytest.fixture
+def tree_builds(monkeypatch):
+    """Count the detector's ``cKDTree`` constructions (its rebuilds)."""
+    builds = []
+    real = contacts.cKDTree
+
+    def counted(positions):
+        builds.append(len(positions))
+        return real(positions)
+
+    monkeypatch.setattr(contacts, "cKDTree", counted)
+    return builds
+
+
+def threshold(radius: float) -> float:
+    """The largest displacement that keeps the detector's candidates."""
+    return radius * contacts._HALF_SKIN
+
+
+class TestCandidateList:
+    """One detector over moving positions: every call equals the O(N^2)
+    reference, whether it reused its candidates or rebuilt them."""
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_every_call_matches_the_reference(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        radius = data.draw(st.sampled_from([100.0, 37.3, 5.0]), label="radius")
+        n = data.draw(st.integers(min_value=2, max_value=40), label="n")
+        positions = rng.uniform(0.0, 8 * radius, size=(n, 2))
+        detector = KDTreeDetector()
+        for _ in range(data.draw(st.integers(min_value=1, max_value=15))):
+            step = data.draw(st.sampled_from(
+                ["small", "in-place", "teleport", "tie", "approach", "resize",
+                 "radius"]
+            ))
+            n = len(positions)
+            a, b = rng.choice(n, size=2, replace=False)
+            if step == "small":
+                # Under half a skin: the candidates stand.
+                positions = positions + rng.uniform(-0.2, 0.2, (n, 2)) * radius
+            elif step == "in-place":
+                # The array the detector saw last call, edited in place, as
+                # the waypoint engine moves its live position array; some
+                # moves cross the rebuild threshold, some do not.
+                positions += rng.uniform(-0.45, 0.45, (n, 2)) * radius
+            elif step == "teleport":
+                positions = positions.copy()
+                positions[a] = rng.uniform(0.0, 8 * radius, 2)
+            elif step == "tie":
+                # Move b onto a's range boundary, exactly when the arithmetic
+                # allows: an integral corner and a Pythagorean offset.
+                positions = positions.copy()
+                positions[a] = positions[a].round()
+                legs = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (0.8, 0.6)]
+                leg = np.array(legs[rng.integers(len(legs))]) * radius
+                positions[b] = positions[a] + leg * rng.choice([-1.0, 1.0], 2)
+            elif step == "approach":
+                # Put b just past the skin radius from a, then close the pair
+                # by up to the rebuild threshold at each end: the move a
+                # candidate list must survive without a rebuild.
+                positions = positions.copy()
+                unit = rng.normal(size=2)
+                unit /= np.hypot(*unit)
+                far = radius * (1 + contacts.SKIN_RATIO) * (1 + 1e-12)
+                positions[b] = positions[a] + unit * far
+                assert found(detector, positions, radius) == brute_truth(
+                    positions, radius
+                )
+                positions = positions.copy()
+                closing = unit * threshold(radius) * rng.uniform(0.9, 1.0)
+                positions[a] += closing
+                positions[b] -= closing
+            elif step == "resize":
+                k = data.draw(st.integers(min_value=0, max_value=10))
+                positions = np.vstack(
+                    [positions, rng.uniform(0.0, 8 * radius, (k, 2))]
+                )[: max(2, n - data.draw(st.integers(0, 5)) + k)]
+            else:
+                radius = data.draw(st.sampled_from([100.0, 37.3, 5.0]))
+            assert found(detector, positions, radius) == brute_truth(
+                positions, radius
+            ), step
+
+    def test_positions_edited_in_place(self):
+        # The detector must keep its own copy of the positions it built
+        # from: here the caller's array itself brings a far pair into range.
+        positions = np.array([[0.0, 0.0], [500.0, 0.0]])
+        detector = KDTreeDetector()
+        assert found(detector, positions, 100.0) == set()
+        positions[1, 0] = 50.0
+        assert found(detector, positions, 100.0) == {(0, 1)}
+
+    @pytest.mark.parametrize("offset", ["zero", "ulp", "1e-9"])
+    def test_moving_by_the_threshold_keeps_left_out_pairs_out(
+        self, tree_builds, offset
+    ):
+        # Nodes 0 and 1 start the skin radius R apart (node 1 just past it
+        # by *offset*), then close in on each other by the rebuild threshold
+        # each: no rebuild, and the pair must still be out of range.
+        radius = 100.0
+        far = radius * (1 + contacts.SKIN_RATIO)
+        far = {"zero": far, "ulp": np.nextafter(far, np.inf),
+               "1e-9": far + 1e-9}[offset]
+        positions = np.array([[0.0, 0.0], [far, 0.0], [0.0, 900.0]])
+        detector = KDTreeDetector()
+        assert found(detector, positions, radius) == set()
+        step = threshold(radius)
+        end = far - step
+        if far - end > step:  # the subtraction rounded: stay at the limit
+            end = np.nextafter(end, np.inf)
+        positions[0, 0] = step
+        positions[1, 0] = end
+        assert found(detector, positions, radius) == brute_truth(
+            positions, radius
+        ) == set()
+        assert len(tree_builds) == 1, "the threshold itself must not rebuild"
+        # One ulp further is over the threshold: the detector rebuilds.
+        positions[1, 0] = np.nextafter(end, -np.inf)
+        assert found(detector, positions, radius) == brute_truth(
+            positions, radius
+        )
+        assert len(tree_builds) == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_coordinate_raises_on_the_next_call(self, bad):
+        # Nothing else moved, so only a NaN-safe staleness test rebuilds and
+        # lets cKDTree reject the value instead of dropping its contacts.
+        positions = np.random.default_rng(6).uniform(0, 300, size=(30, 2))
+        detector = KDTreeDetector()
+        detector.pairs(positions, 60.0)
+        positions[7, 1] = bad
+        with pytest.raises(ValueError):
+            detector.pairs(positions, 60.0)
+
+    def test_a_slow_trajectory_reuses_its_candidates(self, tree_builds):
+        rng = np.random.default_rng(7)
+        positions = rng.uniform(0, 1000, size=(80, 2))
+        heading = rng.uniform(-1.0, 1.0, size=(80, 2))  # <= 1.5 m per call
+        detector = KDTreeDetector()
+        calls = 200
+        for _ in range(calls):
+            positions += heading
+            assert found(detector, positions, 100.0) == brute_truth(
+                positions, 100.0
+            )
+        assert 1 <= len(tree_builds) <= calls // 10

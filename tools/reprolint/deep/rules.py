@@ -687,6 +687,10 @@ unordered results (set/counter accumulation is safe and not flagged).
 REBUILT_ON_RESTORE: dict[tuple[str, str], str] = {
     ("Simulator", "_running"): "loop-transient; always False between events",
     ("World", "positions"): "recomputed from mobility._pos by advance() on restore",
+    ("KDTreeDetector", "_anchor"): "candidate-list cache; a restored World builds a fresh detector, whose first call rebuilds it, and the cache never changes a result",
+    ("KDTreeDetector", "_radius"): "candidate-list cache; a restored World builds a fresh detector, whose first call rebuilds it, and the cache never changes a result",
+    ("KDTreeDetector", "_keys"): "candidate-list cache; a restored World builds a fresh detector, whose first call rebuilds it, and the cache never changes a result",
+    ("KDTreeDetector", "_ends"): "candidate-list cache; a restored World builds a fresh detector, whose first call rebuilds it, and the cache never changes a result",
     ("EventQueue", "_heap"): "event queue is re-armed from recurring/transfer state",
     ("EventQueue", "_live"): "event queue is re-armed from recurring/transfer state",
     ("Event", "cancelled"): "events are not serialized; the queue is re-armed",
