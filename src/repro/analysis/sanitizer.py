@@ -24,6 +24,9 @@ tick:
 * **scan memo** — every idle, linked node the tick's idle-sender loop is
   about to skip as asleep really has nothing to send: a full rescan finds
   no candidate;
+* **due set** — the world's due set names exactly the nodes the tick's
+  loops must visit: its awake ids are the nodes that are not asleep, and
+  its ``min_expiry`` is no later than any buffer's ``next_expiry``;
 * **dropped count** — every SDSRP node's maintained d_i counts equal a
   recount over its dropped-list records, and the store's prune bound
   (``next_expiry``) is no later than any stored expiry.  A store is
@@ -42,12 +45,13 @@ Violations raise :class:`~repro.errors.InvariantViolation` naming the
 invariant, the node, the message and the simulation time, so a corrupted run
 dies at the first bad tick instead of producing silently skewed figures.
 
-Checks are O(total buffered messages + links) per tick, plus the send
-scans the scan memo saved, a recount of each dropped-list store that
-changed and one fresh contact detection — cheap enough for CI smoke runs
-(``make sanitize-smoke``), too slow for large sweeps; enable explicitly
-via ``Simulator(sanitize=True)``, ``ScenarioConfig(sanitize=True)``,
-``repro-exp run --sanitize`` or ``REPRO_SANITIZE=1``.
+Checks are O(nodes + total buffered messages + links) per tick, plus
+the send scans the scan memo saved, a recount of each dropped-list store
+that changed and one fresh contact detection — cheap enough for CI smoke
+runs (``make sanitize-smoke``), too slow for large sweeps; enable
+explicitly via ``Simulator(sanitize=True)``,
+``ScenarioConfig(sanitize=True)``, ``repro-exp run --sanitize`` or
+``REPRO_SANITIZE=1``.
 """
 
 from __future__ import annotations
@@ -196,6 +200,7 @@ class Sanitizer:
 
         self._check_link_mirror(now)
         self._check_contact_set(now)
+        self._check_due_set(now)
 
         # Checked last: corrupted message state (e.g. inflated tokens) can
         # also create a send candidate, and the checks above name the cause.
@@ -250,6 +255,28 @@ class Sanitizer:
                 else f"link ({i}, {j}) is up but the pair is out of range"
             )
             raise InvariantViolation("contact-set", detail, node_id=i, time=now)
+
+    def _check_due_set(self, now: float) -> None:
+        due = self.world.due
+        awake = {node.id for node in self.nodes if not node.asleep}
+        if due.awake != awake:
+            node_id = min(due.awake ^ awake)
+            detail = (
+                "node is awake but missing from the due set"
+                if node_id in awake
+                else "node is asleep but still in the due set"
+            )
+            raise InvariantViolation("due-set", detail, node_id=node_id, time=now)
+        for node in self.nodes:
+            bound = node.buffer.next_expiry
+            if bound < due.min_expiry:
+                raise InvariantViolation(
+                    "due-set",
+                    f"expiry bound {bound:.6f}s is below the due set's "
+                    f"min_expiry {due.min_expiry:.6f}s",
+                    node_id=node.id,
+                    time=now,
+                )
 
     def _check_purged(self, node: Node, now: float) -> None:
         buf = node.buffer

@@ -37,6 +37,10 @@ the ones a full rescan at each step would give.
   bound on every stored expiry, own and adopted, so a prune before it
   would remove nothing; a prune at or after it walks the records and
   recomputes the bound.
+* **A store that never saw a drop gossips nothing.**  ``holds_drops``
+  is False while the store holds only its own record and that record
+  never had a drop: every record time is then −inf, so a merge from this
+  store adopts nothing and the policy skips it.
 
 :meth:`DroppedListStore.load` replaces the records (snapshot restore) and
 rebuilds all of the above from them.
@@ -94,6 +98,13 @@ class DroppedListStore:
         return msg_id in self._own.dropped
 
     # -- gossip -------------------------------------------------------------
+
+    @property
+    def holds_drops(self) -> bool:
+        """True if some record here has a record time, i.e. a merge from
+        this store can adopt something.  Every record of another origin has
+        one, since only those are stored (see the module docstring)."""
+        return len(self._records) > 1 or self._own.record_time > -math.inf
 
     def merge_from(self, other: "DroppedListStore") -> None:
         """Adopt any record of *other* that is newer than ours (LWW union)."""

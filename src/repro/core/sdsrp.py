@@ -202,7 +202,9 @@ class SdsrpPolicy(BufferPolicy):
             assert self.dropped is not None
             if self.params.prune_dropped_lists:
                 self.dropped.prune(now)
-            self.dropped.merge_from(peer_policy.dropped)
+            # A store with no record of a drop has nothing to adopt.
+            if peer_policy.dropped.holds_drops:
+                self.dropped.merge_from(peer_policy.dropped)
 
     def on_link_down(self, peer: Node, now: float) -> None:
         assert self.ctx is not None

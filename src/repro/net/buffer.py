@@ -6,10 +6,15 @@ preserves insertion order so FIFO-style policies can rank without extra
 bookkeeping, and tracks "pinned" messages (currently being transmitted) that
 must not be dropped mid-transfer.
 
-Two cheap summaries let the world tick skip buffers that cannot have
-changed: :attr:`MessageBuffer.next_expiry` bounds the earliest expiry from
-below, and the optional ``on_add``/``on_remove`` hooks tell the owning node
-that the buffer gained or lost a message.
+Cheap summaries let the world tick skip buffers that cannot have changed:
+:attr:`MessageBuffer.next_expiry` bounds the earliest expiry from below,
+and three optional hooks tell the owner what happened:
+
+* ``on_add()``: the buffer gained a message;
+* ``on_remove()``: the buffer lost a message;
+* ``on_expiry(bound)``: :meth:`~MessageBuffer.add` lowered
+  ``next_expiry`` to *bound*, the only step that lowers it (the world's
+  due set keeps a lower bound over all buffers).
 """
 
 from __future__ import annotations
@@ -55,6 +60,9 @@ class MessageBuffer:
         self.next_expiry = math.inf
         self._on_add = on_add
         self._on_remove = on_remove
+        #: Called with the new :attr:`next_expiry` whenever :meth:`add`
+        #: lowers it; the world's due set installs it.
+        self.on_expiry: Callable[[float], None] | None = None
 
     # -- capacity ----------------------------------------------------------
 
@@ -124,6 +132,8 @@ class MessageBuffer:
         expires = message.expires_at()
         if expires < self.next_expiry:
             self.next_expiry = expires
+            if self.on_expiry is not None:
+                self.on_expiry(expires)
         if self._on_add is not None:
             self._on_add()
 

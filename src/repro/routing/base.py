@@ -299,7 +299,8 @@ class Router:
             return
         if self.node.sending or not self.node.neighbors:
             return
-        choice = self.select_next()
+        # An empty buffer has nothing to offer: a scan would find nothing.
+        choice = self.select_next() if len(self.node.buffer) else None
         if choice is None:
             if self.sleeps_when_idle:
                 self.node.sleep()

@@ -29,12 +29,23 @@ class ContactEvent:
 
 
 class ContactTrace:
-    """An ordered list of contact events."""
+    """An ordered list of contact events.
+
+    Event times are finite and never decrease: replay
+    (:class:`~repro.world.trace_world.TraceWorld`) stops at the first event
+    past its horizon, so an unsorted list would silently lose contacts.
+    :meth:`append` and the constructor raise :class:`TraceFormatError`
+    otherwise.
+    """
 
     def __init__(self, events: list[ContactEvent] | None = None) -> None:
-        self.events: list[ContactEvent] = list(events or [])
+        self.events: list[ContactEvent] = []
+        for event in events or []:
+            self.append(event)
 
     def append(self, event: ContactEvent) -> None:
+        if not math.isfinite(event.time):
+            raise TraceFormatError(f"contact event time is not finite: {event.time}")
         if self.events and event.time < self.events[-1].time:
             raise TraceFormatError(
                 f"contact events must be time-ordered: {event.time} < "

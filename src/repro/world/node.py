@@ -16,7 +16,7 @@ from repro.world.radio import Radio
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.routing.base import Router
-    from repro.world.world import World
+    from repro.world.world import DueSet, World
 
 
 class Node:
@@ -38,6 +38,10 @@ class Node:
         #: idle-sender loop skips it meanwhile.  :mod:`repro.world.world`
         #: lists what wakes it.
         self.asleep = False
+        #: The world's due set (:class:`~repro.world.world.DueSet`), which
+        #: :meth:`wake` and :meth:`sleep` keep in step; None until a world
+        #: takes this node.
+        self.due: "DueSet | None" = None
         self._world: "World | None" = None
 
     def attach_router(self, router: "Router") -> None:
@@ -47,16 +51,20 @@ class Node:
     def sleep(self) -> None:
         """Record that a full send scan found nothing (see :attr:`asleep`)."""
         self.asleep = True
+        if self.due is not None:
+            self.due.awake.discard(self.id)
 
     def wake(self) -> None:
         """Make the next tick scan this node for something to send."""
         self.asleep = False
+        if self.due is not None:
+            self.due.awake.add(self.id)
 
     def wake_neighbors(self) -> None:
         """Wake every neighbor: a copy left this buffer, so they may now
         offer it here again."""
         for peer in self.neighbors.values():
-            peer.asleep = False
+            peer.wake()
 
     def attach_world(self, world: "World") -> None:
         """Called by the world when the node is registered."""

@@ -21,7 +21,7 @@ from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.net.transfer import TransferManager
 from repro.world.node import Node
-from repro.world.world import link_down, link_up, routing_phase
+from repro.world.world import DueSet, link_down, link_up, routing_phase
 
 if TYPE_CHECKING:  # pragma: no cover - breaks the traces<->world import cycle
     from repro.traces.contact_trace import ContactTrace
@@ -49,6 +49,7 @@ class TraceWorld:
             )
         self.sim = sim
         self.nodes = sorted(nodes, key=lambda n: n.id)
+        self.due = DueSet(self.nodes)
         self.transfer_manager = transfer_manager
         self.trace = trace
         self.tick = float(tick)
@@ -123,4 +124,4 @@ class TraceWorld:
 
     def _maintain(self) -> None:
         """TTL purge + idle-sender retry (the tick half of World.update)."""
-        routing_phase(self.sim, self.nodes, self.sim.now)
+        routing_phase(self.sim, self.due, self.sim.now)

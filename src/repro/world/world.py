@@ -7,9 +7,14 @@ transfers) and ``link.up`` events, purges expired messages, and gives idle
 routers a chance to start transfers.
 
 The last two steps (:func:`routing_phase`, shared with the trace-driven
-world) skip nodes whose inputs cannot have changed:
+world) visit only the nodes of a :class:`DueSet`, the nodes that can act:
 
-* a buffer is purged only once its ``next_expiry`` bound has passed;
+* a buffer is purged only once its ``next_expiry`` bound has passed, and
+  the purge loop walks the nodes only once the due set's ``min_expiry``
+  has: that float bounds every buffer's ``next_expiry`` from below.  A
+  buffer's :meth:`~repro.net.buffer.MessageBuffer.add` is the only step
+  that lowers its bound, and it lowers ``min_expiry`` with it
+  (``on_expiry``); the walk recomputes ``min_expiry`` once it is done;
 * an idle sender whose last full scan found nothing is asleep
   (:attr:`Node.asleep`, for routers with ``sleeps_when_idle``) and is not
   rescanned until one of three changes wakes it: its own buffer gains a
@@ -17,11 +22,25 @@ world) skip nodes whose inputs cannot have changed:
   again), or one of its links comes up.  Every other change can only
   remove candidates: deliveries, link teardown, token halving, expiry, and
   SDSRP dropped-list merges and prunes (a prune forgets only entries whose
-  message has expired).
+  message has expired).  :meth:`Node.wake` and :meth:`Node.sleep` keep
+  the due set's ``awake`` ids equal to the nodes that are not asleep.
+
+Both loops visit their nodes in ascending id and apply the same per-node
+test a walk over every node would, so purges and retries fire on the same
+ticks, on the same nodes, in the same order: while the clock is below
+``min_expiry`` no buffer passes the purge test, and an asleep node fails
+the retry test.  The retry loop walks the ``awake`` ids as they were
+when it began; nothing a retry does can wake another node, since a retry
+only starts a transfer, which pins a copy and marks its sender busy.
+
+The link hooks skip calls that cannot change anything: ``link_down``
+aborts transfers only when one end is sending, and :meth:`Router.try_send`
+puts a node with an empty buffer to sleep without a scan.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
 
 import numpy as np
@@ -36,20 +55,52 @@ from repro.world.contacts import KDTreeDetector, decode, diff_keys
 from repro.world.node import Node
 
 
-def routing_phase(sim: Simulator, nodes: list[Node], now: float) -> None:
-    """The tail of every tick: TTL purges, ``world.updated``, idle-sender
-    retries (see the module docstring for which nodes each loop skips)."""
-    profiler = sim.profiler
-    with timed(profiler, "routing"):
+class DueSet:
+    """The nodes a tick's :func:`routing_phase` can have work for.
+
+    ``awake`` holds the ids of the nodes that are not asleep;
+    :meth:`Node.wake` and :meth:`Node.sleep` keep it in step.
+    ``min_expiry`` is a lower bound on every buffer's ``next_expiry``,
+    which :meth:`lower_expiry`, each buffer's ``on_expiry`` hook, keeps.
+    Attaches itself to *nodes* and their buffers.
+    """
+
+    def __init__(self, nodes: list[Node]) -> None:
+        #: Indexed by id: the worlds sharing :func:`routing_phase` hold
+        #: dense ids, sorted.
+        self.nodes = nodes
+        self.awake = {node.id for node in nodes if not node.asleep}
+        self.min_expiry = min(
+            (node.buffer.next_expiry for node in nodes), default=math.inf
+        )
         for node in nodes:
-            if node.buffer.next_expiry <= now and node.router is not None:
-                node.router.purge_expired()
+            node.due = self
+            node.buffer.on_expiry = self.lower_expiry
+
+    def lower_expiry(self, bound: float) -> None:
+        """A buffer lowered its expiry bound to *bound*."""
+        if bound < self.min_expiry:
+            self.min_expiry = bound
+
+
+def routing_phase(sim: Simulator, due: DueSet, now: float) -> None:
+    """The tail of every tick: TTL purges, ``world.updated``, idle-sender
+    retries (see the module docstring for which nodes each loop visits)."""
+    profiler = sim.profiler
+    nodes = due.nodes
+    with timed(profiler, "routing"):
+        if now >= due.min_expiry:
+            for node in nodes:
+                if node.buffer.next_expiry <= now and node.router is not None:
+                    node.router.purge_expired()
+            due.min_expiry = min(node.buffer.next_expiry for node in nodes)
     with timed(profiler, "observers"):
         sim.listeners.emit("world.updated", now)
     # Idle senders retry: new eligibility can appear without a link event
     # (e.g. a neighbor dropped its copy of a message we hold).
     with timed(profiler, "routing"):
-        for node in nodes:
+        for node_id in sorted(due.awake):
+            node = nodes[node_id]
             if (
                 node.neighbors
                 and not node.sending
@@ -84,7 +135,8 @@ def link_down(
     # links and must not re-select the one that just died.
     a.neighbors.pop(b.id, None)
     b.neighbors.pop(a.id, None)
-    transfer_manager.abort_for_link(a, b)
+    if a.sending or b.sending:  # else no transfer can ride the link
+        transfer_manager.abort_for_link(a, b)
     sim.listeners.emit("link.down", a, b)
     if a.router is not None:
         a.router.on_link_down(b)
@@ -131,6 +183,7 @@ class World:
         self._uniform_range = bool(np.all(self._ranges == self._ranges[0]))
         for node in self.nodes:
             node.attach_world(self)
+        self.due = DueSet(self.nodes)
 
     def start(self, rng: np.random.Generator) -> None:
         """Initialize mobility and register the recurring update event."""
@@ -168,7 +221,7 @@ class World:
                     link_up(self.sim, self.nodes[i], self.nodes[j])
             self.link_keys = keys
 
-        routing_phase(self.sim, self.nodes, now)
+        routing_phase(self.sim, self.due, now)
 
     def close(self) -> None:
         """Do nothing: the world holds no external resources.

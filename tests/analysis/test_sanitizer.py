@@ -21,6 +21,8 @@ from repro.net.buffer import MessageBuffer
 from repro.world import contacts
 from repro.world.contacts import decode
 from repro.world.node import Node
+from repro.world.world import DueSet
+from tests.helpers import build_micro_world, make_message
 
 
 def small(policy: str = "sdsrp", seed: int = 3, **overrides):
@@ -200,6 +202,48 @@ def test_frozen_expiry_bound_is_caught(monkeypatch):
         built.sim.run()
     assert exc.value.invariant == "ttl-purge"
     assert exc.value.msg_id is not None
+
+
+# -- seeded bugs in the due set ------------------------------------------------
+
+
+def sanitized_pair():
+    """Two linked nodes and a loner, sanitized; the first tick is at t=0."""
+    mw = build_micro_world(points=[(0.0, 0.0), (50.0, 0.0), (900.0, 900.0)])
+    sanitizer = Sanitizer(mw.world)
+    sanitizer.subscribe(mw.sim)
+    return mw, sanitizer
+
+
+def test_node_dropped_from_due_set_is_caught(monkeypatch):
+    # The seeded bug: a sleep that takes the node out of the due set but
+    # leaves it awake, so the idle-sender loop would skip a node that the
+    # next change may give something to send.
+    monkeypatch.setattr(Node, "sleep", lambda self: self.due.awake.discard(self.id))
+    mw, sanitizer = sanitized_pair()
+
+    with pytest.raises(InvariantViolation) as exc:
+        mw.sim.run(until=0.5)
+    assert exc.value.invariant == "due-set"
+    assert exc.value.node_id == 0  # the first link-up's empty-buffer sleep
+    assert "awake but missing" in str(exc.value)
+    assert sanitizer.ticks_checked == 0  # caught at the first tick
+
+
+def test_expiry_bound_below_due_set_bound_is_caught(monkeypatch):
+    # The seeded bug: the buffer lowers its expiry bound but the due set
+    # ignores it, so the purge loop would skip the walk that purges this
+    # buffer.
+    monkeypatch.setattr(DueSet, "lower_expiry", lambda self, bound: None)
+    mw, sanitizer = sanitized_pair()
+    mw.router(2).create_message(make_message(source=2, destination=0, ttl=30.0))
+
+    with pytest.raises(InvariantViolation) as exc:
+        mw.sim.run(until=0.5)
+    assert exc.value.invariant == "due-set"
+    assert exc.value.node_id == 2
+    assert "30.000000s is below the due set's min_expiry inf" in str(exc.value)
+    assert sanitizer.ticks_checked == 0
 
 
 # -- seeded corruption of SDSRP's dropped-list bookkeeping ----------------------

@@ -286,6 +286,9 @@ class TestAgainstFullScanModel:
                 stores[i] = target
             for store, ref in zip(stores, model):
                 assert len(store) == len(ref)
+                assert store.holds_drops == any(
+                    rec.record_time > -math.inf for rec in ref._records.values()
+                )
                 for msg_id in MSG_IDS:
                     assert store.count_drops(msg_id) == ref.count_drops(msg_id)
                     assert store.seen_by_any(msg_id) == ref.seen_by_any(msg_id)

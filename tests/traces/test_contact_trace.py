@@ -35,6 +35,37 @@ class TestStats:
         with pytest.raises(TraceFormatError):
             t.append(ContactEvent(5.0, 0, 1, False))
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+    def test_append_rejects_non_finite_time(self, time):
+        # Both order comparisons are False for NaN, so 5.0, nan, 1.0 would
+        # pass the order check alone.
+        t = ContactTrace()
+        t.append(ContactEvent(5.0, 0, 1, True))
+        with pytest.raises(TraceFormatError, match="not finite"):
+            t.append(ContactEvent(time, 0, 1, False))
+        assert len(t) == 1
+
+    def test_constructor_rejects_unsorted_events(self):
+        # Replay stops at the first event past its horizon, so an unsorted
+        # list would silently lose the contacts after it.
+        with pytest.raises(TraceFormatError, match="time-ordered"):
+            ContactTrace([
+                ContactEvent(10.0, 0, 1, True),
+                ContactEvent(5.0, 0, 1, False),
+            ])
+
+    def test_constructor_rejects_nan_inside_a_list(self):
+        with pytest.raises(TraceFormatError, match="not finite"):
+            ContactTrace([
+                ContactEvent(5.0, 0, 1, True),
+                ContactEvent(float("nan"), 0, 1, False),
+                ContactEvent(1.0, 2, 3, True),
+            ])
+
+    def test_constructor_keeps_sorted_events(self):
+        events = sample_trace().events
+        assert ContactTrace(events).events == events
+
 
 class TestIO:
     def test_round_trip(self, tmp_path):

@@ -16,6 +16,9 @@ Any option this script does not know (``--workload``, ``--seed``, ...) is
 passed to both sides' ``run.py`` unchanged.  ``make perf-pairs
 PARENT=<rev> PAIRS=<n> PERF_ARGS=...`` runs it.  The result files land in
 ``perf-pairs/``, named ``<pair>-parent.json`` and ``<pair>-change.json``.
+``--parent`` is resolved to a commit once; each parent-side file records
+that sha with ``git_dirty: false`` (the archive's directory is no git
+repository, so ``run.py`` cannot ask git there).
 The exit code is compare.py's (1 if any verdict is ``worse``), or 1 with
 a message when a side's ``run.py`` crashed.  Under
 ``--trace 0`` the files hold no per-layer section, so compare.py's count
@@ -25,6 +28,7 @@ line covers nothing; per-layer counts need ``run.py --trace 1`` runs.
 from __future__ import annotations
 
 import argparse
+import json
 import subprocess
 import sys
 import tarfile
@@ -35,6 +39,24 @@ ROOT = Path(__file__).resolve().parents[1]
 OUT_DIR = ROOT / "perf-pairs"
 RUN = Path("benchmarks") / "perf" / "run.py"
 COMPARE = Path("benchmarks") / "perf" / "compare.py"
+
+
+def resolve(rev: str) -> str:
+    """The sha of the commit *rev* names."""
+    proc = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+                          cwd=ROOT, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"perf-pairs: {rev!r} names no commit: "
+                         f"{proc.stderr.strip()}")
+    return proc.stdout.strip()
+
+
+def stamp_provenance(result: dict, sha: str) -> dict:
+    """*result* (a ``run.py --out`` file's content) marked as produced by
+    the clean tree of commit *sha*."""
+    result["provenance"]["git_sha"] = sha
+    result["provenance"]["git_dirty"] = False
+    return result
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -73,15 +95,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
+    sha = resolve(args.parent)
     OUT_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
-        extract(args.parent, Path(tmp))
+        extract(sha, Path(tmp))
         trees = {"parent": Path(tmp) / "tree", "change": ROOT}
         files: list[str] = []
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                run_side(trees[side], OUT_DIR / f"{pair}-{side}.json", run_args)
+                out = OUT_DIR / f"{pair}-{side}.json"
+                run_side(trees[side], out, run_args)
+                if side == "parent":
+                    result = stamp_provenance(json.loads(out.read_text()), sha)
+                    out.write_text(json.dumps(result, indent=1) + "\n")
             files += [str(OUT_DIR / f"{pair}-{side}.json")
                       for side in ("parent", "change")]
     code = subprocess.run(

@@ -707,6 +707,10 @@ REBUILT_ON_RESTORE: dict[tuple[str, str], str] = {
     ("MessageBuffer", "_pins"): "pins re-established when in-flight transfers re-arm",
     ("MessageBuffer", "next_expiry"): "lower bound on stored expiries; re-derived by add() as restore re-adds the captured messages",
     ("Node", "asleep"): "send-scan memo; restored nodes start awake and their first tick's rescan finds exactly what the memo skipped: nothing",
+    ("Node", "due"): "re-bound when the rebuilt world builds its DueSet",
+    ("DueSet", "awake"): "ids of the nodes not asleep; the rebuilt world's DueSet starts with every node, as restored nodes start awake",
+    ("DueSet", "min_expiry"): "lower bound on the buffers' expiry bounds; the rebuilt world's DueSet derives it from its buffers, and their on_expiry hook lowers it as restore re-adds the captured messages",
+    ("MessageBuffer", "on_expiry"): "hook re-installed when the rebuilt world builds its DueSet",
     ("RandomPolicy", "_rng"): "stream re-bound by attach(); state travels with RngFactory state_dict",
     ("MessageFateReport", "fates"): "opt-in post-run report, never part of a snapshot-capable run",
     ("Node", "_world"): "re-bound via attach_world when the world is rebuilt",
