@@ -1,14 +1,9 @@
 """Analysis tools: distribution fitting (Fig. 3), priority curves (Fig. 4),
-ordering/trend comparison (the reproduction contract as code), and the
-runtime invariant sanitizer."""
+ordering comparison (the reproduction contract as code), and the runtime
+invariant sanitizer."""
 
 from repro.analysis.sanitizer import Sanitizer
-from repro.analysis.comparison import (
-    crossovers,
-    dominates,
-    policy_ranking,
-    trend_direction,
-)
+from repro.analysis.comparison import dominates, policy_ranking
 from repro.analysis.fitting import ExponentialFit, fit_exponential, histogram_pdf
 from repro.analysis.taylor import (
     peak_location,
@@ -19,10 +14,8 @@ from repro.analysis.taylor import (
 __all__ = [
     "ExponentialFit",
     "Sanitizer",
-    "crossovers",
     "dominates",
     "policy_ranking",
-    "trend_direction",
     "fit_exponential",
     "histogram_pdf",
     "peak_location",

@@ -3,16 +3,14 @@
 The reproduction checks *orderings and trends*, not absolute numbers (the
 substrate is a reimplementation).  These helpers turn a
 :class:`~repro.experiments.figures.FigureData` into the facts the paper's
-prose asserts: who wins a metric, whether a curve rises or falls, and where
-two curves cross.  The figure benchmarks build their assertions on them.
+prose asserts: who wins a metric on average, and who wins it at every
+point.  The figure benchmarks build their assertions on them.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -35,60 +33,6 @@ def policy_ranking(
         return mean if prefer == "max" else -mean
 
     return sorted(series, key=key, reverse=True)
-
-
-def trend_direction(values: Sequence[float], tolerance: float = 0.0) -> str:
-    """Classify a sweep series: "rising", "falling", "flat" or "mixed".
-
-    Based on the endpoints with a dead-band of *tolerance* for "flat";
-    "mixed" means an interior excursion beyond the endpoint span (a bump or
-    dip larger than the net movement plus tolerance).
-    """
-    finite = [v for v in values if not math.isnan(v)]
-    if len(finite) < 2:
-        raise ConfigurationError("need at least 2 finite points")
-    first, last = finite[0], finite[-1]
-    net = last - first
-    lo, hi = min(finite), max(finite)
-    excursion = (hi - max(first, last)) + (min(first, last) - lo)
-    if excursion > abs(net) + tolerance:
-        return "mixed"
-    if abs(net) <= tolerance:
-        return "flat"
-    return "rising" if net > 0 else "falling"
-
-
-def crossovers(
-    x_values: Sequence[float],
-    series_a: Sequence[float],
-    series_b: Sequence[float],
-) -> list[float]:
-    """x positions where curve a crosses curve b (linear interpolation).
-
-    Touch points (exact equality at a sample) are reported once.  The paper
-    reports no crossover for SDSRP's overhead (it stays below everywhere) —
-    an empty list is the expected answer there.
-    """
-    x = np.asarray(x_values, dtype=float)
-    a = np.asarray(series_a, dtype=float)
-    b = np.asarray(series_b, dtype=float)
-    if not (x.shape == a.shape == b.shape):
-        raise ConfigurationError("x and series must be equal length")
-    diff = a - b
-    out: list[float] = []
-    for i in range(len(x) - 1):
-        d0, d1 = diff[i], diff[i + 1]
-        if math.isnan(d0) or math.isnan(d1):
-            continue
-        if d0 == 0.0:
-            if not out or out[-1] != x[i]:
-                out.append(float(x[i]))
-        elif d0 * d1 < 0:
-            t = d0 / (d0 - d1)
-            out.append(float(x[i] + t * (x[i + 1] - x[i])))
-    if len(diff) and diff[-1] == 0.0 and (not out or out[-1] != x[-1]):
-        out.append(float(x[-1]))
-    return out
 
 
 def dominates(

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ConfigurationError
 
@@ -31,14 +30,13 @@ class ExponentialFit:
         x = np.asarray(x, dtype=float)
         return self.rate * np.exp(-self.rate * np.clip(x, 0.0, None))
 
-    def survival(self, x: np.ndarray) -> np.ndarray:
-        """Fitted CCDF e^{-λx}."""
-        x = np.asarray(x, dtype=float)
-        return np.exp(-self.rate * np.clip(x, 0.0, None))
-
 
 def fit_exponential(samples: np.ndarray) -> ExponentialFit:
     """Fit an exponential distribution to positive *samples* by MLE."""
+    # Imported here, not at module level: scipy.stats is slow to import,
+    # and a simulation run imports this package but never fits.
+    from scipy import stats
+
     samples = np.asarray(samples, dtype=float)
     samples = samples[np.isfinite(samples)]
     if samples.size < 2:

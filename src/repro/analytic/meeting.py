@@ -185,7 +185,6 @@ def _calibration_config(config: ScenarioConfig) -> ScenarioConfig:
         profile=False,
         snapshot_every=0.0,
         snapshot_to=None,
-        with_buffer_report=False,
     )
 
 

@@ -48,7 +48,3 @@ class ListenerRegistry:
         """Invoke all listeners registered for *topic*."""
         for listener in self._listeners.get(topic, ()):
             listener(*args)
-
-    def has_listeners(self, topic: str) -> bool:
-        """True if at least one listener is registered for *topic*."""
-        return bool(self._listeners.get(topic))

@@ -16,7 +16,6 @@ render itself as the text table the benchmarks print.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -96,21 +95,6 @@ class FigureData:
         if isinstance(x, tuple):
             return f"[{x[0]:.0f},{x[1]:.0f}]"
         return str(x)
-
-    def best_policy(self, metric: str, prefer: str = "max") -> list[str]:
-        """Winning policy at each x (ties broken by series order)."""
-        out = []
-        for i in range(len(self.x_values)):
-            pick: tuple[float, str] | None = None
-            for policy, metrics in self.series.items():
-                v = metrics[metric][i]
-                if math.isnan(v):
-                    continue
-                key = v if prefer == "max" else -v
-                if pick is None or key > pick[0]:
-                    pick = (key, policy)
-            out.append(pick[1] if pick else "n/a")
-        return out
 
 
 def reduced(

@@ -35,7 +35,6 @@ from repro.obs.timeseries import TimeSeriesCollector
 from repro.obs.trace import DEFAULT_CONTEXT_EVENTS, EventTrace
 from repro.policies.base import BufferPolicy
 from repro.policies.registry import make_policy
-from repro.reports.buffer_report import BufferReport
 from repro.reports.contact_report import ContactReport
 from repro.reports.metrics import MetricsCollector
 from repro.reports.summary import FailedRun, RunSummary
@@ -69,7 +68,6 @@ class BuiltSimulation:
     contacts: ContactReport
     generator: MessageGenerator
     shared: SdsrpShared | None
-    buffer_report: BufferReport | None
     fault_injector: FaultInjector | None = None
     sanitizer: Sanitizer | None = None
     #: Observability collectors (None unless enabled on the config; see
@@ -85,21 +83,20 @@ class BuiltSimulation:
 
 
 def _make_mobility(config: ScenarioConfig) -> MobilityModel:
-    kw = dict(config.mobility_kwargs)
     if config.mobility == "rwp":
         return RandomWaypoint(
-            config.n_nodes, config.area, config.speed_range, config.pause_range, **kw
+            config.n_nodes, config.area, config.speed_range, config.pause_range
         )
     if config.mobility == "taxi":
-        return TaxiFleet(config.n_nodes, area=config.area, **kw)
+        return TaxiFleet(config.n_nodes, area=config.area)
     if config.mobility == "random-walk":
-        return RandomWalk(config.n_nodes, config.area, config.speed_range, **kw)
+        return RandomWalk(config.n_nodes, config.area, config.speed_range)
     if config.mobility == "random-direction":
         return RandomDirection(
-            config.n_nodes, config.area, config.speed_range, config.pause_range, **kw
+            config.n_nodes, config.area, config.speed_range, config.pause_range
         )
     if config.mobility == "stationary":
-        return Stationary(config.n_nodes, config.area, **kw)
+        return Stationary(config.n_nodes, config.area)
     if config.mobility == "trace":
         assert config.trace_path is not None
         mobility = read_movement_trace(config.trace_path)
@@ -209,14 +206,10 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
         router.deliverable_first = config.deliverable_first
         router.bind(sim, transfer_manager, config.n_nodes, rng=rng)
 
-    metrics = MetricsCollector(warmup=config.metrics_warmup)
+    metrics = MetricsCollector()
     metrics.subscribe(sim)
     contacts = ContactReport()
     contacts.subscribe(sim)
-    buffer_report = None
-    if config.with_buffer_report:
-        buffer_report = BufferReport(nodes)
-        buffer_report.subscribe(sim)
 
     generator = MessageGenerator(
         sim,
@@ -267,7 +260,6 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
         contacts=contacts,
         generator=generator,
         shared=shared,
-        buffer_report=buffer_report,
         fault_injector=fault_injector,
         sanitizer=sanitizer,
         timeseries=timeseries,

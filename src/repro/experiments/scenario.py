@@ -51,7 +51,6 @@ class ScenarioConfig:
     area: tuple[float, float] = (4500.0, 3400.0)
     speed_range: tuple[float, float] = (2.0, 2.0)
     pause_range: tuple[float, float] = (0.0, 0.0)
-    mobility_kwargs: dict[str, Any] = field(default_factory=dict)
     trace_path: str | None = None
     # -- radio --
     radio_range: float = 100.0
@@ -83,11 +82,6 @@ class ScenarioConfig:
     #: (:mod:`repro.analysis.sanitizer`) for this run.  Also enabled
     #: globally by ``REPRO_SANITIZE=1``.
     sanitize: bool = False
-    # -- extra reports --
-    with_buffer_report: bool = False
-    #: Exclude messages created before this time from all metrics (ONE's
-    #: report warm-up; the paper reports without one).
-    metrics_warmup: float = 0.0
     # -- observability (all observation-only; see docs/observability.md) --
     #: Sample interval (sim seconds) for the time-series collector
     #: (:class:`repro.obs.timeseries.TimeSeriesCollector`); 0 disables it.
@@ -178,15 +172,6 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"the {backend!r} backend has no simulator state to "
                 "snapshot; set snapshot_every=0"
-            )
-        if self.with_buffer_report:
-            raise ConfigurationError(
-                f"the {backend!r} backend has no per-node buffers to report"
-            )
-        if self.metrics_warmup > 0:
-            raise ConfigurationError(
-                f"the {backend!r} backend models the whole horizon; "
-                "metrics_warmup is not supported"
             )
         if self.profile:
             raise ConfigurationError(

@@ -273,7 +273,7 @@ def aggregate_trace(records: list[dict[str, Any]]) -> dict[str, Any]:
 
     Returns a dict with ``created``, ``delivered``, ``relayed``, ``started``,
     ``aborted``, ``commits``, ``drops_by_reason`` and ``faults_by_kind`` —
-    directly comparable to a warm-up-free
+    directly comparable to a
     :class:`~repro.reports.metrics.MetricsCollector` (round-trip-tested in
     ``tests/obs/test_trace.py``).  A record whose topic needs a field it
     lacks raises :class:`~repro.errors.ObsFormatError`.

@@ -88,6 +88,10 @@ class BufferPolicy(ABC):
     def on_message_dropped(self, message: Message, now: float, reason: str) -> None:
         """Called when the host drops a message (reason: overflow/ttl/...)."""
 
+    def on_message_forwarded(self, message: Message, now: float) -> None:
+        """Called when a peer accepted a relay of *message* and the host
+        still holds its copy."""
+
     def on_link_up(self, peer: "Node", now: float) -> None:
         """Called when a contact with *peer* starts (gossip exchange point)."""
 

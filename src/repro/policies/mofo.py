@@ -22,8 +22,8 @@ class MofoPolicy(BufferPolicy):
         super().__init__()
         self._forwards: dict[str, int] = {}
 
-    def record_forward(self, msg_id: str) -> None:
-        """Called by the router when a transfer of *msg_id* completes."""
+    def on_message_forwarded(self, message: Message, now: float) -> None:
+        msg_id = message.msg_id
         self._forwards[msg_id] = self._forwards.get(msg_id, 0) + 1
 
     def send_priority(self, message: Message, now: float) -> float:

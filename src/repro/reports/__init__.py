@@ -5,19 +5,17 @@
   latency and drop accounting.
 * :class:`repro.reports.contact_report.ContactReport` — contact counts,
   durations and intermeeting samples (Fig. 3 input).
-* :class:`repro.reports.buffer_report.BufferReport` — buffer occupancy over
-  time and drop breakdowns.
+* :class:`repro.reports.fate.MessageFateReport` — per-message fates: which
+  messages were delivered, dropped (and why) or left undelivered.
 * :class:`repro.reports.summary.RunSummary` — one run's results as a record.
 """
 
-from repro.reports.buffer_report import BufferReport
 from repro.reports.contact_report import ContactReport
 from repro.reports.fate import MessageFate, MessageFateReport
 from repro.reports.metrics import MetricsCollector
 from repro.reports.summary import RunSummary
 
 __all__ = [
-    "BufferReport",
     "ContactReport",
     "MessageFate",
     "MessageFateReport",

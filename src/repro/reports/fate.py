@@ -99,9 +99,6 @@ class MessageFateReport:
     def undelivered_fates(self) -> list[MessageFate]:
         return [f for f in self.fates.values() if not f.delivered]
 
-    def drop_events_total(self) -> int:
-        return sum(sum(f.drops.values()) for f in self.fates.values())
-
     # -- export -----------------------------------------------------------------
 
     _CSV_FIELDS = (

@@ -21,18 +21,9 @@ from repro.world.node import Node
 
 
 class MetricsCollector:
-    """Subscribes to simulator topics and accumulates the paper's metrics.
+    """Subscribes to simulator topics and accumulates the paper's metrics."""
 
-    ``warmup`` (seconds) reproduces ONE's report warm-up: messages created
-    before the warm-up deadline are excluded from every counter — creation,
-    relays, deliveries, drops — so steady-state behaviour can be measured
-    without the empty-network transient.  The paper reports without warm-up
-    (the default).
-    """
-
-    def __init__(self, warmup: float = 0.0) -> None:
-        self.warmup = float(warmup)
-        self._excluded: set[str] = set()
+    def __init__(self) -> None:
         self.created = 0
         self.delivered = 0
         self.relayed = 0
@@ -62,33 +53,24 @@ class MetricsCollector:
     # -- handlers ----------------------------------------------------------------
 
     def _on_created(self, message: Message) -> None:
-        if message.created_at < self.warmup:
-            self._excluded.add(message.msg_id)
-            return
         self.created += 1
         self._created_at[message.msg_id] = message.created_at
 
     def _on_relayed(
         self, message: Message, sender: Node, receiver: Node, outcome: object
     ) -> None:
-        if message.msg_id in self._excluded:
-            return
         self.relayed += 1
         if outcome != ReceiveOutcome.REJECTED_OVERFLOW:
             # Excludes newcomers destroyed by the receiving drop policy.
             self.relayed_accepted += 1
 
     def _on_delivered(self, message: Message, sender: Node, receiver: Node) -> None:
-        if message.msg_id in self._excluded:
-            return
         self.delivered += 1
         self.hop_counts.append(message.hop_count)
         created = self._created_at.get(message.msg_id, message.created_at)
         self.latencies.append(self._now() - created)
 
     def _on_dropped(self, message: Message, node: Node, reason: str) -> None:
-        if message.msg_id in self._excluded:
-            return
         self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
 
     def _on_started(self, transfer: object) -> None:
@@ -98,8 +80,6 @@ class MetricsCollector:
         self.aborted += 1
 
     def _on_fault(self, kind: str, now: float) -> None:
-        # Fault counters are not warm-up filtered: outages are a property of
-        # the run, not of any particular message.
         self.faults_by_kind[kind] = self.faults_by_kind.get(kind, 0) + 1
 
     # -- derived metrics -------------------------------------------------------------

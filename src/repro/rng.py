@@ -34,14 +34,6 @@ class RngFactory:
             self._root = np.random.SeedSequence(int(seed))
         self._spawned: dict[str, np.random.Generator] = {}
 
-    @property
-    def root_entropy(self) -> int:
-        """The root entropy this factory was created with."""
-        entropy = self._root.entropy
-        if isinstance(entropy, (list, tuple)):
-            return int(entropy[0])
-        return int(entropy)  # type: ignore[arg-type]
-
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for *name*, creating it deterministically.
 

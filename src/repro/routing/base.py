@@ -312,8 +312,9 @@ class Router:
                        outcome: ReceiveOutcome) -> None:
         """Sender-side bookkeeping once a transfer completed.
 
-        Default implements the mode semantics; subclasses may extend (e.g.
-        MOFO's forward counting).
+        Default implements the mode semantics, then tells the policy about a
+        relay the peer accepted while this node kept its copy (MOFO counts
+        these); subclasses may extend (e.g. vanilla spray's token count).
         """
         accepted = outcome in (ReceiveOutcome.ACCEPTED, ReceiveOutcome.DELIVERED)
         if mode == MODE_DELIVERY:
@@ -326,6 +327,8 @@ class Router:
                 self.node.buffer.remove(message.msg_id)
         # MODE_SPLIT token accounting is committed by the transfer manager
         # (two-phase split); MODE_COPY needs nothing.
+        if outcome == ReceiveOutcome.ACCEPTED and message.msg_id in self.node.buffer:
+            self.policy.on_message_forwarded(message, self.now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} node={self.node.id}>"

@@ -13,7 +13,6 @@ from repro.service.api import ScenarioService, ServiceStats, Ticket
 from repro.service.cache import ResultCache
 from repro.service.queue import AdmissionQueue
 from repro.service.store import (
-    CANCELLED,
     DONE,
     FAILED,
     QUEUED,
@@ -26,7 +25,6 @@ from repro.service.store import (
 
 __all__ = [
     "AdmissionQueue",
-    "CANCELLED",
     "DONE",
     "FAILED",
     "JobRecord",

@@ -390,7 +390,7 @@ class ScenarioService:
     def result(self, job_id: str) -> RunSummary | FailedRun | None:
         """The job's result: a summary for ``done`` (from the cache), a
         :class:`FailedRun` reconstructed from the journal for ``failed``,
-        ``None`` while the job is still open or was shed/cancelled."""
+        ``None`` while the job is still open or was shed."""
         job = self.status(job_id)
         if job.state == DONE:
             return self.cache.get(job.fingerprint)

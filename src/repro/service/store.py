@@ -15,10 +15,9 @@ State machine (see docs/service.md)::
        │          └──────> queued        (requeued on crash recovery)
        ├─────────> done                  (cache hit, never ran)
        ├─────────> failed                (config payload lost, cache miss)
-       ├─────────> shed                  (displaced by a higher priority)
-       └─────────> cancelled
+       └─────────> shed                  (displaced by a higher priority)
 
-``done``/``failed``/``cancelled``/``shed`` are terminal.  A ``done`` event
+``done``/``failed``/``shed`` are terminal.  A ``done`` event
 records whether the result came from the fingerprint cache (``cache_hit``)
 or a fresh computation — the exactly-once accounting the chaos oracles
 check.
@@ -35,7 +34,6 @@ from typing import Any
 from repro.errors import ConfigurationError
 
 __all__ = [
-    "CANCELLED",
     "DONE",
     "FAILED",
     "JOB_STATES",
@@ -51,11 +49,10 @@ QUEUED = "queued"
 RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
-CANCELLED = "cancelled"
 SHED = "shed"
 
-JOB_STATES = (QUEUED, RUNNING, DONE, FAILED, CANCELLED, SHED)
-TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED, SHED})
+JOB_STATES = (QUEUED, RUNNING, DONE, FAILED, SHED)
+TERMINAL_STATES = frozenset({DONE, FAILED, SHED})
 
 #: Transitions the journal accepts; anything else is a service bug.  A
 #: crash-recovery requeue (``running -> queued``) is deliberately legal.
@@ -63,8 +60,8 @@ _LEGAL = {
     # queued -> done serves a cache hit without running; queued -> failed
     # is the dispatch-time dead end (journal lost the config payload and
     # the cache cannot serve the fingerprint).
-    QUEUED: {RUNNING, SHED, CANCELLED, DONE, FAILED},
-    RUNNING: {DONE, FAILED, QUEUED, CANCELLED},
+    QUEUED: {RUNNING, SHED, DONE, FAILED},
+    RUNNING: {DONE, FAILED, QUEUED},
 }
 
 
@@ -293,9 +290,6 @@ class JobStore:
 
     def record_shed(self, job_id: str, *, reason: str) -> JobRecord:
         return self._transition(job_id, SHED, shed_reason=reason)
-
-    def record_cancelled(self, job_id: str) -> JobRecord:
-        return self._transition(job_id, CANCELLED)
 
     def state_digest(self) -> str:
         """Canonical JSON of the folded job map (replay-stability oracle).

@@ -95,7 +95,6 @@ def save(built: Any) -> Snapshot:
         "shared": _capture_shared(built.shared),
         "metrics": _capture_metrics(built.metrics),
         "contacts": _capture_contacts(built.contacts),
-        "buffer_report": _capture_buffer_report(built.buffer_report),
         "sanitizer": _capture_sanitizer(built.sanitizer),
         "timeseries": _capture_timeseries(built.timeseries),
         "trace": _capture_trace(built.trace),
@@ -301,7 +300,6 @@ def _capture_oracle(oracle: GlobalInfectionOracle | None) -> dict | None:
 
 def _capture_metrics(metrics: Any) -> dict[str, Any]:
     return {
-        "excluded": sorted(metrics._excluded),
         "created": metrics.created,
         "delivered": metrics.delivered,
         "relayed": metrics.relayed,
@@ -323,16 +321,6 @@ def _capture_contacts(contacts: Any) -> dict[str, Any]:
         "intermeetings": list(contacts._intermeetings),
         "up_since": [[a, b, t] for (a, b), t in contacts._up_since.items()],
         "last_down": [[a, b, t] for (a, b), t in contacts._last_down.items()],
-    }
-
-
-def _capture_buffer_report(report: Any) -> dict[str, Any] | None:
-    if report is None:
-        return None
-    return {
-        "times": list(report._times),
-        "mean": list(report._mean_occupancy),
-        "max": list(report._max_occupancy),
     }
 
 

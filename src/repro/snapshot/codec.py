@@ -53,8 +53,9 @@ __all__ = [
 #: across schema versions is refused (see docs/checkpointing.md for the
 #: compatibility policy).  Version 2 dropped the contact-kernel and
 #: detector-choice config fields; version 3 dropped the shard-count and
-#: shard-kill fields.
-SCHEMA_VERSION = 3
+#: shard-kill fields; version 4 dropped the mobility-kwargs, buffer-report
+#: and metrics-warm-up fields and their two state entries.
+SCHEMA_VERSION = 4
 
 _MAGIC = "repro.snapshot"
 

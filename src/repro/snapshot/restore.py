@@ -143,7 +143,6 @@ def restore(
     _restore_shared(built.shared, state["shared"])
     _restore_metrics(built.metrics, state["metrics"])
     _restore_contacts(built.contacts, state["contacts"])
-    _restore_buffer_report(built.buffer_report, state["buffer_report"])
     _restore_sanitizer(built.sanitizer, state["sanitizer"])
     _restore_timeseries(built.timeseries, state["timeseries"])
     _restore_trace(built.trace, state["trace"])
@@ -447,7 +446,6 @@ def _restore_estimator(est: Any, data: dict[str, Any]) -> None:
 
 
 def _restore_metrics(metrics: Any, data: dict[str, Any]) -> None:
-    metrics._excluded = {str(m) for m in data["excluded"]}
     metrics.created = int(data["created"])
     metrics.delivered = int(data["delivered"])
     metrics.relayed = int(data["relayed"])
@@ -477,16 +475,6 @@ def _restore_contacts(contacts: Any, data: dict[str, Any]) -> None:
     contacts._last_down = {
         (int(a), int(b)): float(v) for a, b, v in data["last_down"]
     }
-
-
-def _restore_buffer_report(report: Any, data: dict[str, Any] | None) -> None:
-    if (report is None) != (data is None):
-        raise SnapshotError("snapshot/scenario disagree on the buffer report")
-    if report is None:
-        return
-    report._times = [float(v) for v in data["times"]]
-    report._mean_occupancy = [float(v) for v in data["mean"]]
-    report._max_occupancy = [float(v) for v in data["max"]]
 
 
 def _restore_sanitizer(sanitizer: Any, data: dict[str, Any] | None) -> None:

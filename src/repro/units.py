@@ -10,15 +10,14 @@ The simulator works internally in SI base units:
 The paper specifies parameters in mixed units (minutes, MB, kbps); these
 helpers make scenario definitions read like Table II / Table III of the paper.
 The ONE simulator treats "250 Kbps" transmit speed as 250 *kilobytes* per
-second in its default settings idiom, but the paper means kilobits; we expose
-both spellings explicitly so scenarios are unambiguous.
+second in its default settings idiom, but the paper means kilobits, which
+is what :func:`kbps` converts.
 """
 
 from __future__ import annotations
 
-#: Bytes in a kibibyte/mebibyte (buffer and message sizes use MB = 2**20
-#: following ONE's convention of byte-exact buffer accounting).
-KIB = 1024
+#: Bytes in a mebibyte (buffer and message sizes use MB = 2**20 following
+#: ONE's convention of byte-exact buffer accounting).
 MIB = 1024 * 1024
 
 
@@ -27,34 +26,14 @@ def minutes(value: float) -> float:
     return float(value) * 60.0
 
 
-def hours(value: float) -> float:
-    """Convert hours to seconds."""
-    return float(value) * 3600.0
-
-
 def megabytes(value: float) -> int:
     """Convert mebibytes to bytes (rounded to the nearest byte)."""
     return int(round(float(value) * MIB))
 
 
-def kilobytes(value: float) -> int:
-    """Convert kibibytes to bytes (rounded to the nearest byte)."""
-    return int(round(float(value) * KIB))
-
-
 def kbps(value: float) -> float:
     """Convert kilobits per second to bytes per second."""
     return float(value) * 1000.0 / 8.0
-
-
-def mbps(value: float) -> float:
-    """Convert megabits per second to bytes per second."""
-    return float(value) * 1_000_000.0 / 8.0
-
-
-def kBps(value: float) -> float:
-    """Convert kilobytes (1000 B) per second to bytes per second."""
-    return float(value) * 1000.0
 
 
 #: Default tolerance for sim-time comparisons: far below any simulated
@@ -73,23 +52,3 @@ def time_eq(a: float, b: float, eps: float = TIME_EPS) -> bool:
     ordering comparison instead.
     """
     return abs(a - b) <= eps
-
-
-def fmt_bytes(n: int) -> str:
-    """Human-readable byte count (e.g. ``"2.50MB"``)."""
-    if n >= MIB:
-        return f"{n / MIB:.2f}MB"
-    if n >= KIB:
-        return f"{n / KIB:.2f}KB"
-    return f"{n}B"
-
-
-def fmt_duration(seconds: float) -> str:
-    """Human-readable duration (e.g. ``"2h30m"``, ``"45.0s"``)."""
-    if seconds >= 3600:
-        h, rem = divmod(seconds, 3600)
-        return f"{int(h)}h{int(rem // 60)}m"
-    if seconds >= 60:
-        m, s = divmod(seconds, 60)
-        return f"{int(m)}m{s:.0f}s"
-    return f"{seconds:.1f}s"

@@ -33,10 +33,10 @@ class Node:
         self.neighbors: dict[int, "Node"] = {}
         #: True while this node's interface is busy sending one message.
         self.sending = False
-        #: True while this node's last full send scan found nothing and no
-        #: change since can have given it a candidate; the world tick's
-        #: idle-sender loop skips it meanwhile.  :mod:`repro.world.world`
-        #: lists what wakes it.
+        #: True while this node's last full send scan found nothing, or it
+        #: had no neighbors, and no change since can have given it a
+        #: candidate; the world tick's idle-sender loop skips it meanwhile.
+        #: :mod:`repro.world.world` lists what wakes it.
         self.asleep = False
         #: The world's due set (:class:`~repro.world.world.DueSet`), which
         #: :meth:`wake` and :meth:`sleep` keep in step; None until a world
@@ -49,7 +49,8 @@ class Node:
         self.router = router
 
     def sleep(self) -> None:
-        """Record that a full send scan found nothing (see :attr:`asleep`)."""
+        """Record that nothing can be sent until a change wakes this node
+        (see :attr:`asleep`)."""
         self.asleep = True
         if self.due is not None:
             self.due.awake.discard(self.id)

@@ -15,15 +15,16 @@ world) visit only the nodes of a :class:`DueSet`, the nodes that can act:
   buffer's :meth:`~repro.net.buffer.MessageBuffer.add` is the only step
   that lowers its bound, and it lowers ``min_expiry`` with it
   (``on_expiry``); the walk recomputes ``min_expiry`` once it is done;
-* an idle sender whose last full scan found nothing is asleep
-  (:attr:`Node.asleep`, for routers with ``sleeps_when_idle``) and is not
-  rescanned until one of three changes wakes it: its own buffer gains a
-  message, a neighbor's buffer loses one (the copy may be offered there
-  again), or one of its links comes up.  Every other change can only
-  remove candidates: deliveries, link teardown, token halving, expiry, and
-  SDSRP dropped-list merges and prunes (a prune forgets only entries whose
-  message has expired).  :meth:`Node.wake` and :meth:`Node.sleep` keep
-  the due set's ``awake`` ids equal to the nodes that are not asleep.
+* an idle sender whose last full scan found nothing, or that has no
+  neighbors at all, is asleep (:attr:`Node.asleep`, for routers with
+  ``sleeps_when_idle``) and is not rescanned until one of three changes
+  wakes it: its own buffer gains a message, a neighbor's buffer loses one
+  (the copy may be offered there again), or one of its links comes up.
+  Every other change can only remove candidates: deliveries, link
+  teardown, token halving, expiry, and SDSRP dropped-list merges and
+  prunes (a prune forgets only entries whose message has expired).
+  :meth:`Node.wake` and :meth:`Node.sleep` keep the due set's ``awake``
+  ids equal to the nodes that are not asleep.
 
 Both loops visit their nodes in ascending id and apply the same per-node
 test a walk over every node would, so purges and retries fire on the same
@@ -31,7 +32,10 @@ ticks, on the same nodes, in the same order: while the clock is below
 ``min_expiry`` no buffer passes the purge test, and an asleep node fails
 the retry test.  The retry loop walks the ``awake`` ids as they were
 when it began; nothing a retry does can wake another node, since a retry
-only starts a transfer, which pins a copy and marks its sender busy.
+only starts a transfer, which pins a copy and marks its sender busy.  The
+retry loop puts an idle node with no neighbors to sleep instead of
+skipping it on every tick: ``try_send`` would return at once, and the
+link-up that ends its isolation wakes it.
 
 The link hooks skip calls that cannot change anything: ``link_down``
 aborts transfers only when one end is sending, and :meth:`Router.try_send`
@@ -101,13 +105,14 @@ def routing_phase(sim: Simulator, due: DueSet, now: float) -> None:
     with timed(profiler, "routing"):
         for node_id in sorted(due.awake):
             node = nodes[node_id]
-            if (
-                node.neighbors
-                and not node.sending
-                and not node.asleep
-                and node.router is not None
-            ):
-                node.router.try_send()
+            router = node.router
+            if node.sending or node.asleep or router is None:
+                continue
+            if node.neighbors:
+                router.try_send()
+            elif router.sleeps_when_idle:
+                # No peer to offer a copy to; only a link-up gives it one.
+                node.sleep()
 
 
 def link_up(sim: Simulator, a: Node, b: Node) -> None:
@@ -311,7 +316,3 @@ class World:
     def node(self, node_id: int) -> Node:
         """Node by id."""
         return self.nodes[node_id]
-
-    def connected_pairs(self) -> set[tuple[int, int]]:
-        """Current link set as (i, j) with i < j."""
-        return set(self.links)

@@ -6,12 +6,7 @@ import math
 
 import pytest
 
-from repro.analysis.comparison import (
-    crossovers,
-    dominates,
-    policy_ranking,
-    trend_direction,
-)
+from repro.analysis.comparison import dominates, policy_ranking
 from repro.errors import ConfigurationError
 
 
@@ -36,46 +31,6 @@ class TestPolicyRanking:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             policy_ranking({"a": [1.0]}, prefer="median")
-
-
-class TestTrendDirection:
-    def test_rising(self):
-        assert trend_direction([1.0, 2.0, 3.0]) == "rising"
-
-    def test_falling(self):
-        assert trend_direction([3.0, 2.5, 1.0]) == "falling"
-
-    def test_flat_with_tolerance(self):
-        assert trend_direction([1.0, 1.02, 1.01], tolerance=0.05) == "flat"
-
-    def test_mixed(self):
-        assert trend_direction([1.0, 5.0, 1.1]) == "mixed"
-
-    def test_needs_two_points(self):
-        with pytest.raises(ConfigurationError):
-            trend_direction([1.0])
-
-
-class TestCrossovers:
-    def test_single_crossing_interpolated(self):
-        x = [0.0, 1.0, 2.0]
-        a = [0.0, 0.0, 2.0]
-        b = [1.0, 1.0, 1.0]
-        (cross,) = crossovers(x, a, b)
-        assert cross == pytest.approx(1.5)
-
-    def test_no_crossing(self):
-        assert crossovers([0, 1], [1.0, 2.0], [3.0, 4.0]) == []
-
-    def test_touch_point_reported_once(self):
-        x = [0.0, 1.0, 2.0]
-        a = [0.0, 1.0, 0.0]
-        b = [1.0, 1.0, 1.0]
-        assert crossovers(x, a, b) == [1.0]
-
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            crossovers([0, 1], [1.0], [2.0, 3.0])
 
 
 class TestDominates:

@@ -27,11 +27,10 @@ def test_detects_non_exponential():
     assert fit.ks_pvalue < 0.001
 
 
-def test_pdf_and_survival():
+def test_pdf():
     fit = fit_exponential(np.random.default_rng(2).exponential(100.0, 1000))
     x = np.array([0.0, fit.mean])
     assert fit.pdf(x)[0] == pytest.approx(fit.rate)
-    assert fit.survival(x)[1] == pytest.approx(np.exp(-1.0), rel=1e-6)
 
 
 def test_validation():

@@ -41,8 +41,6 @@ class TestEnvelope:
             {"sanitize": True},
             {"trace_capacity": 1024},
             {"snapshot_every": 100.0},
-            {"with_buffer_report": True},
-            {"metrics_warmup": 50.0},
             {"profile": True},
         ],
         ids=lambda o: next(iter(o)),

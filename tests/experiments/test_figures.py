@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import repro.experiments.figures as F
-from repro.experiments.figures import FigureData, fig4_priority_curve
+from repro.experiments.figures import fig4_priority_curve
 from repro.experiments.scenario import random_waypoint_scenario
 
 
@@ -57,19 +57,6 @@ class TestSweepStructure:
         data = F.fig8_copies(policies=("fifo",), workers=1)
         table = data.metric_table("delivery_ratio")
         assert "fifo" in table and "delivery_ratio" in table
-
-    def test_best_policy(self):
-        data = FigureData(
-            figure="f",
-            x_label="x",
-            x_values=[1, 2],
-            series={
-                "a": {"delivery_ratio": [0.5, 0.1]},
-                "b": {"delivery_ratio": [0.4, 0.2]},
-            },
-        )
-        assert data.best_policy("delivery_ratio") == ["a", "b"]
-        assert data.best_policy("delivery_ratio", prefer="min") == ["b", "a"]
 
 
 class TestFig3:

@@ -110,9 +110,3 @@ class TestRun:
             or a.delivered != b.delivered
             or a.relayed != b.relayed
         )
-
-    def test_buffer_report_optional(self):
-        built = build_scenario(tiny(with_buffer_report=True))
-        built.sim.run()
-        assert built.buffer_report is not None
-        assert not math.isnan(built.buffer_report.mean_occupancy())

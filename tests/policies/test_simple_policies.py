@@ -11,7 +11,8 @@ from repro.policies.mofo import MofoPolicy
 from repro.policies.random_drop import RandomPolicy
 from repro.policies.shli import ShliPolicy
 from repro.policies.ttl_based import TtlRatioPolicy
-from tests.helpers import make_message
+from repro.units import megabytes
+from tests.helpers import build_micro_world, make_message
 
 
 def rank_for_send(policy, messages, now=0.0):
@@ -119,9 +120,40 @@ class TestMofo:
         hot = make_message(msg_id="hot")
         cold = make_message(msg_id="cold")
         for _ in range(3):
-            p.record_forward("hot")
+            p.on_message_forwarded(hot, 0.0)
         assert drop_victim(p, [hot, cold]) is hot
         assert rank_for_send(p, [hot, cold]) == [cold, hot]
+
+    def test_completed_relay_is_counted_and_evicted_first(self):
+        # Node 0 sprays "hot" to node 1 and keeps half the tokens; "cold"
+        # is in its wait phase for the far node 2, so it is never relayed.
+        mw = build_micro_world(
+            points=[(0.0, 0.0), (50.0, 0.0), (900.0, 900.0)],
+            buffer_bytes=megabytes(1.0),
+            policy_factory=MofoPolicy,
+        )
+        mw.router(0).create_message(
+            make_message(msg_id="hot", destination=2, copies=2)
+        )
+        mw.router(0).create_message(
+            make_message(msg_id="cold", destination=2, copies=1)
+        )
+        mw.sim.run(until=25.0)
+        sender = mw.router(0).policy
+        hot = mw.node(0).buffer.get("hot")
+        assert "hot" in mw.node(1).buffer
+        assert sender.drop_priority(hot, 25.0) == -1.0
+        # Node 0's buffer is full.  A newcomer from node 1 ranks above the
+        # forwarded copy, so MOFO drops "hot" rather than refusing "new".
+        mw.router(1).create_message(
+            make_message(msg_id="new", source=1, destination=2, copies=2,
+                         created_at=25.0)
+        )
+        mw.sim.run(until=60.0)
+        assert "new" in mw.node(0).buffer
+        assert "hot" not in mw.node(0).buffer
+        assert "cold" in mw.node(0).buffer
+        assert mw.metrics.drops_by_reason == {"overflow": 1}
 
 
 class TestShli:

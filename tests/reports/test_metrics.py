@@ -113,27 +113,3 @@ def test_relayed_accepted_excludes_rejected_newcomers():
     # Two-phase split committed: the rejected copy's tokens are destroyed.
     assert mw.nodes[0].buffer.get("spray").copies == 4
 
-
-def test_warmup_excludes_early_messages():
-    from repro.reports.metrics import MetricsCollector
-
-    mw = build_micro_world(points=[(0.0, 0.0), (50.0, 0.0)], sim_time=300.0)
-    warm = MetricsCollector(warmup=100.0)
-    warm.subscribe(mw.sim)
-    # One message before the warm-up deadline, one after.
-    mw.router(0).create_message(
-        make_message(msg_id="early", source=0, destination=1)
-    )
-    mw.sim.schedule_at(
-        150.0,
-        lambda: mw.router(0).create_message(
-            make_message(msg_id="late", source=0, destination=1,
-                         created_at=150.0)
-        ),
-    )
-    mw.sim.run()
-    assert mw.metrics.created == 2  # the default collector sees both
-    assert mw.metrics.delivered == 2
-    assert warm.created == 1
-    assert warm.delivered == 1
-    assert warm.relayed == 1

@@ -1,0 +1,61 @@
+"""The package imports without the development-only packages.
+
+``pyproject.toml`` lists numpy and scipy as the only runtime dependencies,
+and the CI jobs that drive the CLIs install nothing else.  Each test runs a
+fresh interpreter whose import system refuses the packages such an install
+lacks but a development machine may have.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: Importable on a development machine, absent from a runtime install.
+BLOCKED = ("networkx", "hypothesis", "pytest")
+
+_BLOCKER = f"""
+import sys
+
+class Blocker:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in {BLOCKED!r}:
+            raise ModuleNotFoundError(f"No module named {{name!r}}", name=name)
+        return None
+
+sys.meta_path.insert(0, Blocker())
+"""
+
+
+def run_blocked(code: str) -> str:
+    """Run *code* after the blocker in a fresh interpreter; its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCKER + code],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_entry_points_import_without_dev_packages():
+    run_blocked("import repro.experiments, repro.service, repro.chaos\n")
+
+
+def test_a_run_imports_neither_networkx_nor_scipy_stats():
+    # scipy.stats serves only Fig. 3's KS test and takes longer to import
+    # than the rest of a run's imports together.
+    out = run_blocked(
+        "import json\n"
+        "import repro.experiments.runner\n"
+        "print(json.dumps(sorted({'networkx', 'scipy.stats'} & set(sys.modules))))\n"
+    )
+    assert json.loads(out) == []

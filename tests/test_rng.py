@@ -31,9 +31,6 @@ class TestRngFactory:
         draws = {k.stream("w").random() for k in kids}
         assert len(draws) == 3
 
-    def test_root_entropy_readable(self):
-        assert RngFactory(99).root_entropy == 99
-
     def test_long_names_with_shared_prefix_are_independent(self):
         # Regression: stream keys were once derived from only the first
         # 8 bytes of the name, so "policy.random.1" and "policy.random.2"

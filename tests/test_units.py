@@ -7,25 +7,12 @@ from repro import units
 
 def test_time():
     assert units.minutes(300) == 18000.0
-    assert units.hours(2) == 7200.0
 
 
 def test_sizes():
     assert units.megabytes(1) == 1024 * 1024
     assert units.megabytes(2.5) == int(2.5 * 1024 * 1024)
-    assert units.kilobytes(4) == 4096
 
 
 def test_bandwidth():
     assert units.kbps(250) == pytest.approx(31250.0)
-    assert units.mbps(1) == pytest.approx(125000.0)
-    assert units.kBps(10) == pytest.approx(10_000.0)
-
-
-def test_formatting():
-    assert units.fmt_bytes(units.megabytes(2.5)) == "2.50MB"
-    assert units.fmt_bytes(2048) == "2.00KB"
-    assert units.fmt_bytes(10) == "10B"
-    assert units.fmt_duration(9000) == "2h30m"
-    assert units.fmt_duration(90) == "1m30s"
-    assert units.fmt_duration(5.5) == "5.5s"

@@ -1,4 +1,5 @@
-"""tools/perf_pairs.py: the parent side's result files name their commit."""
+"""tools/perf_pairs.py: the parent side's result files name their commit,
+and the result directory holds one invocation's pairs."""
 
 from __future__ import annotations
 
@@ -22,3 +23,15 @@ def test_stamp_provenance_records_the_parent_commit():
     stamped = perf_pairs.stamp_provenance(result, sha)
     assert stamped["provenance"] == {"git_sha": sha, "git_dirty": False, "seed": 1}
     assert stamped["workloads"] == {"fleet-10k": {"failed": 0}}
+
+
+def test_clear_deletes_every_pair_file_and_nothing_else(tmp_path):
+    # A 10-pair run's files, as a 3-pair run finds them.
+    for pair in range(10):
+        for side in ("parent", "change"):
+            (tmp_path / f"{pair}-{side}.json").write_text("{}")
+    keep = ["notes.txt", "baseline.json", "3-parent.json.bak", "x-change.json"]
+    for name in keep:
+        (tmp_path / name).write_text("")
+    perf_pairs.clear(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(keep)

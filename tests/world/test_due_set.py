@@ -53,13 +53,13 @@ def reference_routing_phase(sim, nodes, now):
         sim.listeners.emit("world.updated", now)
     with timed(profiler, "routing"):
         for node in nodes:
-            if (
-                node.neighbors
-                and not node.sending
-                and not node.asleep
-                and node.router is not None
-            ):
-                node.router.try_send()
+            router = node.router
+            if node.sending or node.asleep or router is None:
+                continue
+            if node.neighbors:
+                router.try_send()
+            elif router.sleeps_when_idle:
+                node.sleep()
 
 
 def _reference(sim, due, now):

@@ -4,9 +4,10 @@ New send eligibility can appear without any link event — e.g. a neighbor
 drops its copy of a message we hold, making it sprayable to them again.
 Only the periodic retry in World.update catches this.
 
-The retry skips a node whose last full scan found nothing (it is asleep)
-until one of three changes wakes it: its own buffer gains a message, a
-neighbor's buffer loses one, or one of its links comes up.
+The retry skips a node whose last full scan found nothing, or that has no
+neighbors (it is asleep), until one of three changes wakes it: its own
+buffer gains a message, a neighbor's buffer loses one, or one of its links
+comes up.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ def test_sleep_and_wake_transitions():
     )
     mw.sim.run(until=1.5)
     src, peer, loner = mw.nodes
-    # The link-up scans found nothing; the unlinked node never scanned.
-    assert src.asleep and peer.asleep and not loner.asleep
+    # The link-up scans found nothing; the unlinked node has no peer.
+    assert src.asleep and peer.asleep and loner.asleep
 
     src.buffer.add(make_message(msg_id="m", source=0, destination=2, size=1000))
     assert not src.asleep and peer.asleep  # own buffer gained a message

@@ -23,7 +23,7 @@ class TestLinkLifecycle:
     def test_links_come_up_on_first_tick(self):
         mw = build_micro_world(points=[(0.0, 0.0), (50.0, 0.0), (500.0, 500.0)])
         mw.sim.run(until=1.0)
-        assert mw.world.connected_pairs() == {(0, 1)}
+        assert mw.world.links == {(0, 1)}
         assert mw.contacts.contact_count == 1
 
     def test_link_up_and_down_events_fire(self):
@@ -101,7 +101,7 @@ class TestHeterogeneousRanges:
         world.start(np.random.default_rng(0))
         sim.run(until=2.0)
         # 80 m apart: within the long radio's 200 m but not the short's 50 m.
-        assert world.connected_pairs() == set()
+        assert world.links == frozenset()
 
     def test_link_within_both_ranges(self):
         sim = Simulator(end_time=10.0)
@@ -114,7 +114,7 @@ class TestHeterogeneousRanges:
         world = World(sim, mobility, nodes, tm)
         world.start(np.random.default_rng(0))
         sim.run(until=2.0)
-        assert world.connected_pairs() == {(0, 1)}
+        assert world.links == {(0, 1)}
 
     def test_distance_equal_to_the_smaller_range_links(self):
         sim = Simulator(end_time=10.0)
@@ -126,7 +126,7 @@ class TestHeterogeneousRanges:
         world = World(sim, mobility, nodes, TransferManager(sim))
         world.start(np.random.default_rng(0))
         sim.run(until=2.0)
-        assert world.connected_pairs() == {(0, 1)}
+        assert world.links == {(0, 1)}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mask_matches_the_per_pair_test(self, seed):

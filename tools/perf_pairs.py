@@ -15,7 +15,9 @@ Usage::
 Any option this script does not know (``--workload``, ``--seed``, ...) is
 passed to both sides' ``run.py`` unchanged.  ``make perf-pairs
 PARENT=<rev> PAIRS=<n> PERF_ARGS=...`` runs it.  The result files land in
-``perf-pairs/``, named ``<pair>-parent.json`` and ``<pair>-change.json``.
+``perf-pairs/``, named ``<pair>-parent.json`` and ``<pair>-change.json``;
+the files of an earlier invocation are deleted before the first pair, so
+the directory holds exactly one invocation's pairs.
 ``--parent`` is resolved to a commit once; each parent-side file records
 that sha with ``git_dirty: false`` (the archive's directory is no git
 repository, so ``run.py`` cannot ask git there).
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 import tarfile
@@ -39,6 +42,7 @@ ROOT = Path(__file__).resolve().parents[1]
 OUT_DIR = ROOT / "perf-pairs"
 RUN = Path("benchmarks") / "perf" / "run.py"
 COMPARE = Path("benchmarks") / "perf" / "compare.py"
+PAIR_FILE = re.compile(r"\d+-(parent|change)\.json")
 
 
 def resolve(rev: str) -> str:
@@ -59,6 +63,13 @@ def stamp_provenance(result: dict, sha: str) -> dict:
     return result
 
 
+def clear(out_dir: Path) -> None:
+    """Delete every pair's result file in *out_dir*, and nothing else."""
+    for path in out_dir.iterdir():
+        if PAIR_FILE.fullmatch(path.name):
+            path.unlink()
+
+
 def extract(rev: str, dest: Path) -> None:
     """Write the tree of *rev* into *dest*."""
     archive = dest / "tree.tar"
@@ -74,7 +85,6 @@ def run_side(tree: Path, out: Path, run_args: list[str]) -> None:
     command = [sys.executable, str(RUN), *run_args, "--trace", "0",
                "--out", str(out)]
     print(f"[perf-pairs] {tree}: {' '.join(command[1:])}", flush=True)
-    out.unlink(missing_ok=True)  # never let an earlier invocation's file stand in
     code = subprocess.run(command, cwd=tree, stdout=subprocess.DEVNULL,
                           check=False).returncode
     # run.py exits 1 when a run fails its output check; it still writes the
@@ -97,6 +107,7 @@ def main(argv: list[str] | None = None) -> int:
 
     sha = resolve(args.parent)
     OUT_DIR.mkdir(exist_ok=True)
+    clear(OUT_DIR)
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
         extract(sha, Path(tmp))
         trees = {"parent": Path(tmp) / "tree", "change": ROOT}
