@@ -109,12 +109,15 @@ class SdsrpPolicy(BufferPolicy):
         )
         self.dropped: DroppedListStore | None = None
         self._n_nodes = 0
+        #: The host node's id, read by the link hooks on every contact.
+        self._node_id = -1
 
     # -- lifecycle -----------------------------------------------------------
 
     def attach(self, ctx: PolicyContext) -> None:
         super().attach(ctx)
         self._n_nodes = ctx.n_nodes
+        self._node_id = ctx.node.id
         self.dropped = DroppedListStore(ctx.node.id)
         if self._estimator is None:
             self._estimator = _build_estimator(self.params, ctx.n_nodes)
@@ -192,20 +195,28 @@ class SdsrpPolicy(BufferPolicy):
             self.dropped.record_drop(message.msg_id, now, message.expires_at())
 
     def on_link_up(self, peer: Node, now: float) -> None:
-        assert self.ctx is not None
+        # Only attach() sets ``dropped`` (a shared estimator exists before),
+        # so it is the attached check here and in on_link_down.
+        estimator, dropped = self._estimator, self.dropped
+        assert estimator is not None and dropped is not None, (
+            "policy used before attach()"
+        )
         # Feeding is endpoint-symmetric: pair estimators dedupe internally,
         # min estimators want both endpoints' node-level samples.
-        self.estimator.observe_link_up(self.ctx.node.id, peer.id, now)
+        estimator.observe_link_up(self._node_id, peer.id, now)
         # Gossip: adopt the peer's newer dropped-list records (Fig. 5).
-        peer_policy = peer.router.policy if peer.router is not None else None
+        peer_router = peer.router
+        peer_policy = peer_router.policy if peer_router is not None else None
         if isinstance(peer_policy, SdsrpPolicy) and peer_policy.dropped is not None:
-            assert self.dropped is not None
             if self.params.prune_dropped_lists:
-                self.dropped.prune(now)
+                dropped.prune(now)
             # A store with no record of a drop has nothing to adopt.
             if peer_policy.dropped.holds_drops:
-                self.dropped.merge_from(peer_policy.dropped)
+                dropped.merge_from(peer_policy.dropped)
 
     def on_link_down(self, peer: Node, now: float) -> None:
-        assert self.ctx is not None
-        self.estimator.observe_link_down(self.ctx.node.id, peer.id, now)
+        estimator = self._estimator
+        assert estimator is not None and self.dropped is not None, (
+            "policy used before attach()"
+        )
+        estimator.observe_link_down(self._node_id, peer.id, now)

@@ -1,6 +1,6 @@
 """The simulation main loop.
 
-:class:`Simulator` owns the clock, the event queue and the listener registry.
+:class:`Simulator` owns the time, the event queue and the listener registry.
 Components (the world, message generators, the transfer manager) register
 events against it.  The loop is a plain "pop next event, advance clock, fire"
 discrete-event loop; the ONE-style time-stepped behaviour comes from the
@@ -15,13 +15,25 @@ import os
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
-from repro.engine.clock import Clock
 from repro.engine.events import PRIORITY_NORMAL, Event, EventQueue
 from repro.engine.hooks import ListenerRegistry
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.profiler import PhaseProfiler
+
+
+class Unsubscribed:
+    """What a collector reads the time from until its ``subscribe`` binds
+    it to a simulator: ``now`` is 0, the time of a simulator that has not
+    run.  Collectors hold the simulator itself and read its ``now``
+    attribute, one read per event."""
+
+    now = 0.0
+
+
+#: The one :class:`Unsubscribed` instance.
+UNSUBSCRIBED = Unsubscribed()
 
 
 class _Recurring:
@@ -51,7 +63,7 @@ class _Recurring:
 
 
 class Simulator:
-    """Event loop with a shared clock and pub/sub registry.
+    """Event loop with a shared time and pub/sub registry.
 
     Parameters
     ----------
@@ -75,7 +87,9 @@ class Simulator:
             env = os.environ.get("REPRO_SANITIZE", "").strip().lower()
             sanitize = env in ("1", "true", "yes")
         self.sanitize = bool(sanitize)
-        self.clock = Clock(0.0)
+        #: Current simulation time (seconds): one float that every
+        #: component reads, moved forward only by :meth:`advance_to`.
+        self.now = 0.0
         self.queue = EventQueue()
         self.listeners = ListenerRegistry()
         #: Optional per-subsystem wall-time accounting (see
@@ -90,10 +104,17 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
 
-    @property
-    def now(self) -> float:
-        """Current simulation time (seconds)."""
-        return self.clock.now
+    def advance_to(self, time: float) -> None:
+        """Move the time forward to *time*.
+
+        Raises :class:`SimulationError` on attempts to move backwards — that
+        always indicates an event-ordering bug.
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"clock cannot move backwards: {time} < {self.now}"
+            )
+        self.now = float(time)
 
     @property
     def events_processed(self) -> int:
@@ -108,9 +129,9 @@ class Simulator:
         priority: int = PRIORITY_NORMAL,
     ) -> Event:
         """Schedule an absolute-time event; must not be in the past."""
-        if time < self.clock.now:
+        if time < self.now:
             raise SchedulingError(
-                f"cannot schedule at {time} (now={self.clock.now})"
+                f"cannot schedule at {time} (now={self.now})"
             )
         return self.queue.schedule(time, callback, *args, priority=priority)
 
@@ -125,7 +146,7 @@ class Simulator:
         if delay < 0:
             raise SchedulingError(f"delay must be non-negative, got {delay}")
         return self.queue.schedule(
-            self.clock.now + delay, callback, *args, priority=priority
+            self.now + delay, callback, *args, priority=priority
         )
 
     def schedule_every(
@@ -146,7 +167,7 @@ class Simulator:
         """
         if interval <= 0:
             raise SchedulingError(f"interval must be positive, got {interval}")
-        first = self.clock.now if start is None else start
+        first = self.now if start is None else start
         rec = _Recurring(float(interval), callback, args, priority)
         if name is not None:
             self._recurring[name] = rec
@@ -155,7 +176,7 @@ class Simulator:
 
     def _fire_recurring(self, rec: _Recurring) -> None:
         rec.callback(*rec.args)
-        next_time = self.clock.now + rec.interval
+        next_time = self.now + rec.interval
         if next_time <= self.end_time:
             rec.next_time = next_time
             self.queue.schedule(
@@ -201,14 +222,14 @@ class Simulator:
                     break
                 event = self.queue.pop()
                 assert event is not None  # peek said non-empty
-                self.clock.advance_to(event.time)
+                self.advance_to(event.time)
                 self._events_processed += 1
                 event.callback(*event.args)
         finally:
             self._running = False
         # stop() freezes time where it is; a drained queue runs out the clock.
-        if not stopped and self.clock.now < horizon:
-            self.clock.advance_to(horizon)
+        if not stopped and self.now < horizon:
+            self.advance_to(horizon)
 
     def stop(self) -> None:
         """Stop the loop after the currently firing event returns."""

@@ -45,11 +45,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.engine.events import PRIORITY_REPORT
+from repro.engine.simulator import UNSUBSCRIBED, Simulator, Unsubscribed
 from repro.errors import ConfigurationError, ObsFormatError
 from repro.net.outcomes import DROP_REASONS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.simulator import Simulator
     from repro.net.message import Message
     from repro.net.transfer import Transfer
     from repro.world.node import Node
@@ -150,7 +150,8 @@ class TimeSeriesCollector:
         self._node_occupancy: list[list[float]] = []
         self._last_sample_time: float | None = None
         self._last_bytes = 0
-        self._now = lambda: 0.0
+        #: The simulator :meth:`subscribe` binds; samples read its ``now``.
+        self._sim: Simulator | Unsubscribed = UNSUBSCRIBED
 
     @staticmethod
     def column_names() -> tuple[str, ...]:
@@ -179,7 +180,7 @@ class TimeSeriesCollector:
 
     def subscribe(self, sim: Simulator) -> None:
         """Attach counters to *sim* and arm the recurring sample event."""
-        self._now = lambda: sim.now
+        self._sim = sim
         listeners = sim.listeners
         listeners.subscribe("message.created", self._on_created)
         listeners.subscribe("message.delivered", self._on_delivered)
@@ -200,7 +201,7 @@ class TimeSeriesCollector:
 
     def _on_delivered(self, message: Message, sender: Node, receiver: Node) -> None:
         self.delivered += 1
-        self.latency_hist.add(self._now() - message.created_at)
+        self.latency_hist.add(self._sim.now - message.created_at)
 
     def _on_relayed(
         self, message: Message, sender: Node, receiver: Node, outcome: object
@@ -224,7 +225,7 @@ class TimeSeriesCollector:
     # -- sampling ----------------------------------------------------------
 
     def _sample(self) -> None:
-        now = self._now()
+        now = self._sim.now
         occupancies = [node.buffer.occupancy() for node in self.nodes]
         used = 0
         live_ids: set[str] = set()

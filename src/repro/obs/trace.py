@@ -38,10 +38,10 @@ from collections import deque
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.engine.simulator import UNSUBSCRIBED, Simulator, Unsubscribed
 from repro.errors import ConfigurationError, ObsFormatError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.simulator import Simulator
     from repro.net.message import Message
     from repro.net.transfer import Transfer
     from repro.world.node import Node
@@ -90,13 +90,14 @@ class EventTrace:
         self._records: deque[dict[str, Any]] = deque(maxlen=self.capacity)
         #: Total events observed (>= len(self) once the ring wraps).
         self.events_seen = 0
-        self._now = lambda: 0.0
+        #: The simulator :meth:`subscribe` binds; records read its ``now``.
+        self._sim: Simulator | Unsubscribed = UNSUBSCRIBED
 
     # -- wiring ------------------------------------------------------------
 
     def subscribe(self, sim: Simulator) -> None:
         """Attach to *sim*'s listener registry (observation-only)."""
-        self._now = lambda: sim.now
+        self._sim = sim
         listeners = sim.listeners
         listeners.subscribe("message.created", self._on_created)
         listeners.subscribe("message.relayed", self._on_relayed)
@@ -111,7 +112,7 @@ class EventTrace:
         listeners.subscribe("fault.injected", self._on_fault)
 
     def _add(self, topic: str, **fields: Any) -> None:
-        record: dict[str, Any] = {"t": self._now(), "topic": topic}
+        record: dict[str, Any] = {"t": self._sim.now, "topic": topic}
         record.update(fields)
         self.events_seen += 1
         self._records.append(record)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import UNSUBSCRIBED, Simulator, Unsubscribed
 from repro.world.node import Node
 
 PairKey = tuple[int, int]
@@ -24,11 +24,12 @@ class ContactReport:
         self._intermeetings: list[float] = []
         self._up_since: dict[PairKey, float] = {}
         self._last_down: dict[PairKey, float] = {}
-        self._now = lambda: 0.0
+        #: The simulator :meth:`subscribe` binds; handlers read its ``now``.
+        self._sim: Simulator | Unsubscribed = UNSUBSCRIBED
 
     def subscribe(self, sim: Simulator) -> None:
         """Attach to a simulator's listener registry."""
-        self._now = lambda: sim.now
+        self._sim = sim
         sim.listeners.subscribe("link.up", self._on_up)
         sim.listeners.subscribe("link.down", self._on_down)
 
@@ -38,7 +39,7 @@ class ContactReport:
 
     def _on_up(self, a: Node, b: Node) -> None:
         key = self._key(a, b)
-        now = self._now()
+        now = self._sim.now
         self.contact_count += 1
         self._up_since[key] = now
         last_down = self._last_down.pop(key, None)
@@ -47,7 +48,7 @@ class ContactReport:
 
     def _on_down(self, a: Node, b: Node) -> None:
         key = self._key(a, b)
-        now = self._now()
+        now = self._sim.now
         up_since = self._up_since.pop(key, None)
         if up_since is not None:
             self._durations.append(now - up_since)

@@ -11,7 +11,7 @@ import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import UNSUBSCRIBED, Simulator, Unsubscribed
 from repro.net.message import Message
 from repro.net.outcomes import ReceiveOutcome
 from repro.world.node import Node
@@ -49,10 +49,11 @@ class MessageFateReport:
 
     def __init__(self) -> None:
         self.fates: dict[str, MessageFate] = {}
-        self._now = lambda: 0.0
+        #: The simulator :meth:`subscribe` binds; handlers read its ``now``.
+        self._sim: Simulator | Unsubscribed = UNSUBSCRIBED
 
     def subscribe(self, sim: Simulator) -> None:
-        self._now = lambda: sim.now
+        self._sim = sim
         sim.listeners.subscribe("message.created", self._on_created)
         sim.listeners.subscribe("message.relayed", self._on_relayed)
         sim.listeners.subscribe("message.delivered", self._on_delivered)
@@ -83,7 +84,7 @@ class MessageFateReport:
     def _on_delivered(self, message: Message, sender: Node, receiver: Node) -> None:
         fate = self._fate(message)
         if fate is not None and fate.delivered_at is None:
-            fate.delivered_at = self._now()
+            fate.delivered_at = self._sim.now
             fate.delivery_hops = message.hop_count
 
     def _on_dropped(self, message: Message, node: Node, reason: str) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import UNSUBSCRIBED, Simulator, Unsubscribed
 from repro.net.message import Message
 from repro.net.outcomes import ReceiveOutcome
 from repro.world.node import Node
@@ -35,13 +35,14 @@ class MetricsCollector:
         self.hop_counts: list[int] = []
         self.latencies: list[float] = []
         self._created_at: dict[str, float] = {}
-        self._now = lambda: 0.0
+        #: The simulator :meth:`subscribe` binds; handlers read its ``now``.
+        self._sim: Simulator | Unsubscribed = UNSUBSCRIBED
 
     # -- wiring ----------------------------------------------------------------
 
     def subscribe(self, sim: Simulator) -> None:
         """Attach to a simulator's listener registry."""
-        self._now = lambda: sim.now
+        self._sim = sim
         sim.listeners.subscribe("message.created", self._on_created)
         sim.listeners.subscribe("message.relayed", self._on_relayed)
         sim.listeners.subscribe("message.delivered", self._on_delivered)
@@ -68,7 +69,7 @@ class MetricsCollector:
         self.delivered += 1
         self.hop_counts.append(message.hop_count)
         created = self._created_at.get(message.msg_id, message.created_at)
-        self.latencies.append(self._now() - created)
+        self.latencies.append(self._sim.now - created)
 
     def _on_dropped(self, message: Message, node: Node, reason: str) -> None:
         self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1

@@ -228,12 +228,14 @@ class Router:
 
     # -- link lifecycle ---------------------------------------------------------------
 
-    def on_link_up(self, peer: Node) -> None:
-        self.policy.on_link_up(peer, self.now)
+    def on_link_up(self, peer: Node, now: float) -> None:
+        """A contact with *peer* started at *now* (the world's tick time)."""
+        self.policy.on_link_up(peer, now)
         self.try_send()
 
-    def on_link_down(self, peer: Node) -> None:
-        self.policy.on_link_down(peer, self.now)
+    def on_link_down(self, peer: Node, now: float) -> None:
+        """The contact with *peer* ended at *now*."""
+        self.policy.on_link_down(peer, now)
 
     # -- sending ------------------------------------------------------------------------
 
@@ -297,16 +299,18 @@ class Router:
         """Start a transfer if the interface is idle and something is eligible."""
         if self.transfer_manager is None:
             return
-        if self.node.sending or not self.node.neighbors:
+        node = self.node
+        if node.sending or not node.neighbors:
             return
         # An empty buffer has nothing to offer: a scan would find nothing.
-        choice = self.select_next() if len(self.node.buffer) else None
+        # Its message dict answers that in one read, without a len() call.
+        choice = self.select_next() if node.buffer._messages else None
         if choice is None:
             if self.sleeps_when_idle:
-                self.node.sleep()
+                node.sleep()
             return
         peer, message, mode = choice
-        self.transfer_manager.start(self.node, peer, message, mode)
+        self.transfer_manager.start(node, peer, message, mode)
 
     def after_transfer(self, message: Message, peer: Node, mode: str,
                        outcome: ReceiveOutcome) -> None:

@@ -60,11 +60,10 @@ class ProphetRouter(Router):
 
     def predictability(self, dest: int) -> float:
         """Current (aged) delivery predictability for *dest*."""
-        self._age()
+        self._age(self.now)
         return self._preds.get(dest, 0.0)
 
-    def _age(self) -> None:
-        now = self.now
+    def _age(self, now: float) -> None:
         elapsed = now - self._last_aged
         if elapsed <= 0:
             return
@@ -77,8 +76,8 @@ class ProphetRouter(Router):
                 self._preds[dest] = value
         self._last_aged = now
 
-    def on_link_up(self, peer: Node) -> None:
-        self._age()
+    def on_link_up(self, peer: Node, now: float) -> None:
+        self._age(now)
         # Direct update for the encountered peer.
         old = self._preds.get(peer.id, 0.0)
         self._preds[peer.id] = old + (1.0 - old) * self.p_init
@@ -92,7 +91,7 @@ class ProphetRouter(Router):
                 candidate = p_ab * p_bc * self.beta
                 if candidate > self._preds.get(dest, 0.0):
                     self._preds[dest] = candidate
-        super().on_link_up(peer)
+        super().on_link_up(peer, now)
 
     # -- forwarding rule --------------------------------------------------------
 

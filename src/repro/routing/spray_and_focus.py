@@ -34,9 +34,9 @@ class SprayAndFocusRouter(Router):
         #: node id -> last time this node was in contact with it.
         self.last_seen: dict[int, float] = {}
 
-    def on_link_up(self, peer: Node) -> None:
-        self.last_seen[peer.id] = self.now
-        super().on_link_up(peer)
+    def on_link_up(self, peer: Node, now: float) -> None:
+        self.last_seen[peer.id] = now
+        super().on_link_up(peer, now)
 
     def _timer(self, dest: int) -> float:
         """Seconds since this node last met *dest* (inf if never)."""

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine.simulator import Simulator
+from repro.engine.simulator import UNSUBSCRIBED, Simulator, Unsubscribed
 from repro.errors import TraceFormatError
 from repro.world.node import Node
 
@@ -125,15 +125,16 @@ class ContactTraceRecorder:
 
     def __init__(self) -> None:
         self.trace = ContactTrace()
-        self._now = lambda: 0.0
+        #: The simulator :meth:`subscribe` binds; handlers read its ``now``.
+        self._sim: Simulator | Unsubscribed = UNSUBSCRIBED
 
     def subscribe(self, sim: Simulator) -> None:
-        self._now = lambda: sim.now
+        self._sim = sim
         sim.listeners.subscribe("link.up", self._on_up)
         sim.listeners.subscribe("link.down", self._on_down)
 
     def _on_up(self, a: Node, b: Node) -> None:
-        self.trace.append(ContactEvent(self._now(), a.id, b.id, True))
+        self.trace.append(ContactEvent(self._sim.now, a.id, b.id, True))
 
     def _on_down(self, a: Node, b: Node) -> None:
-        self.trace.append(ContactEvent(self._now(), a.id, b.id, False))
+        self.trace.append(ContactEvent(self._sim.now, a.id, b.id, False))

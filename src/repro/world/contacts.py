@@ -28,8 +28,10 @@ and 3 of 41 calls.
 
 The world keeps its link set as such an array.  After the first tick only
 a few links change per tick (~280 of ~10.9k at 10k nodes), so
-:func:`diff_keys` finds them with sorted-array searches and :func:`decode`
-builds ``(i, j)`` tuples of Python ints for those alone (snapshots
+:func:`diff_keys` finds them with sorted-array searches and
+:func:`split_keys` turns those alone into two lists of Python-int ends
+with one array division, which the tick walks in step.  :func:`decode`
+builds ``(i, j)`` tuples for callers that want pairs (snapshots
 JSON-encode links; NumPy integers do not encode).
 """
 
@@ -128,7 +130,15 @@ class KDTreeDetector:
 def decode(keys: np.ndarray, n: int) -> list[tuple[int, int]]:
     """The pairs ``(i, j)`` of *keys* over *n* nodes, as Python ints, in
     key order."""
-    return [divmod(key, n) for key in keys.tolist()]
+    i, j = split_keys(keys, n)
+    return list(zip(i, j))
+
+
+def split_keys(keys: np.ndarray, n: int) -> tuple[list[int], list[int]]:
+    """The ends ``(i, j)`` of *keys* over *n* nodes as two lists of Python
+    ints, in key order: one array division instead of a tuple per pair."""
+    i, j = np.divmod(keys, n)
+    return i.tolist(), j.tolist()
 
 
 def diff_keys(old: np.ndarray, new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -85,15 +85,15 @@ class TraceWorld:
             if a_id in self.down_nodes or b_id in self.down_nodes:
                 return  # faulted node: the recorded contact never happens
             self.links.add(key)
-            link_up(self.sim, a, b)
+            link_up(self.sim, a, b, self.sim.now)
         else:
             if key not in self.links:
                 return
-            self._drop_link(a, b)
+            self._drop_link(a, b, self.sim.now)
 
-    def _drop_link(self, a: Node, b: Node) -> None:
+    def _drop_link(self, a: Node, b: Node, now: float) -> None:
         self.links.discard((min(a.id, b.id), max(a.id, b.id)))
-        link_down(self.sim, self.transfer_manager, a, b)
+        link_down(self.sim, self.transfer_manager, a, b, now)
 
     # -- fault hooks ---------------------------------------------------------
 
@@ -105,8 +105,9 @@ class TraceWorld:
         self.down_nodes.add(node_id)
         # Sorted so teardown order is a function of the pair ids alone,
         # never of set memory layout (matches World.set_node_down).
+        now = self.sim.now
         for i, j in sorted(pair for pair in self.links if node_id in pair):
-            self._drop_link(self.nodes[i], self.nodes[j])
+            self._drop_link(self.nodes[i], self.nodes[j], now)
 
     def set_node_up(self, node_id: int) -> None:
         """Bring a node back online (connectivity resumes at the next
@@ -119,7 +120,7 @@ class TraceWorld:
         key = (min(i, j), max(i, j))
         if key not in self.links:
             return False
-        self._drop_link(self.nodes[key[0]], self.nodes[key[1]])
+        self._drop_link(self.nodes[key[0]], self.nodes[key[1]], self.sim.now)
         return True
 
     def _maintain(self) -> None:

@@ -40,6 +40,15 @@ link-up that ends its isolation wakes it.
 The link hooks skip calls that cannot change anything: ``link_down``
 aborts transfers only when one end is sending, and :meth:`Router.try_send`
 puts a node with an empty buffer to sleep without a scan.
+
+A link event costs what its work costs.  The tick reads the time once and
+hands it down: :func:`link_up` and :func:`link_down` take ``now``, and so
+do the hooks they call, ``Router.on_link_up(peer, now)`` and
+``Router.on_link_down(peer, now)``, the convention the buffer policies'
+hooks share.  The tick splits the keys that changed into two lists of ends
+with one array division (:func:`~repro.world.contacts.split_keys`) and
+walks them in step.  Each hook is looked up on its instance when it is
+called, so a wrapper installed on one router or policy sees every call.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ from repro.errors import ConfigurationError
 from repro.mobility.base import MobilityModel
 from repro.net.transfer import TransferManager
 from repro.obs.profiler import timed
-from repro.world.contacts import KDTreeDetector, decode, diff_keys
+from repro.world.contacts import KDTreeDetector, decode, diff_keys, split_keys
 from repro.world.node import Node
 
 
@@ -115,8 +124,9 @@ def routing_phase(sim: Simulator, due: DueSet, now: float) -> None:
                 node.sleep()
 
 
-def link_up(sim: Simulator, a: Node, b: Node) -> None:
-    """Connect *a* and *b*: neighbor maps, ``link.up``, router hooks.
+def link_up(sim: Simulator, a: Node, b: Node, now: float) -> None:
+    """Connect *a* and *b* at time *now*: neighbor maps, ``link.up``,
+    router hooks.
 
     Both ends wake first, since each gained a peer to offer copies to;
     their ``on_link_up`` scans may put them back to sleep.
@@ -126,16 +136,20 @@ def link_up(sim: Simulator, a: Node, b: Node) -> None:
     a.wake()
     b.wake()
     sim.listeners.emit("link.up", a, b)
-    if a.router is not None:
-        a.router.on_link_up(b)
-    if b.router is not None:
-        b.router.on_link_up(a)
+    router = a.router
+    if router is not None:
+        router.on_link_up(b, now)
+    router = b.router
+    if router is not None:
+        router.on_link_up(a, now)
 
 
 def link_down(
-    sim: Simulator, transfer_manager: TransferManager, a: Node, b: Node
+    sim: Simulator, transfer_manager: TransferManager, a: Node, b: Node,
+    now: float,
 ) -> None:
-    """Disconnect *a* and *b*, aborting transfers riding the link."""
+    """Disconnect *a* and *b* at time *now*, aborting transfers riding the
+    link."""
     # Neighbor sets first: the aborted sender immediately retries other
     # links and must not re-select the one that just died.
     a.neighbors.pop(b.id, None)
@@ -143,10 +157,12 @@ def link_down(
     if a.sending or b.sending:  # else no transfer can ride the link
         transfer_manager.abort_for_link(a, b)
     sim.listeners.emit("link.down", a, b)
-    if a.router is not None:
-        a.router.on_link_down(b)
-    if b.router is not None:
-        b.router.on_link_down(a)
+    router = a.router
+    if router is not None:
+        router.on_link_down(b, now)
+    router = b.router
+    if router is not None:
+        router.on_link_down(a, now)
 
 
 class World:
@@ -217,13 +233,13 @@ class World:
                 # Key order is pair order, so events fire in an order that
                 # is a function of the pair ids alone; snapshot/restore runs
                 # stay byte-identical to uninterrupted ones.
-                n = len(self.nodes)
-                for i, j in decode(gone, n):
-                    link_down(
-                        self.sim, self.transfer_manager, self.nodes[i], self.nodes[j]
-                    )
-                for i, j in decode(came, n):
-                    link_up(self.sim, self.nodes[i], self.nodes[j])
+                sim, nodes = self.sim, self.nodes
+                n = len(nodes)
+                manager = self.transfer_manager
+                for i, j in zip(*split_keys(gone, n)):
+                    link_down(sim, manager, nodes[i], nodes[j], now)
+                for i, j in zip(*split_keys(came, n)):
+                    link_up(sim, nodes[i], nodes[j], now)
             self.link_keys = keys
 
         routing_phase(self.sim, self.due, now)
@@ -274,9 +290,10 @@ class World:
         touching = self._touches(self.link_keys, {node_id})
         gone = self.link_keys[touching]
         self.link_keys = self.link_keys[~touching]
-        for i, j in decode(gone, len(self.nodes)):
+        now = self.sim.now
+        for i, j in zip(*split_keys(gone, len(self.nodes))):
             link_down(
-                self.sim, self.transfer_manager, self.nodes[i], self.nodes[j]
+                self.sim, self.transfer_manager, self.nodes[i], self.nodes[j], now
             )
 
     def set_node_up(self, node_id: int) -> None:
@@ -295,7 +312,10 @@ class World:
         if at == self.link_keys.size or self.link_keys[at] != key:
             return False
         self.link_keys = np.delete(self.link_keys, at)
-        link_down(self.sim, self.transfer_manager, self.nodes[a], self.nodes[b])
+        link_down(
+            self.sim, self.transfer_manager, self.nodes[a], self.nodes[b],
+            self.sim.now,
+        )
         return True
 
     def set_links(self, pairs: Iterable[tuple[int, int]]) -> None:

@@ -1,11 +1,30 @@
-"""Simulator loop: scheduling APIs, horizon, slicing, stop."""
+"""Simulator loop: the time, scheduling APIs, horizon, slicing, stop."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.engine.simulator import Simulator
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, SimulationError
+
+
+class TestTime:
+    def test_starts_at_zero(self):
+        assert Simulator(end_time=10.0).now == 0.0
+
+    def test_advances_forward(self):
+        sim = Simulator(end_time=100.0)
+        sim.advance_to(10.0)
+        assert sim.now == 10.0
+        sim.advance_to(10.0)  # same time is allowed
+        assert sim.now == 10.0
+
+    def test_rejects_backwards_motion(self):
+        sim = Simulator(end_time=100.0)
+        sim.advance_to(5.0)
+        with pytest.raises(SimulationError):
+            sim.advance_to(4.999)
+        assert sim.now == 5.0
 
 
 class TestScheduling:

@@ -27,7 +27,7 @@ class TestPredictabilityTable:
         mw.sim.run(until=2.0)
         first = mw.router(0).predictability(1)
         # Simulate a re-encounter by calling the hook again.
-        mw.router(0).on_link_up(mw.nodes[1])
+        mw.router(0).on_link_up(mw.nodes[1], mw.sim.now)
         assert mw.router(0).predictability(1) > first
 
     def test_aging_decays(self):
@@ -46,7 +46,7 @@ class TestPredictabilityTable:
         mw.sim.run(until=2.0)
         r0, r1 = mw.router(0), mw.router(1)
         assert r1.predictability(2) > 0.7
-        r0.on_link_up(mw.nodes[1])
+        r0.on_link_up(mw.nodes[1], mw.sim.now)
         assert r0.predictability(2) > 0.0
         assert r0.predictability(2) == pytest.approx(
             r0.predictability(1) * r1._preds[2] * 0.25, rel=0.2

@@ -66,16 +66,16 @@ def _reference(sim, due, now):
     reference_routing_phase(sim, due.nodes, now)
 
 
-def reference_link_down(sim, transfer_manager, a, b):
+def reference_link_down(sim, transfer_manager, a, b, now):
     """``link_down`` that asks for aborts whether or not an end is sending."""
     a.neighbors.pop(b.id, None)
     b.neighbors.pop(a.id, None)
     transfer_manager.abort_for_link(a, b)
     sim.listeners.emit("link.down", a, b)
     if a.router is not None:
-        a.router.on_link_down(b)
+        a.router.on_link_down(b, now)
     if b.router is not None:
-        b.router.on_link_down(a)
+        b.router.on_link_down(a, now)
 
 
 def reference_try_send(self):

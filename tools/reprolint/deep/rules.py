@@ -701,6 +701,12 @@ REBUILT_ON_RESTORE: dict[tuple[str, str], str] = {
     ("DroppedListStore", "next_expiry"): "lower bound on stored expiries; load() re-derives it from the captured records",
     ("Sanitizer", "_dropped_verified"): "recount memo; empty in the rebuilt sanitizer, so its first check recounts every store",
     ("SdsrpPolicy", "_n_nodes"): "re-derived from the buffer by attach() on rebuild",
+    ("SdsrpPolicy", "_node_id"): "the host node's id; attach() re-reads it from ctx.node on rebuild",
+    ("ContactReport", "_sim"): "wiring: the rebuilt scenario's subscribe() binds the new simulator",
+    ("MetricsCollector", "_sim"): "wiring: the rebuilt scenario's subscribe() binds the new simulator",
+    ("TimeSeriesCollector", "_sim"): "wiring: the rebuilt scenario's subscribe() binds the new simulator",
+    ("EventTrace", "_sim"): "wiring: the rebuilt scenario's subscribe() binds the new simulator",
+    ("MessageFateReport", "_sim"): "opt-in post-run report, never part of a snapshot-capable run",
     ("ListenerRegistry", "_listeners"): "subscriptions re-created by build_scenario wiring",
     ("FaultInjector", "_started"): "start() re-subscribes on restore; guard only blocks double-wiring",
     ("MessageBuffer", "_used"): "re-accumulated as restore re-adds the captured messages",
@@ -800,7 +806,8 @@ can explain how restore reconstructs the value byte-identically.
         for name in called:
             for candidate in project.method_candidates(name):
                 covered |= engine.summary(candidate).reads
-        # Property expansion to fixpoint: reading `sim.now` covers Clock._now.
+        # Property expansion to fixpoint: reading a property covers the
+        # attributes its getter reads.
         for _ in range(4):
             grew = False
             for name in list(covered):

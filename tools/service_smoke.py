@@ -14,6 +14,16 @@ same root and asserts:
 * the journal replay is clean (no skipped lines beyond the torn tail the
   kill itself may have left).
 
+The kill needs a window that a journal poll (every :data:`POLL_S`) can
+see: one job done while the next is journaled running, which lasts about
+one job's run time.  So the batch's jobs are sized from a measured
+per-job time, not a fixed horizon.  Before serving, this process runs the
+batch's first config at ``--sim-time`` (once to warm up, then timed, as
+the serve lane's warm worker would run it) and scales the horizon by
+``TARGET_JOB_S / measured`` until one job takes at least
+:data:`TARGET_JOB_S` (one second, 20 polls).  A slower machine only
+lengthens the window.
+
 On failure the service root (journal, cache, report) is left in
 ``--artifact-dir`` for CI to upload.
 
@@ -33,6 +43,15 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+#: How often the kill window is polled for (seconds).
+POLL_S = 0.05
+#: The least time one computed job of the batch should take on the serve
+#: lane's warm worker (seconds): the kill window lasts about that long.
+TARGET_JOB_S = 1.0
+#: Horizon growth per sizing step, at most; the run time is close to
+#: linear in the horizon, but a short run is dominated by its set-up.
+MAX_GROWTH = 20.0
 
 
 def cli(*argv: str, check: bool = True) -> subprocess.CompletedProcess:
@@ -62,8 +81,35 @@ def wait_for_mid_batch(journal: Path, budget: float = 120.0) -> bool:
                     continue
         if "done" in events and events[-1] == "running":
             return True
-        time.sleep(0.05)
+        time.sleep(POLL_S)
     return False
+
+
+def job_seconds(sim_time: float, nodes: int) -> float:
+    """Run time of the batch's first job at horizon *sim_time*, measured in
+    this process after one untimed run (the serve lane's worker is warm)."""
+    from repro.experiments.runner import run_scenario
+    from repro.service.cli import make_batch
+    from repro.snapshot.restore import decode_config
+
+    entry = make_batch(1, 0, sim_time=sim_time, nodes=nodes)[0]
+    config = decode_config(entry["config"])
+    run_scenario(config)
+    start = time.perf_counter()
+    run_scenario(config)
+    return time.perf_counter() - start
+
+
+def sized_sim_time(sim_time: float, nodes: int) -> float:
+    """The smallest horizon, from *sim_time* up, at which one job takes at
+    least :data:`TARGET_JOB_S` here (see the module docstring)."""
+    while True:
+        seconds = job_seconds(sim_time, nodes)
+        print(f"one job at sim-time {sim_time:g} s took {seconds:.3f} s")
+        if seconds >= TARGET_JOB_S:
+            return sim_time
+        growth = min(MAX_GROWTH, 1.2 * TARGET_JOB_S / max(seconds, 1e-3))
+        sim_time = float(round(sim_time * growth))
 
 
 def proc_stat(pid: int) -> tuple[str, int] | None:
@@ -107,7 +153,9 @@ def main(argv: list[str] | None = None) -> int:
                              "service-smoke; kept on failure)")
     parser.add_argument("--jobs", type=int, default=3)
     parser.add_argument("--duplicates", type=int, default=2)
-    parser.add_argument("--sim-time", type=float, default=60.0)
+    parser.add_argument("--sim-time", type=float, default=60.0,
+                        help="smallest per-job horizon; raised until one "
+                             "job takes TARGET_JOB_S (default 60)")
     args = parser.parse_args(argv)
 
     workdir = Path(args.artifact_dir)
@@ -117,10 +165,12 @@ def main(argv: list[str] | None = None) -> int:
     batch = workdir / "batch.json"
     root = workdir / "root"
 
+    nodes = 5
+    sim_time = sized_sim_time(args.sim_time, nodes)
     cli(
         "make-batch", "--out", str(batch), "--jobs", str(args.jobs),
         "--duplicates", str(args.duplicates),
-        "--sim-time", str(args.sim_time), "--nodes", "5",
+        "--sim-time", str(sim_time), "--nodes", str(nodes),
     )
     serve = (
         "serve", "--root", str(root), "--batch", str(batch),
