@@ -60,13 +60,3 @@ def best_of(fn, repeats: int = 3) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def figure_payload(data):
-    """JSON-friendly dump of a FigureData."""
-    return {
-        "figure": data.figure,
-        "x_label": data.x_label,
-        "x_values": [list(x) if isinstance(x, tuple) else x for x in data.x_values],
-        "series": data.series,
-    }

@@ -19,13 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import figure_payload, run_once
-from repro.experiments.figures import (
-    PAPER_METRICS,
-    fig8_buffer,
-    fig8_copies,
-    fig8_rate,
-)
+from benchmarks.conftest import run_once
+from repro.experiments.figures import PAPER_METRICS, metric_sweep
 
 REPLICATES = 2
 SEED = 8
@@ -59,10 +54,11 @@ def test_fig8_copies_sweep(benchmark, record_figure):
     """Fig. 8(a-c): metrics vs initial copies L."""
     data = run_once(
         benchmark,
-        lambda: fig8_copies(replicates=REPLICATES, workers=1, seed=SEED),
+        lambda: metric_sweep("rwp", "copies", replicates=REPLICATES,
+                             workers=1, seed=SEED),
     )
     _print(data)
-    record_figure("fig8_copies", figure_payload(data))
+    record_figure("fig8_copies", data.payload())
     _assert_paper_shape(data)
     # Paper: SnW-O's delivery declines as L grows.
     snwo = data.series["snw-o"]["delivery_ratio"]
@@ -77,10 +73,11 @@ def test_fig8_buffer_sweep(benchmark, record_figure):
     """Fig. 8(d-f): metrics vs buffer size."""
     data = run_once(
         benchmark,
-        lambda: fig8_buffer(replicates=REPLICATES, workers=1, seed=SEED),
+        lambda: metric_sweep("rwp", "buffer", replicates=REPLICATES,
+                             workers=1, seed=SEED),
     )
     _print(data)
-    record_figure("fig8_buffer", figure_payload(data))
+    record_figure("fig8_buffer", data.payload())
     _assert_paper_shape(data)
     # Paper: delivery ratio rises with buffer size for every policy.
     for policy in data.series:
@@ -93,10 +90,11 @@ def test_fig8_rate_sweep(benchmark, record_figure):
     """Fig. 8(g-i): metrics vs message generation interval."""
     data = run_once(
         benchmark,
-        lambda: fig8_rate(replicates=REPLICATES, workers=1, seed=SEED),
+        lambda: metric_sweep("rwp", "rate", replicates=REPLICATES,
+                             workers=1, seed=SEED),
     )
     _print(data)
-    record_figure("fig8_rate", figure_payload(data))
+    record_figure("fig8_rate", data.payload())
     _assert_paper_shape(data)
     # Paper: less traffic (larger interval) -> higher delivery ratio.
     for policy in data.series:

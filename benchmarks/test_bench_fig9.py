@@ -16,13 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import figure_payload, run_once
-from repro.experiments.figures import (
-    PAPER_METRICS,
-    fig9_buffer,
-    fig9_copies,
-    fig9_rate,
-)
+from benchmarks.conftest import run_once
+from repro.experiments.figures import PAPER_METRICS, metric_sweep
 
 REPLICATES = 2
 SEED = 8
@@ -53,11 +48,11 @@ def test_fig9_copies_sweep(benchmark, record_figure):
     """Fig. 9(a-c): metrics vs initial copies L under taxi mobility."""
     data = run_once(
         benchmark,
-        lambda: fig9_copies(replicates=REPLICATES, workers=1, seed=SEED,
-                            node_factor=NODE_FACTOR),
+        lambda: metric_sweep("epfl", "copies", replicates=REPLICATES,
+                             workers=1, seed=SEED, node_factor=NODE_FACTOR),
     )
     _print(data)
-    record_figure("fig9_copies", figure_payload(data))
+    record_figure("fig9_copies", data.payload())
     _assert_taxi_shape(data)
 
 
@@ -66,11 +61,11 @@ def test_fig9_buffer_sweep(benchmark, record_figure):
     """Fig. 9(d-f): metrics vs buffer size under taxi mobility."""
     data = run_once(
         benchmark,
-        lambda: fig9_buffer(replicates=REPLICATES, workers=1, seed=SEED,
-                            node_factor=NODE_FACTOR),
+        lambda: metric_sweep("epfl", "buffer", replicates=REPLICATES,
+                             workers=1, seed=SEED, node_factor=NODE_FACTOR),
     )
     _print(data)
-    record_figure("fig9_buffer", figure_payload(data))
+    record_figure("fig9_buffer", data.payload())
     _assert_taxi_shape(data)
     for policy in data.series:
         series = data.series[policy]["delivery_ratio"]
@@ -82,11 +77,11 @@ def test_fig9_rate_sweep(benchmark, record_figure):
     """Fig. 9(g-i): metrics vs generation interval under taxi mobility."""
     data = run_once(
         benchmark,
-        lambda: fig9_rate(replicates=REPLICATES, workers=1, seed=SEED,
-                          node_factor=NODE_FACTOR),
+        lambda: metric_sweep("epfl", "rate", replicates=REPLICATES,
+                             workers=1, seed=SEED, node_factor=NODE_FACTOR),
     )
     _print(data)
-    record_figure("fig9_rate", figure_payload(data))
+    record_figure("fig9_rate", data.payload())
     _assert_taxi_shape(data)
     # Sec. IV-B-2: with aggregation, lower traffic cuts SnW-C's useless
     # forwardings — its overhead falls as the interval grows.

@@ -7,9 +7,11 @@ Quick use::
     summary = run_scenario(random_waypoint_scenario(policy="sdsrp"))
     print(summary.table_row())
 
-Figure reproduction lives in :mod:`repro.experiments.figures`, with paper-
-scale parameter grids behind ``full=True`` and reduced-scale defaults that
-preserve the orderings (see DESIGN.md §4).
+Figure reproduction lives in :mod:`repro.experiments.figures`:
+``metric_sweep("rwp", "copies")`` is Fig. 8(a-c), ``metric_sweep("epfl",
+"buffer")`` Fig. 9(d-f), with paper-scale parameter grids behind
+``full=True`` and reduced-scale defaults that preserve the orderings (see
+DESIGN.md §4).
 """
 
 from repro.experiments.checkpoint import SweepCheckpoint, config_fingerprint
@@ -17,15 +19,7 @@ from repro.experiments.figures import (
     PAPER_POLICIES,
     FigureData,
     fig3_intermeeting,
-    fig4_priority_curve,
-    fig8_buffer,
-    fig8_churn,
-    fig8_copies,
-    fig8_rate,
-    fig9_buffer,
-    fig9_churn,
-    fig9_copies,
-    fig9_rate,
+    metric_sweep,
     reduced,
 )
 from repro.experiments.runner import (
@@ -50,15 +44,7 @@ __all__ = [
     "config_fingerprint",
     "epfl_scenario",
     "fig3_intermeeting",
-    "fig4_priority_curve",
-    "fig8_buffer",
-    "fig8_churn",
-    "fig8_copies",
-    "fig8_rate",
-    "fig9_buffer",
-    "fig9_churn",
-    "fig9_copies",
-    "fig9_rate",
+    "metric_sweep",
     "random_waypoint_scenario",
     "reduced",
     "replicate",

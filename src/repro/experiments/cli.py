@@ -8,6 +8,7 @@ Subcommands regenerate the paper's artifacts::
     repro-experiments fig8 --axis copies --workers 8              # reduced scale
     repro-experiments fig8 --axis copies --full --workers 16      # paper scale
     repro-experiments fig9 --axis buffer --replicates 3
+    repro-experiments fig-validate --axis copies                  # analytic overlay
 
 ``--json FILE`` additionally dumps the raw series for plotting.
 """
@@ -19,14 +20,11 @@ import json
 import sys
 from typing import Any
 
+from repro.analysis.taylor import priority_curve
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.experiments import figures as F
 from repro.experiments.runner import build_scenario, run_built
-from repro.experiments.scenario import (
-    ScenarioConfig,
-    epfl_scenario,
-    random_waypoint_scenario,
-)
+from repro.experiments.scenario import ScenarioConfig
 from repro.faults.plan import FaultPlan
 from repro.obs.trace import DEFAULT_TRACE_CAPACITY, format_record
 from repro.reports.summary import RunSummary
@@ -38,10 +36,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="also dump results as JSON")
 
 
-def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
+def _add_sweep_args(parser: argparse.ArgumentParser,
+                    axes: tuple[str, ...]) -> None:
     _add_common(parser)
-    parser.add_argument("--axis", choices=("copies", "buffer", "rate", "churn"),
-                        default="copies")
+    parser.add_argument("--axis", choices=axes, default="copies")
     parser.add_argument("--full", action="store_true",
                         help="paper-scale grids (slow)")
     parser.add_argument("--replicates", type=int, default=1)
@@ -90,8 +88,7 @@ def _run_analytic(config: ScenarioConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    base = random_waypoint_scenario() if args.scenario == "rwp" else epfl_scenario()
-    config = base.replace(
+    config = F.preset(args.scenario).replace(
         policy=args.policy, seed=args.seed, initial_copies=args.copies,
         engine_backend=args.engine,
     )
@@ -152,18 +149,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figsweep(args: argparse.Namespace, scenario: str) -> int:
-    fn = {
-        ("fig8", "copies"): F.fig8_copies,
-        ("fig8", "buffer"): F.fig8_buffer,
-        ("fig8", "rate"): F.fig8_rate,
-        ("fig8", "churn"): F.fig8_churn,
-        ("fig9", "copies"): F.fig9_copies,
-        ("fig9", "buffer"): F.fig9_buffer,
-        ("fig9", "rate"): F.fig9_rate,
-        ("fig9", "churn"): F.fig9_churn,
-    }[(scenario, args.axis)]
-    data = fn(
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """fig8, fig9 and fig-validate: run the sweep, print one table per
+    metric and any failed runs, and optionally dump the figure JSON."""
+    sweep = F.fig_validate if args.command == "fig-validate" else F.metric_sweep
+    data = sweep(
+        args.scenario,
+        args.axis,
         full=args.full,
         policies=tuple(args.policies),
         replicates=args.replicates,
@@ -181,44 +173,7 @@ def _cmd_figsweep(args: argparse.Namespace, scenario: str) -> int:
         for failure in data.failures:
             print(f"  {failure.table_row()}")
     if args.json:
-        _dump_json(args.json, {
-            "figure": data.figure,
-            "x_label": data.x_label,
-            "x_values": data.x_values,
-            "series": data.series,
-            "failures": [f.as_dict() for f in data.failures],
-        })
-    return 1 if data.failures else 0
-
-
-def _cmd_figvalidate(args: argparse.Namespace) -> int:
-    data = F.fig_validate(
-        scenario=args.scenario,
-        axis=args.axis,
-        full=args.full,
-        policies=tuple(args.policies),
-        replicates=args.replicates,
-        workers=args.workers,
-        seed=args.seed,
-        retries=args.retries,
-        timeout=args.timeout,
-        resume=args.resume,
-    )
-    for metric in F.PAPER_METRICS:
-        print(data.metric_table(metric))
-        print()
-    if data.failures:
-        print(f"{len(data.failures)} run(s) failed:")
-        for failure in data.failures:
-            print(f"  {failure.table_row()}")
-    if args.json:
-        _dump_json(args.json, {
-            "figure": data.figure,
-            "x_label": data.x_label,
-            "x_values": data.x_values,
-            "series": data.series,
-            "failures": [f.as_dict() for f in data.failures],
-        })
+        _dump_json(args.json, data.payload())
     return 1 if data.failures else 0
 
 
@@ -243,7 +198,7 @@ def _cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
-    curves = F.fig4_priority_curve()
+    curves = priority_curve()
     p_r = curves["p_r"]
     ideal = curves["ideal"]
     peak = float(p_r[int(ideal.argmax())])
@@ -266,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one scenario")
     _add_common(p_run)
-    p_run.add_argument("--scenario", choices=("rwp", "epfl"), default="rwp")
+    p_run.add_argument("--scenario", choices=tuple(F.SCENARIOS), default="rwp")
     p_run.add_argument("--policy", default="sdsrp")
     p_run.add_argument("--copies", type=int, default=32)
     p_run.add_argument("--engine", choices=("scalar", "analytic"),
@@ -311,33 +266,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig3 = sub.add_parser("fig3", help="intermeeting distribution fit")
     _add_common(p_fig3)
-    p_fig3.add_argument("--scenario", choices=("rwp", "epfl"), default="rwp")
+    p_fig3.add_argument("--scenario", choices=tuple(F.SCENARIOS), default="rwp")
     p_fig3.add_argument("--full", action="store_true")
 
     p_fig4 = sub.add_parser("fig4", help="priority curves")
     _add_common(p_fig4)
 
-    for fig in ("fig8", "fig9"):
+    for scenario, (fig, _) in F.SCENARIOS.items():
         p = sub.add_parser(fig, help=f"{fig} metric sweeps")
-        _add_sweep_args(p)
+        _add_sweep_args(p, tuple(F.AXES))
+        p.set_defaults(scenario=scenario)
 
     p_val = sub.add_parser(
         "fig-validate",
         help="fig8/fig9 sweep with the analytic mean-field overlay "
              "(see docs/analytic.md)",
     )
-    _add_common(p_val)
-    p_val.add_argument("--scenario", choices=("rwp", "epfl"), default="rwp")
-    p_val.add_argument("--axis", choices=F.VALIDATE_AXES, default="copies")
-    p_val.add_argument("--full", action="store_true",
-                       help="paper-scale grids (slow)")
-    p_val.add_argument("--replicates", type=int, default=1)
-    p_val.add_argument("--workers", type=int, default=None)
-    p_val.add_argument("--policies", nargs="+", default=list(F.PAPER_POLICIES))
-    p_val.add_argument("--resume", type=str, default=None, metavar="PATH")
-    p_val.add_argument("--retries", type=int, default=0)
-    p_val.add_argument("--timeout", type=float, default=None,
-                       metavar="SECONDS")
+    _add_sweep_args(p_val, F.VALIDATE_AXES)
+    p_val.add_argument("--scenario", choices=tuple(F.SCENARIOS), default="rwp")
 
     sub.add_parser(
         "chaos",
@@ -366,10 +312,8 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_fig3(args)
     if args.command == "fig4":
         return _cmd_fig4(args)
-    if args.command in ("fig8", "fig9"):
-        return _cmd_figsweep(args, args.command)
-    if args.command == "fig-validate":
-        return _cmd_figvalidate(args)
+    if args.command in ("fig8", "fig9", "fig-validate"):
+        return _cmd_sweep(args)
     raise AssertionError(f"unhandled command {args.command}")
 
 

@@ -1,4 +1,11 @@
-"""Figure/table generators — one entry point per paper artifact.
+"""Figure generators for the paper's evaluation.
+
+:func:`metric_sweep` draws every panel of Figs. 8 and 9: one
+:data:`SCENARIOS` name (``"rwp"`` for Fig. 8, ``"epfl"`` for Fig. 9) by one
+:data:`AXES` name.  :func:`fig_validate` overlays the analytic model on
+such a sweep, and :func:`fig3_intermeeting` fits Fig. 3's intermeeting
+distribution.  Fig. 4's curves are
+:func:`repro.analysis.taylor.priority_curve`.
 
 Every generator supports two scales:
 
@@ -10,8 +17,9 @@ Every generator supports two scales:
   Minutes on a laptop, preserves the paper's orderings (EXPERIMENTS.md
   records the comparison).
 
-Returned :class:`FigureData` holds one series per policy per metric and can
-render itself as the text table the benchmarks print.
+Returned :class:`FigureData` holds one series per policy per metric; it
+renders the text tables the CLI and the benchmarks print and the JSON
+payload they write.
 """
 
 from __future__ import annotations
@@ -21,8 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analysis.fitting import ExponentialFit, fit_exponential
-from repro.analysis.taylor import priority_curve
-from repro.experiments.runner import run_scenario
+from repro.experiments.runner import build_scenario, run_scenario
 from repro.experiments.scenario import (
     ScenarioConfig,
     epfl_scenario,
@@ -75,7 +82,8 @@ class FigureData:
     x_values: list[Any]
     #: policy -> metric -> list aligned with x_values.
     series: dict[str, dict[str, list[float]]]
-    #: policy -> metric -> per-x lists of raw replicate summaries.
+    #: policy -> per-x lists of replicate summaries (one list per x value,
+    #: one summary per successful replicate).
     raw: dict[str, list[list[RunSummary]]] = field(default_factory=dict)
     #: Runs that produced no summary (crash-safe sweeps; empty otherwise).
     failures: list[FailedRun] = field(default_factory=list)
@@ -89,6 +97,18 @@ class FigureData:
             vals = " ".join(f"{v:>11.3f}" for v in metrics[metric])
             lines.append(f"{policy:<10} {vals}")
         return "\n".join(lines)
+
+    def payload(self) -> dict[str, Any]:
+        """The figure as JSON-ready data: what ``--json`` writes, the
+        benchmarks record and the golden tests pin."""
+        return {
+            "figure": self.figure,
+            "x_label": self.x_label,
+            "x_values": [list(x) if isinstance(x, tuple) else x
+                         for x in self.x_values],
+            "series": self.series,
+            "failures": [f.as_dict() for f in self.failures],
+        }
 
     @staticmethod
     def _fmt_x(x: Any) -> str:
@@ -117,26 +137,126 @@ def reduced(
     )
 
 
-def _sweep_figure(
-    figure: str,
-    base: ScenarioConfig,
-    x_label: str,
-    x_values: Sequence[Any],
-    apply_x: Callable[[ScenarioConfig, Any], ScenarioConfig],
-    policies: Sequence[str],
-    replicates: int,
-    workers: int | None,
+# -- Fig. 8 (random-waypoint) and Fig. 9 (EPFL substitute) --------------------
+
+#: The paper's two evaluation scenarios: name -> (figure, preset).  "rwp" is
+#: Table II's random waypoint (Fig. 8), "epfl" Table III's taxi fleet (Fig. 9).
+SCENARIOS: dict[str, tuple[str, Callable[[], ScenarioConfig]]] = {
+    "rwp": ("fig8", random_waypoint_scenario),
+    "epfl": ("fig9", epfl_scenario),
+}
+#: Sweep axis -> the panels of Figs. 8 and 9 it draws.  Churn is a
+#: robustness extension, not a paper panel.
+AXES: dict[str, str] = {
+    "copies": "a-c",
+    "buffer": "d-f",
+    "rate": "g-i",
+    "churn": "churn",
+}
+
+
+def preset(scenario: str) -> ScenarioConfig:
+    """The paper preset of a :data:`SCENARIOS` name."""
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    return SCENARIOS[scenario][1]()
+
+
+def _axis_plan(
+    scenario: str,
+    axis: str,
+    full: bool,
+    seed: int,
+    node_factor: float | None,
+    time_factor: float | None,
+) -> tuple[
+    ScenarioConfig, str, Sequence[Any],
+    Callable[[ScenarioConfig, Any], ScenarioConfig],
+]:
+    """One sweep's grid as ``(base, x_label, x_values, apply_x)``.
+
+    Shared by :func:`metric_sweep` and the ``fig-validate`` analytic
+    overlay so both evaluate *exactly* the same grid points.
+    """
+    paper = preset(scenario)
+    base = paper.replace(seed=seed)
+    if not full:
+        base = reduced(base, node_factor, time_factor)
+    fleet_factor = base.n_nodes / paper.n_nodes
+    if axis == "copies":
+        values: Sequence[Any] = FULL_COPIES if full else REDUCED_COPIES
+        # x values stay in paper units; the applied L scales with the fleet
+        # so L/N (spray saturation) matches the paper's operating points.
+        return (
+            base, "initial copies L", values,
+            lambda c, x: c.replace(initial_copies=max(2, round(x * fleet_factor))),
+        )
+    if axis == "buffer":
+        values = FULL_BUFFERS_MB if full else REDUCED_BUFFERS_MB
+        return (
+            base, "buffer size (MB)", values,
+            lambda c, x: c.replace(buffer_bytes=megabytes(x)),
+        )
+    if axis == "rate":
+        values = FULL_RATES if full else REDUCED_RATES
+        # The reduction rescales interval_range to keep per-node load; apply
+        # the same factor to each swept interval (both presets start at
+        # [25, 35], so the factor is base.interval[0]/25).
+        scale = base.interval_range[0] / 25.0
+        return (
+            base, "generation interval (s)", values,
+            lambda c, x: c.replace(interval_range=(x[0] * scale, x[1] * scale)),
+        )
+    if axis == "churn":
+        values = FULL_CHURN if full else REDUCED_CHURN
+        # Robustness extension: x is the churned fleet fraction on a
+        # 1/5-horizon duty cycle (1 h off / 1 h on at paper scale).
+        duty = base.sim_time / 5.0
+        return (
+            base, "churned node fraction", values,
+            lambda c, x: c.replace(
+                faults=FaultPlan(
+                    churn_fraction=x, churn_off_time=duty, churn_on_time=duty
+                )
+            ) if x else c,
+        )
+    raise ValueError(f"unknown axis {axis!r}")
+
+
+def metric_sweep(
+    scenario: str,
+    axis: str,
+    *,
+    full: bool = False,
+    policies: Sequence[str] = PAPER_POLICIES,
+    replicates: int = 1,
+    workers: int | None = None,
+    seed: int = 1,
+    node_factor: float | None = None,
+    time_factor: float | None = None,
     retries: int = 0,
     timeout: float | None = None,
     resume: str | None = None,
 ) -> FigureData:
-    """Run the (policy × x × replicate) grid and aggregate.
+    """Figs. 8 and 9: the paper's metrics over one axis of one scenario.
 
-    With ``retries``/``timeout``/``resume`` set, the sweep runs on the
-    crash-safe path: failed grid points become :class:`FailedRun` entries in
-    :attr:`FigureData.failures` instead of aborting the whole grid, and an
-    interrupted sweep resumes from the ``resume`` checkpoint file.
+    ``scenario`` is a :data:`SCENARIOS` name and ``axis`` an :data:`AXES`
+    name: ``metric_sweep("rwp", "copies")`` is Fig. 8(a-c), RWP metrics vs
+    initial copies at buffer 2.5 MB and rate 25-35 s, and
+    ``metric_sweep("epfl", "buffer")`` is Fig. 9(d-f).  The ``churn`` axis
+    is a robustness extension: it cycles a growing fraction of the fleet
+    off/on (1/5-horizon duty cycle) under otherwise paper conditions.
+
+    Runs the (policy × x × replicate) grid and aggregates it.  With
+    ``retries``/``timeout``/``resume`` set, the sweep runs on the crash-safe
+    path (see :func:`repro.experiments.sweep.run_many`): failed grid points
+    become :class:`FailedRun` entries in :attr:`FigureData.failures` instead
+    of aborting the whole grid, and an interrupted sweep resumes from the
+    ``resume`` checkpoint file.
     """
+    base, x_label, x_values, apply_x = _axis_plan(
+        scenario, axis, full, seed, node_factor, time_factor
+    )
     configs: list[ScenarioConfig] = []
     index: list[tuple[str, int]] = []
     for policy in policies:
@@ -171,182 +291,13 @@ def _sweep_figure(
         for policy in policies
     }
     return FigureData(
-        figure=figure,
+        figure=f"{SCENARIOS[scenario][0]}({AXES[axis]})",
         x_label=x_label,
         x_values=list(x_values),
         series=series,
         raw=grid,
         failures=failures,
     )
-
-
-# -- Fig. 8 (random-waypoint) and Fig. 9 (EPFL substitute) --------------------
-
-
-def _axis_plan(
-    base: ScenarioConfig, axis: str, full: bool, node_factor: float
-) -> tuple[str, Sequence[Any], Callable[[ScenarioConfig, Any], ScenarioConfig]]:
-    """One sweep axis as ``(x_label, x_values, apply_x)``.
-
-    Shared by the simulated sweeps and the ``fig-validate`` analytic
-    overlay so both evaluate *exactly* the same grid points.
-    """
-    if axis == "copies":
-        values: Sequence[Any] = FULL_COPIES if full else REDUCED_COPIES
-        # x values stay in paper units; the applied L scales with the fleet
-        # so L/N (spray saturation) matches the paper's operating points.
-        return (
-            "initial copies L", values,
-            lambda c, x: c.replace(initial_copies=max(2, round(x * node_factor))),
-        )
-    if axis == "buffer":
-        values = FULL_BUFFERS_MB if full else REDUCED_BUFFERS_MB
-        return (
-            "buffer size (MB)", values,
-            lambda c, x: c.replace(buffer_bytes=megabytes(x)),
-        )
-    if axis == "rate":
-        values = FULL_RATES if full else REDUCED_RATES
-        # The reduction rescales interval_range to keep per-node load; apply
-        # the same factor to each swept interval (both presets start at
-        # [25, 35], so the factor is base.interval[0]/25).
-        scale = base.interval_range[0] / 25.0
-        return (
-            "generation interval (s)", values,
-            lambda c, x: c.replace(interval_range=(x[0] * scale, x[1] * scale)),
-        )
-    if axis == "churn":
-        values = FULL_CHURN if full else REDUCED_CHURN
-        # Robustness extension: x is the churned fleet fraction on a
-        # 1/5-horizon duty cycle (1 h off / 1 h on at paper scale).
-        duty = base.sim_time / 5.0
-        return (
-            "churned node fraction", values,
-            lambda c, x: c.replace(
-                faults=FaultPlan(
-                    churn_fraction=x, churn_off_time=duty, churn_on_time=duty
-                )
-            ) if x else c,
-        )
-    raise ValueError(f"unknown axis {axis!r}")
-
-
-def _metric_sweep(
-    figure: str,
-    base: ScenarioConfig,
-    axis: str,
-    full: bool,
-    policies: Sequence[str],
-    replicates: int,
-    workers: int | None,
-    seed: int,
-    node_factor: float | None = None,
-    time_factor: float | None = None,
-    retries: int = 0,
-    timeout: float | None = None,
-    resume: str | None = None,
-) -> FigureData:
-    original_nodes = base.n_nodes
-    base = base.replace(seed=seed)
-    if not full:
-        base = reduced(base, node_factor, time_factor)
-    x_label, values, apply_x = _axis_plan(
-        base, axis, full, base.n_nodes / original_nodes
-    )
-    return _sweep_figure(
-        figure, base, x_label, values, apply_x, policies, replicates,
-        workers, retries=retries, timeout=timeout, resume=resume,
-    )
-
-
-def fig8_copies(full: bool = False, policies: Sequence[str] = PAPER_POLICIES,
-                replicates: int = 1, workers: int | None = None,
-                seed: int = 1, node_factor: float | None = None,
-                time_factor: float | None = None, **resilience: Any) -> FigureData:
-    """Fig. 8(a-c): RWP metrics vs initial copies (buffer 2.5 MB, rate 25-35 s).
-
-    All ``fig8_*``/``fig9_*`` generators accept the crash-safe sweep options
-    ``retries=N``, ``timeout=SECONDS`` and ``resume=PATH`` (see
-    :func:`repro.experiments.sweep.run_many`).
-    """
-    return _metric_sweep("fig8(a-c)", random_waypoint_scenario(), "copies",
-                         full, policies, replicates, workers, seed,
-                         node_factor, time_factor, **resilience)
-
-
-def fig8_buffer(full: bool = False, policies: Sequence[str] = PAPER_POLICIES,
-                replicates: int = 1, workers: int | None = None,
-                seed: int = 1, node_factor: float | None = None,
-                time_factor: float | None = None, **resilience: Any) -> FigureData:
-    """Fig. 8(d-f): RWP metrics vs buffer size (L=32, rate 25-35 s)."""
-    return _metric_sweep("fig8(d-f)", random_waypoint_scenario(), "buffer",
-                         full, policies, replicates, workers, seed,
-                         node_factor, time_factor, **resilience)
-
-
-def fig8_rate(full: bool = False, policies: Sequence[str] = PAPER_POLICIES,
-              replicates: int = 1, workers: int | None = None,
-              seed: int = 1, node_factor: float | None = None,
-              time_factor: float | None = None, **resilience: Any) -> FigureData:
-    """Fig. 8(g-i): RWP metrics vs generation interval (L=32, 2.5 MB)."""
-    return _metric_sweep("fig8(g-i)", random_waypoint_scenario(), "rate",
-                         full, policies, replicates, workers, seed,
-                         node_factor, time_factor, **resilience)
-
-
-def fig8_churn(full: bool = False, policies: Sequence[str] = PAPER_POLICIES,
-               replicates: int = 1, workers: int | None = None,
-               seed: int = 1, node_factor: float | None = None,
-               time_factor: float | None = None, **resilience: Any) -> FigureData:
-    """Robustness extension: RWP metrics vs churned node fraction.
-
-    Not a paper figure — it answers "how does SDSRP's priority ranking
-    degrade under node churn?" by cycling a growing fraction of the fleet
-    off/on (1/5-horizon duty cycle) under otherwise Table-II conditions.
-    """
-    return _metric_sweep("fig8(churn)", random_waypoint_scenario(), "churn",
-                         full, policies, replicates, workers, seed,
-                         node_factor, time_factor, **resilience)
-
-
-def fig9_copies(full: bool = False, policies: Sequence[str] = PAPER_POLICIES,
-                replicates: int = 1, workers: int | None = None,
-                seed: int = 1, node_factor: float | None = None,
-                time_factor: float | None = None, **resilience: Any) -> FigureData:
-    """Fig. 9(a-c): taxi-trace metrics vs initial copies."""
-    return _metric_sweep("fig9(a-c)", epfl_scenario(), "copies",
-                         full, policies, replicates, workers, seed,
-                         node_factor, time_factor, **resilience)
-
-
-def fig9_buffer(full: bool = False, policies: Sequence[str] = PAPER_POLICIES,
-                replicates: int = 1, workers: int | None = None,
-                seed: int = 1, node_factor: float | None = None,
-                time_factor: float | None = None, **resilience: Any) -> FigureData:
-    """Fig. 9(d-f): taxi-trace metrics vs buffer size."""
-    return _metric_sweep("fig9(d-f)", epfl_scenario(), "buffer",
-                         full, policies, replicates, workers, seed,
-                         node_factor, time_factor, **resilience)
-
-
-def fig9_rate(full: bool = False, policies: Sequence[str] = PAPER_POLICIES,
-              replicates: int = 1, workers: int | None = None,
-              seed: int = 1, node_factor: float | None = None,
-              time_factor: float | None = None, **resilience: Any) -> FigureData:
-    """Fig. 9(g-i): taxi-trace metrics vs generation interval."""
-    return _metric_sweep("fig9(g-i)", epfl_scenario(), "rate",
-                         full, policies, replicates, workers, seed,
-                         node_factor, time_factor, **resilience)
-
-
-def fig9_churn(full: bool = False, policies: Sequence[str] = PAPER_POLICIES,
-               replicates: int = 1, workers: int | None = None,
-               seed: int = 1, node_factor: float | None = None,
-               time_factor: float | None = None, **resilience: Any) -> FigureData:
-    """Robustness extension: taxi-trace metrics vs churned node fraction."""
-    return _metric_sweep("fig9(churn)", epfl_scenario(), "churn",
-                         full, policies, replicates, workers, seed,
-                         node_factor, time_factor, **resilience)
 
 
 # -- fig-validate: analytic overlay on the simulated sweeps -------------------
@@ -361,43 +312,39 @@ VALIDATE_AXES = ("copies", "buffer", "rate")
 def fig_validate(
     scenario: str = "rwp",
     axis: str = "copies",
+    *,
     full: bool = False,
-    policies: Sequence[str] = PAPER_POLICIES,
-    replicates: int = 1,
-    workers: int | None = None,
     seed: int = 1,
     node_factor: float | None = None,
     time_factor: float | None = None,
-    **resilience: Any,
+    **sweep: Any,
 ) -> FigureData:
-    """A fig8/fig9 sweep with the mean-field prediction overlaid.
+    """A :func:`metric_sweep` with the mean-field prediction overlaid.
 
     Runs the usual simulated (policy × x) grid, then evaluates the *same*
     grid points through ``engine_backend="analytic"`` and attaches the
     result as one extra series keyed :data:`ANALYTIC_SERIES`.  The analytic
     model has no buffer-policy axis — its curve is the mean-field
     prediction the simulated policies should bracket, which is exactly the
-    cross-check the preset exists to draw (docs/analytic.md).
+    cross-check the preset exists to draw (docs/analytic.md).  ``sweep``
+    takes :func:`metric_sweep`'s other keywords.
     """
     if axis not in VALIDATE_AXES:
         raise ValueError(
             f"fig-validate supports axes {VALIDATE_AXES}, not {axis!r}"
         )
-    base = random_waypoint_scenario() if scenario == "rwp" else epfl_scenario()
-    figure = f"fig-validate({scenario}/{axis})"
-    data = _metric_sweep(figure, base, axis, full, policies, replicates,
-                         workers, seed, node_factor, time_factor, **resilience)
+    data = metric_sweep(scenario, axis, full=full, seed=seed,
+                        node_factor=node_factor, time_factor=time_factor,
+                        **sweep)
+    data.figure = f"fig-validate({scenario}/{axis})"
 
-    overlay = base.replace(seed=seed)
-    if not full:
-        overlay = reduced(overlay, node_factor, time_factor)
-    _, values, apply_x = _axis_plan(
-        overlay, axis, full, overlay.n_nodes / base.n_nodes
+    base, _, x_values, apply_x = _axis_plan(
+        scenario, axis, full, seed, node_factor, time_factor
     )
-    overlay = overlay.replace(policy="fifo", engine_backend="analytic")
+    overlay = base.replace(policy="fifo", engine_backend="analytic")
     series: dict[str, list[float]] = {m: [] for m in PAPER_METRICS}
     raw: list[list[RunSummary]] = []
-    for x in values:
+    for x in x_values:
         summary = run_scenario(apply_x(overlay, x))
         for metric in PAPER_METRICS:
             series[metric].append(float(getattr(summary, metric)))
@@ -415,11 +362,11 @@ def fig3_intermeeting(
 ) -> tuple[ExponentialFit, Any]:
     """Fig. 3: intermeeting-time distribution and its exponential fit.
 
-    Returns ``(fit, samples)`` for the requested scenario ("rwp" or "epfl").
+    Returns ``(fit, samples)`` for the requested :data:`SCENARIOS` name.
     Traffic is disabled (generation pushed past the horizon) — contacts are
     a pure mobility property.
     """
-    base = random_waypoint_scenario() if scenario == "rwp" else epfl_scenario()
+    base = preset(scenario)
     if not full:
         base = reduced(base)
     horizon = base.sim_time
@@ -428,24 +375,15 @@ def fig3_intermeeting(
         interval_range=(horizon * 10, horizon * 10 + 1),
         policy="fifo",
     )
-    from repro.experiments.runner import build_scenario
-
     built = build_scenario(config)
     built.sim.run()
     samples = built.contacts.intermeeting_samples()
     return fit_exponential(samples), samples
 
 
-# -- Fig. 4: priority curves ----------------------------------------------------
-
-
-def fig4_priority_curve(**kwargs: Any) -> dict[str, Any]:
-    """Fig. 4: U_i vs P(R_i) — idealization and Taylor truncations."""
-    return priority_curve(**kwargs)
-
-
 __all__ = [
     "ANALYTIC_SERIES",
+    "AXES",
     "FULL_BUFFERS_MB",
     "FULL_CHURN",
     "FULL_COPIES",
@@ -456,19 +394,13 @@ __all__ = [
     "REDUCED_CHURN",
     "REDUCED_COPIES",
     "REDUCED_RATES",
+    "SCENARIOS",
     "VALIDATE_AXES",
     "FigureData",
     "fig3_intermeeting",
     "fig_validate",
-    "fig4_priority_curve",
-    "fig8_buffer",
-    "fig8_churn",
-    "fig8_copies",
-    "fig8_rate",
-    "fig9_buffer",
-    "fig9_churn",
-    "fig9_copies",
-    "fig9_rate",
+    "metric_sweep",
+    "preset",
     "reduced",
     "run_scenario",
 ]

@@ -2,40 +2,23 @@
 
 A classic queue-policy baseline from Lindgren & Phanse [9]; not in the
 paper's comparison but useful as an extra reference point in the extended
-benchmarks.
+benchmarks.  It keeps FIFO's arrival bookkeeping and reverses both ranks.
 """
 
 from __future__ import annotations
 
 from repro.net.message import Message
-from repro.policies.base import BufferPolicy
+from repro.policies.fifo import FifoPolicy
 
 
-class LifoPolicy(BufferPolicy):
+class LifoPolicy(FifoPolicy):
     """Send newest first; drop newest first (newcomer loses ties)."""
 
     name = "lifo"
     compare_newcomer = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._arrival: dict[str, int] = {}
-        self._counter = 0
-
-    def _order(self, message: Message) -> int:
-        if message.msg_id not in self._arrival:
-            self._arrival[message.msg_id] = self._counter
-            self._counter += 1
-        return self._arrival[message.msg_id]
 
     def send_priority(self, message: Message, now: float) -> float:
         return float(self._order(message))
 
     def drop_priority(self, message: Message, now: float) -> float:
         return -float(self._order(message))
-
-    def on_message_added(self, message: Message, now: float) -> None:
-        self._order(message)
-
-    def on_message_dropped(self, message: Message, now: float, reason: str) -> None:
-        self._arrival.pop(message.msg_id, None)

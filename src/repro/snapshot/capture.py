@@ -46,7 +46,6 @@ from repro.mobility.taxi import TaxiFleet
 from repro.mobility.trace import TraceMobility
 from repro.net.message import Message
 from repro.policies.fifo import FifoPolicy
-from repro.policies.lifo import LifoPolicy
 from repro.policies.mofo import MofoPolicy
 from repro.policies.random_drop import RandomPolicy
 from repro.routing.prophet import ProphetRouter
@@ -219,7 +218,7 @@ def _capture_policy_state(policy: Any) -> dict[str, Any] | None:
             "kind": "sdsrp",
             "dropped": None if store is None else _capture_dropped(store),
         }
-    if isinstance(policy, (FifoPolicy, LifoPolicy)):
+    if isinstance(policy, FifoPolicy):  # and its subclass LifoPolicy
         return {
             "kind": "arrival",
             "arrival": [[mid, n] for mid, n in policy._arrival.items()],

@@ -52,7 +52,6 @@ from repro.mobility.trace import TraceMobility
 from repro.net.message import Message
 from repro.net.transfer import Transfer
 from repro.policies.fifo import FifoPolicy
-from repro.policies.lifo import LifoPolicy
 from repro.policies.mofo import MofoPolicy
 from repro.policies.random_drop import RandomPolicy
 from repro.routing.prophet import ProphetRouter
@@ -358,7 +357,7 @@ def _restore_policy_state(policy: Any, data: dict[str, Any] | None) -> None:
                 )
             store.load(records)
     elif kind == "arrival":
-        if not isinstance(policy, (FifoPolicy, LifoPolicy)):
+        if not isinstance(policy, FifoPolicy):  # and its subclass LifoPolicy
             raise SnapshotError(
                 f"snapshot has FIFO/LIFO state but policy is "
                 f"{type(policy).__name__}"

@@ -1,22 +1,19 @@
 """A network node: buffer + radio + router + live neighbor set.
 
 Positions are owned by the :class:`~repro.world.world.World` (vectorized
-mobility), not by the node, so the node object stays cheap; ``node.position``
-reads back the world's current array row for convenience.
+mobility), not by the node, so the node object stays cheap.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.net.buffer import MessageBuffer
 from repro.world.radio import Radio
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.routing.base import Router
-    from repro.world.world import DueSet, World
+    from repro.world.world import DueSet
 
 
 class Node:
@@ -42,7 +39,6 @@ class Node:
         #: :meth:`wake` and :meth:`sleep` keep in step; None until a world
         #: takes this node.
         self.due: "DueSet | None" = None
-        self._world: "World | None" = None
 
     def attach_router(self, router: "Router") -> None:
         """Wire the routing protocol driving this node."""
@@ -66,17 +62,6 @@ class Node:
         offer it here again."""
         for peer in self.neighbors.values():
             peer.wake()
-
-    def attach_world(self, world: "World") -> None:
-        """Called by the world when the node is registered."""
-        self._world = world
-
-    @property
-    def position(self) -> np.ndarray:
-        """Current (x, y) in meters; requires world registration."""
-        if self._world is None:
-            raise RuntimeError(f"node {self.id} is not attached to a world")
-        return self._world.positions[self.id]
 
     def is_connected_to(self, other: "Node") -> bool:
         """True while a live link to *other* exists."""

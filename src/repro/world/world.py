@@ -202,8 +202,6 @@ class World:
         self._ranges = np.array([n.radio.range_m for n in self.nodes])
         self._max_range = float(self._ranges.max())
         self._uniform_range = bool(np.all(self._ranges == self._ranges[0]))
-        for node in self.nodes:
-            node.attach_world(self)
         self.due = DueSet(self.nodes)
 
     def start(self, rng: np.random.Generator) -> None:
@@ -332,7 +330,3 @@ class World:
     def links(self) -> frozenset[tuple[int, int]]:
         """The current link set as (i, j) with i < j, decoded on each read."""
         return frozenset(decode(self.link_keys, len(self.nodes)))
-
-    def node(self, node_id: int) -> Node:
-        """Node by id."""
-        return self.nodes[node_id]

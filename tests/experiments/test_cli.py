@@ -72,6 +72,15 @@ def test_fig9_command(capsys):
     assert "fig9(d-f)" in out
 
 
+def test_fig_validate_command(capsys, tmp_path):
+    out_file = tmp_path / "validate.json"
+    assert main(["fig-validate", "--policies", "fifo", "--workers", "1",
+                 "--json", str(out_file)]) == 0
+    payload = json.loads(out_file.read_text())
+    assert payload["figure"] == "fig-validate(rwp/copies)"
+    assert set(payload["series"]) == {"fifo", "analytic"}
+
+
 def test_run_epfl_scenario(capsys):
     assert main(["run", "--scenario", "epfl", "--policy", "snw-c",
                  "--reduced"]) == 0
@@ -166,7 +175,7 @@ def test_sweep_reports_failures_and_exits_nonzero(capsys, tmp_path,
     broken = S.random_waypoint_scenario().replace(
         mobility="trace", trace_path=str(tmp_path / "missing.txt")
     )
-    monkeypatch.setattr(F, "random_waypoint_scenario", lambda: broken)
+    monkeypatch.setitem(F.SCENARIOS, "rwp", ("fig8", lambda: broken))
     monkeypatch.setattr(F, "REDUCED_COPIES", (16,))
     assert main(["fig8", "--axis", "copies", "--policies", "fifo",
                  "--workers", "1", "--retries", "1"]) == 1

@@ -24,12 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.figures import (
-    ANALYTIC_SERIES,
-    fig8_copies,
-    fig9_copies,
-    fig_validate,
-)
+from repro.experiments.figures import ANALYTIC_SERIES, fig_validate, metric_sweep
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -38,15 +33,6 @@ NODE_FACTOR = 0.12
 TIME_FACTOR = 0.06
 POLICIES = ("fifo", "sdsrp")
 SEED = 1
-
-
-def figure_payload(data) -> dict:
-    return {
-        "figure": data.figure,
-        "x_label": data.x_label,
-        "x_values": [list(x) if isinstance(x, tuple) else x for x in data.x_values],
-        "series": data.series,
-    }
 
 
 def check_golden(name: str, payload: dict) -> None:
@@ -78,21 +64,21 @@ def check_golden(name: str, payload: dict) -> None:
 
 
 def test_fig8_copies_matches_golden():
-    data = fig8_copies(
-        policies=POLICIES, replicates=1, workers=1, seed=SEED,
+    data = metric_sweep(
+        "rwp", "copies", policies=POLICIES, replicates=1, workers=1, seed=SEED,
         node_factor=NODE_FACTOR, time_factor=TIME_FACTOR,
     )
     assert not data.failures
-    check_golden("fig8_copies", figure_payload(data))
+    check_golden("fig8_copies", data.payload())
 
 
 def test_fig9_copies_matches_golden():
-    data = fig9_copies(
-        policies=POLICIES, replicates=1, workers=1, seed=SEED,
+    data = metric_sweep(
+        "epfl", "copies", policies=POLICIES, replicates=1, workers=1, seed=SEED,
         node_factor=NODE_FACTOR, time_factor=TIME_FACTOR,
     )
     assert not data.failures
-    check_golden("fig9_copies", figure_payload(data))
+    check_golden("fig9_copies", data.payload())
 
 
 def test_fig_validate_copies_matches_golden():
@@ -105,4 +91,4 @@ def test_fig_validate_copies_matches_golden():
     )
     assert not data.failures
     assert ANALYTIC_SERIES in data.series
-    check_golden("fig_validate_copies", figure_payload(data))
+    check_golden("fig_validate_copies", data.payload())

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import py_compile
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,18 @@ def test_examples_exist():
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
 def test_example_compiles(path):
     py_compile.compile(str(path), doraise=True)
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_example_imports(path, monkeypatch):
+    # Loaded as a module, not as __main__: its imports run, its main() does
+    # not, so a renamed or deleted library name fails here.
+    name = f"example_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)

@@ -1,23 +1,6 @@
 """Node wiring."""
 
-import pytest
-
-from repro.units import kbps
-from repro.world.node import Node
-from repro.world.radio import Radio
 from tests.helpers import build_micro_world
-
-
-def test_position_requires_world():
-    node = Node(0, Radio(100.0, kbps(250)), buffer_capacity=1000)
-    with pytest.raises(RuntimeError):
-        _ = node.position
-
-
-def test_position_reads_world_array():
-    mw = build_micro_world(points=[(10.0, 20.0), (500.0, 500.0)])
-    mw.sim.run(until=1.0)
-    assert tuple(mw.nodes[0].position) == (10.0, 20.0)
 
 
 def test_neighbor_tracking():

@@ -719,7 +719,6 @@ REBUILT_ON_RESTORE: dict[tuple[str, str], str] = {
     ("MessageBuffer", "on_expiry"): "hook re-installed when the rebuilt world builds its DueSet",
     ("RandomPolicy", "_rng"): "stream re-bound by attach(); state travels with RngFactory state_dict",
     ("MessageFateReport", "fates"): "opt-in post-run report, never part of a snapshot-capable run",
-    ("Node", "_world"): "re-bound via attach_world when the world is rebuilt",
     ("PeriodicSnapshotter", "latest"): "holds the snapshot payload itself; only _next_at is state",
 }
 
