@@ -108,29 +108,28 @@ perf-pairs:
 # Each sweep checkpoints to *.ckpt.jsonl, so a killed run resumes from its
 # completed grid points when you re-run the target.
 figures-full:
-	$(PYTHON) -m repro.experiments fig8 --axis copies --full --workers 4 --resume fig8_copies.ckpt.jsonl --json fig8_copies.json
-	$(PYTHON) -m repro.experiments fig8 --axis buffer --full --workers 4 --resume fig8_buffer.ckpt.jsonl --json fig8_buffer.json
-	$(PYTHON) -m repro.experiments fig8 --axis rate   --full --workers 4 --resume fig8_rate.ckpt.jsonl --json fig8_rate.json
-	$(PYTHON) -m repro.experiments fig9 --axis copies --full --workers 4 --resume fig9_copies.ckpt.jsonl --json fig9_copies.json
-	$(PYTHON) -m repro.experiments fig9 --axis buffer --full --workers 4 --resume fig9_buffer.ckpt.jsonl --json fig9_buffer.json
-	$(PYTHON) -m repro.experiments fig9 --axis rate   --full --workers 4 --resume fig9_rate.ckpt.jsonl --json fig9_rate.json
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig8 --axis copies --full --workers 4 --resume fig8_copies.ckpt.jsonl --json fig8_copies.json
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig8 --axis buffer --full --workers 4 --resume fig8_buffer.ckpt.jsonl --json fig8_buffer.json
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig8 --axis rate   --full --workers 4 --resume fig8_rate.ckpt.jsonl --json fig8_rate.json
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig9 --axis copies --full --workers 4 --resume fig9_copies.ckpt.jsonl --json fig9_copies.json
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig9 --axis buffer --full --workers 4 --resume fig9_buffer.ckpt.jsonl --json fig9_buffer.json
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig9 --axis rate   --full --workers 4 --resume fig9_rate.ckpt.jsonl --json fig9_rate.json
 
 fig3:
-	$(PYTHON) -m repro.experiments fig3 --scenario rwp
-	$(PYTHON) -m repro.experiments fig3 --scenario epfl
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig3 --scenario rwp
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig3 --scenario epfl
 
 fig4:
-	$(PYTHON) -m repro.experiments fig4
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig4
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/priority_walkthrough.py
-	$(PYTHON) examples/intermeeting_analysis.py
-	$(PYTHON) examples/buffer_policy_comparison.py
-	$(PYTHON) examples/taxi_trace_scenario.py
-	$(PYTHON) examples/custom_policy.py
-	$(PYTHON) examples/contact_trace_replay.py
-	$(PYTHON) examples/message_fate_analysis.py
+	PYTHONPATH=src $(PYTHON) examples/quickstart.py
+	PYTHONPATH=src $(PYTHON) examples/priority_walkthrough.py
+	PYTHONPATH=src $(PYTHON) examples/intermeeting_analysis.py
+	PYTHONPATH=src $(PYTHON) examples/buffer_policy_comparison.py
+	PYTHONPATH=src $(PYTHON) examples/taxi_trace_scenario.py
+	PYTHONPATH=src $(PYTHON) examples/custom_policy.py
+	PYTHONPATH=src $(PYTHON) examples/message_fate_analysis.py
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache

@@ -19,6 +19,7 @@ from benchmarks.conftest import run_once
 from repro.experiments import random_waypoint_scenario, scale_scenario
 from repro.experiments.figures import REDUCED_INTERVAL_FACTOR
 from repro.experiments.sweep import replicate, run_many, summarize_replicates
+from repro.reports.summary import FailedRun
 
 REPLICATES = 3
 SEED = 8
@@ -36,6 +37,9 @@ def base_config(policy: str = "sdsrp", **kw):
 
 def run_variant(config):
     summaries = run_many(replicate(config, REPLICATES), workers=1)
+    for summary in summaries:
+        if isinstance(summary, FailedRun):  # not a smaller mean
+            pytest.fail(summary.traceback or summary.table_row())
     return {
         "delivery_ratio": summarize_replicates(summaries, "delivery_ratio"),
         "overhead_ratio": summarize_replicates(summaries, "overhead_ratio"),

@@ -12,10 +12,12 @@ Run:  python examples/buffer_policy_comparison.py [--replicates N]
 from __future__ import annotations
 
 import argparse
+import sys
 
 from repro.experiments import random_waypoint_scenario, scale_scenario
 from repro.experiments.figures import PAPER_POLICIES, REDUCED_INTERVAL_FACTOR
 from repro.experiments.sweep import replicate, run_many, summarize_replicates
+from repro.reports.summary import FailedRun
 
 METRICS = ("delivery_ratio", "average_hopcount", "overhead_ratio")
 
@@ -45,6 +47,9 @@ def main() -> None:
     for policy in args.policies:
         configs = replicate(base.replace(policy=policy), args.replicates)
         summaries = run_many(configs, workers=args.workers)
+        for summary in summaries:
+            if isinstance(summary, FailedRun):  # not a smaller mean
+                sys.exit(summary.traceback or summary.table_row())
         row = f"{policy:<14}"
         for metric in METRICS:
             row += f"{summarize_replicates(summaries, metric):>20.3f}"

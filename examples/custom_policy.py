@@ -12,12 +12,15 @@ Run:  python examples/custom_policy.py
 
 from __future__ import annotations
 
+import sys
+
 from repro.experiments import random_waypoint_scenario, scale_scenario
 from repro.experiments.figures import REDUCED_INTERVAL_FACTOR
 from repro.experiments.sweep import replicate, run_many, summarize_replicates
 from repro.net.message import Message
 from repro.policies.base import StaticRankPolicy
 from repro.policies.registry import available_policies, register_policy
+from repro.reports.summary import FailedRun
 
 
 class HybridPolicy(StaticRankPolicy):
@@ -63,6 +66,9 @@ def main() -> None:
             base.replace(policy=policy, policy_kwargs=kwargs), 2
         )
         summaries = run_many(configs, workers=1)
+        for summary in summaries:
+            if isinstance(summary, FailedRun):  # not a smaller mean
+                sys.exit(summary.traceback or summary.table_row())
         label = policy + (f"(w={kwargs['weight']})" if kwargs else "")
         print(
             f"{label:<22}"

@@ -24,11 +24,11 @@ Subpackages
 :mod:`repro.routing`      Spray-and-Wait and baseline routers
 :mod:`repro.policies`     buffer policies (FIFO, SnW-O, SnW-C, extras)
 :mod:`repro.core`         **SDSRP** — the paper's contribution
-:mod:`repro.traces`       movement/contact trace I/O, EPFL loader
+:mod:`repro.traces`       movement trace I/O, EPFL loader
 :mod:`repro.reports`      metrics (delivery/hops/overhead), contact stats
 :mod:`repro.analysis`     exponential fits (Fig. 3), priority curves (Fig. 4)
 :mod:`repro.experiments`  scenario presets, sweeps, figure generators, CLI
-:mod:`repro.parallel`     worker processes: ordered map, crash-safe lanes
+:mod:`repro.parallel`     worker processes: crash-safe supervised lanes
 ========================  ====================================================
 """
 

@@ -37,7 +37,7 @@ class TransferError(ReproError):
 
 
 class TraceFormatError(ReproError, ValueError):
-    """An external movement/contact trace file could not be parsed."""
+    """An external movement trace file could not be parsed."""
 
 
 class SchedulingError(ReproError):

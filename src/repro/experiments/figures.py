@@ -85,7 +85,7 @@ class FigureData:
     #: policy -> per-x lists of replicate summaries (one list per x value,
     #: one summary per successful replicate).
     raw: dict[str, list[list[RunSummary]]] = field(default_factory=dict)
-    #: Runs that produced no summary (crash-safe sweeps; empty otherwise).
+    #: Runs that produced no summary (empty when every run completed).
     failures: list[FailedRun] = field(default_factory=list)
 
     def metric_table(self, metric: str) -> str:
@@ -247,12 +247,12 @@ def metric_sweep(
     is a robustness extension: it cycles a growing fraction of the fleet
     off/on (1/5-horizon duty cycle) under otherwise paper conditions.
 
-    Runs the (policy × x × replicate) grid and aggregates it.  With
-    ``retries``/``timeout``/``resume`` set, the sweep runs on the crash-safe
-    path (see :func:`repro.experiments.sweep.run_many`): failed grid points
-    become :class:`FailedRun` entries in :attr:`FigureData.failures` instead
-    of aborting the whole grid, and an interrupted sweep resumes from the
-    ``resume`` checkpoint file.
+    Runs the (policy × x × replicate) grid and aggregates it (see
+    :func:`repro.experiments.sweep.run_many`): failed grid points become
+    :class:`FailedRun` entries in :attr:`FigureData.failures` instead of
+    aborting the whole grid, ``retries`` reruns them, ``timeout`` bounds
+    each run, and an interrupted sweep resumes from the ``resume``
+    checkpoint file.
     """
     base, x_label, x_values, apply_x = _axis_plan(
         scenario, axis, full, seed, node_factor, time_factor

@@ -4,11 +4,11 @@ Thin, deterministic glue between scenario configs and worker processes:
 
 * :func:`replicate` — n seeds per config (seed derivation is stable under
   reordering, see :func:`repro.rng.derive_seed`);
-* :func:`run_many` — run a list of configs, serial or parallel, preserving
-  input order; with any resilience option set it switches to the crash-safe
-  path (failures become :class:`~repro.reports.summary.FailedRun` records in
-  place, optionally retried with fresh derived seeds and checkpointed to a
-  resumable JSONL file);
+* :func:`run_many` — run a list of configs on the worker supervisor,
+  serial or parallel, preserving input order; failures become
+  :class:`~repro.reports.summary.FailedRun` records in place, optionally
+  retried with fresh derived seeds and checkpointed to a resumable JSONL
+  file;
 * :func:`summarize_replicates` — average metric values over replicates.
 """
 
@@ -23,15 +23,15 @@ from repro.experiments.checkpoint import (
     SweepResult,
     config_fingerprint,
 )
-from repro.experiments.runner import run_scenario, run_scenario_safe
+from repro.experiments.runner import run_scenario_safe
 from repro.experiments.scenario import ScenarioConfig
-from repro.parallel.pool import default_workers, parallel_map
 from repro.parallel.supervisor import (
     BACKOFF_BASE,
     BACKOFF_CAP,
     JobOutcome,
     WorkerSupervisor,
     backoff_delays,
+    default_workers,
 )
 from repro.reports.summary import FailedRun, RunSummary
 from repro.rng import derive_seed
@@ -58,7 +58,6 @@ def run_many(
     configs: Sequence[ScenarioConfig],
     workers: int | None = None,
     *,
-    safe: bool = False,
     retries: int = 0,
     timeout: float | None = None,
     checkpoint: str | None = None,
@@ -67,14 +66,14 @@ def run_many(
 
     ``workers=None`` uses all cores minus one; ``workers=1`` forces serial.
 
-    The default path propagates the first failure, exactly as before.  With
-    ``safe=True`` (implied by ``retries``, ``timeout`` or ``checkpoint``)
-    the configs run on a :class:`~repro.parallel.supervisor.WorkerSupervisor`
-    (inline when serial), and every failure — a raising scenario, a hung
-    worker (``timeout`` seconds after its item was handed to it; it is
-    killed), or a dying worker process — is returned as a
-    :class:`FailedRun` record in the failing config's slot instead of
-    poisoning the sweep:
+    The configs run on a :class:`~repro.parallel.supervisor.WorkerSupervisor`:
+    inline when the sweep is serial or has at most one config left to run,
+    on worker lanes otherwise, and on at least one lane whenever
+    ``timeout`` is set, since a hung run can only be stopped by killing its
+    worker.  Every failure — a raising scenario, a hung worker (``timeout``
+    seconds after its item was handed to it; it is killed), or a dying
+    worker process — is returned as a :class:`FailedRun` record in the
+    failing config's slot instead of poisoning the sweep:
 
     * ``retries`` re-runs failed items up to that many extra times, each
       attempt with a fresh seed derived from the original (a pathological
@@ -86,11 +85,8 @@ def run_many(
       config fingerprint; re-running with the same path skips configs whose
       summaries are already recorded (``--resume`` in the CLI).
     """
-    configs = list(configs)
-    if not (safe or retries or timeout is not None or checkpoint):
-        return parallel_map(run_scenario, configs, workers=workers)
     return _run_resilient(
-        configs,
+        list(configs),
         workers=default_workers() if workers is None else workers,
         retries=retries,
         timeout=timeout,
@@ -119,16 +115,18 @@ def _run_resilient(
             if hit is not None:
                 results[i] = hit
 
+    pending = [i for i in range(len(configs)) if i not in results]
     # The sweep keeps its own retry policy (whole rounds, a fresh seed per
-    # round), so the supervisor runs each submission exactly once.
-    # workers <= 1 runs inline, in input order.
+    # round), so the supervisor runs each submission exactly once.  A
+    # serial sweep, or one with a single config left, runs inline, in
+    # input order, unless a timeout needs a worker to kill.
+    inline = timeout is None and (workers <= 1 or len(pending) <= 1)
     supervisor = WorkerSupervisor(
-        workers if workers > 1 else 0,
+        0 if inline else max(1, workers),
         run_fn=run_scenario_safe,
         timeout=timeout,
         max_attempts=1,
     )
-    pending = [i for i in range(len(configs)) if i not in results]
     try:
         for attempt in range(retries + 1):
             if not pending:

@@ -1,9 +1,8 @@
 """Fault injector: turns a :class:`~repro.faults.plan.FaultPlan` into events.
 
-The injector layers on top of a world (:class:`~repro.world.world.World` or
-:class:`~repro.world.trace_world.TraceWorld` — anything exposing
-``set_node_down`` / ``set_node_up`` / ``force_link_down``) and the
-:class:`~repro.net.transfer.TransferManager`:
+The injector layers on top of the :class:`~repro.world.world.World` (its
+``set_node_down`` / ``set_node_up`` / ``force_link_down`` fault hooks) and
+the :class:`~repro.net.transfer.TransferManager`:
 
 * churn cycles are expanded into absolute-time down/up events at
   :data:`~repro.engine.events.PRIORITY_FAULT` (after the world tick rewires
@@ -24,8 +23,7 @@ stream), so runs are bit-reproducible.
 
 from __future__ import annotations
 
-from collections.abc import Set as AbstractSet
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,23 +40,8 @@ from repro.faults.plan import (
 from repro.net.outcomes import DROP_FAULT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.simulator import Simulator
-    from repro.net.transfer import Transfer, TransferManager
-    from repro.world.node import Node
-
-
-class FaultTarget(Protocol):
-    """What the injector needs from a world implementation."""
-
-    sim: "Simulator"
-    nodes: list["Node"]
-    transfer_manager: "TransferManager"
-
-    @property
-    def links(self) -> AbstractSet[tuple[int, int]]: ...
-    def set_node_down(self, node_id: int) -> None: ...
-    def set_node_up(self, node_id: int) -> None: ...
-    def force_link_down(self, i: int, j: int) -> bool: ...
+    from repro.net.transfer import Transfer
+    from repro.world.world import World
 
 
 #: Fault kinds reported through ``fault.injected`` / ``RunSummary.faults``.
@@ -74,7 +57,7 @@ class FaultInjector:
 
     def __init__(
         self,
-        world: FaultTarget,
+        world: World,
         plan: FaultPlan,
         rng: np.random.Generator,
     ) -> None:

@@ -1,10 +1,9 @@
-"""Worker processes: a plain ordered map and the crash-safe supervisor."""
+"""Worker processes: the crash-safe supervisor and its lanes."""
 
-from repro.parallel.pool import parallel_map
 from repro.parallel.supervisor import (
     JobOutcome,
     WorkerSupervisor,
     backoff_delays,
 )
 
-__all__ = ["JobOutcome", "WorkerSupervisor", "backoff_delays", "parallel_map"]
+__all__ = ["JobOutcome", "WorkerSupervisor", "backoff_delays"]

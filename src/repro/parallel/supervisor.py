@@ -1,12 +1,14 @@
 """Supervised worker lanes: the one place scenarios run on worker processes.
 
-Crash-safe sweeps (:func:`repro.experiments.sweep.run_many`) and the job
-service (:mod:`repro.service`) both run their scenarios through
+Sweeps (:func:`repro.experiments.sweep.run_many`) and the job service
+(:mod:`repro.service`) both run their scenarios through
 :class:`WorkerSupervisor`.  Each of its ``workers`` slots is a **lane**: a
-single-process ``spawn`` executor (``ProcessPoolExecutor(max_workers=1)``,
-the start-method discipline of :mod:`repro.parallel.pool`).  A lane runs
-one job at a time, so a hang or a death belongs to exactly one job and no
-other in-flight job is charged or re-run:
+single-process executor (``ProcessPoolExecutor(max_workers=1)``) that
+always uses the ``spawn`` start method, so workers behave identically on
+Linux (fork default) and macOS/Windows (spawn default) and never inherit
+lazily-initialized parent state.  A lane runs one job at a time, so a hang
+or a death belongs to exactly one job and no other in-flight job is charged
+or re-run:
 
 * **worker death** — the lane's future fails with
   :class:`BrokenProcessPool`; the job is charged a ``WorkerDeath`` attempt
@@ -56,7 +58,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError
-from repro.parallel.pool import _pool_context
 from repro.reports.summary import FailedRun, RunSummary
 from repro.rng import RngFactory, derive_seed
 
@@ -66,6 +67,7 @@ __all__ = [
     "JobOutcome",
     "WorkerSupervisor",
     "backoff_delays",
+    "default_workers",
 ]
 
 #: Default backoff shape (a sweep's retry rounds): base * 2^(k-1) seconds
@@ -77,6 +79,16 @@ BACKOFF_CAP = 30.0
 ERROR_TIMEOUT = "WorkerTimeout"
 #: Error type recorded when the worker process died under a flight.
 ERROR_WORKER_DEATH = "WorkerDeath"
+
+
+def default_workers() -> int:
+    """A sensible worker count: physical parallelism minus one, min 1."""
+    return max(1, (os.cpu_count() or 2) - 1)
+
+
+def _pool_context() -> multiprocessing.context.BaseContext:
+    """The explicit start method used for every worker process."""
+    return multiprocessing.get_context("spawn")
 
 
 def backoff_delays(

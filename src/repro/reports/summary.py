@@ -1,8 +1,8 @@
 """One run's results as a plain record (sweep rows, table printing).
 
 Two record types: :class:`RunSummary` for a completed simulation and
-:class:`FailedRun` for one that died or timed out inside a resilient sweep
-(see :func:`repro.experiments.runner.run_scenario_safe`).  Both round-trip
+:class:`FailedRun` for one that died or timed out inside a sweep (see
+:func:`repro.experiments.runner.run_scenario_safe`).  Both round-trip
 through plain dicts so the sweep checkpoint file can persist them as JSONL.
 """
 
@@ -91,9 +91,9 @@ class RunSummary:
 class FailedRun:
     """A sweep item that did not produce a summary.
 
-    Returned (never raised) by the resilient sweep path so one crashed or
-    hung worker cannot poison a multi-hour grid; results stay in input
-    order with failures in place.
+    Returned (never raised) by the sweep path so one crashed or hung
+    worker cannot poison a multi-hour grid; results stay in input order
+    with failures in place.
     """
 
     scenario: str

@@ -1,13 +1,9 @@
-"""Trace I/O: movement traces, contact traces, and the EPFL loader."""
+"""Trace I/O: movement traces and the EPFL loader."""
 
-from repro.traces.contact_trace import ContactEvent, ContactTrace, ContactTraceRecorder
 from repro.traces.epfl import load_cabspotting_dir, parse_cabspotting_file, synthetic_epfl
 from repro.traces.format import read_movement_trace, write_movement_trace
 
 __all__ = [
-    "ContactEvent",
-    "ContactTrace",
-    "ContactTraceRecorder",
     "load_cabspotting_dir",
     "parse_cabspotting_file",
     "read_movement_trace",

@@ -10,13 +10,11 @@ the routing layer.
 from repro.world.contacts import KDTreeDetector
 from repro.world.node import Node
 from repro.world.radio import Radio
-from repro.world.trace_world import TraceWorld
 from repro.world.world import World
 
 __all__ = [
     "KDTreeDetector",
     "Node",
     "Radio",
-    "TraceWorld",
     "World",
 ]

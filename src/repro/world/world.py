@@ -6,8 +6,8 @@ with the contact detector, fires ``link.down`` (aborting in-flight
 transfers) and ``link.up`` events, purges expired messages, and gives idle
 routers a chance to start transfers.
 
-The last two steps (:func:`routing_phase`, shared with the trace-driven
-world) visit only the nodes of a :class:`DueSet`, the nodes that can act:
+The last two steps (:func:`routing_phase`) visit only the nodes of a
+:class:`DueSet`, the nodes that can act:
 
 * a buffer is purged only once its ``next_expiry`` bound has passed, and
   the purge loop walks the nodes only once the due set's ``min_expiry``
@@ -79,8 +79,7 @@ class DueSet:
     """
 
     def __init__(self, nodes: list[Node]) -> None:
-        #: Indexed by id: the worlds sharing :func:`routing_phase` hold
-        #: dense ids, sorted.
+        #: Indexed by id: the world holds dense ids, sorted.
         self.nodes = nodes
         self.awake = {node.id for node in nodes if not node.asleep}
         self.min_expiry = min(

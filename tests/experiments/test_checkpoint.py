@@ -210,15 +210,15 @@ class TestResumedSweeps:
 class TestFailureOrdering:
     def test_failed_runs_stay_in_input_order(self):
         configs = [tiny(seed=5), broken(seed=6), tiny(seed=7)]
-        results = run_many(configs, workers=1, safe=True)
+        results = run_many(configs, workers=1)
         assert isinstance(results[0], RunSummary) and results[0].seed == 5
         assert isinstance(results[1], FailedRun) and results[1].seed == 6
         assert isinstance(results[2], RunSummary) and results[2].seed == 7
 
     def test_failed_runs_in_order_across_processes(self):
         configs = [tiny(seed=5), broken(seed=6), tiny(seed=7)]
-        parallel = run_many(configs, workers=2, safe=True)
-        serial = run_many(configs, workers=1, safe=True)
+        parallel = run_many(configs, workers=2)
+        serial = run_many(configs, workers=1)
         assert stable(
             [r for r in parallel if isinstance(r, RunSummary)]
         ) == stable([r for r in serial if isinstance(r, RunSummary)])

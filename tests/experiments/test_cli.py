@@ -167,8 +167,10 @@ def test_fig8_resume_reuses_checkpointed_results(capsys, tmp_path, monkeypatch):
     assert ckpt.read_text().startswith(recorded)
 
 
+@pytest.mark.parametrize("flags", [[], ["--retries", "1"]],
+                         ids=["default", "retries"])
 def test_sweep_reports_failures_and_exits_nonzero(capsys, tmp_path,
-                                                 monkeypatch):
+                                                 monkeypatch, flags):
     # Make every grid point fail at build time: the scenario factory now
     # demands a trace file that does not exist.
     import repro.experiments.scenario as S
@@ -178,6 +180,6 @@ def test_sweep_reports_failures_and_exits_nonzero(capsys, tmp_path,
     monkeypatch.setitem(F.SCENARIOS, "rwp", ("fig8", lambda: broken))
     monkeypatch.setattr(F, "REDUCED_COPIES", (16,))
     assert main(["fig8", "--axis", "copies", "--policies", "fifo",
-                 "--workers", "1", "--retries", "1"]) == 1
+                 "--workers", "1", *flags]) == 1
     out = capsys.readouterr().out
     assert "FAILED" in out

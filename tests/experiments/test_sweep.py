@@ -7,6 +7,7 @@ import math
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import random_waypoint_scenario, scale_scenario
 from repro.experiments.sweep import replicate, run_many, summarize_replicates
+from repro.reports.summary import FailedRun, RunSummary
 
 
 def tiny(**kw):
@@ -42,6 +43,28 @@ class TestRunMany:
         a = run_many(configs, workers=1)
         b = run_many(configs, workers=1)
         assert [r.delivered for r in a] == [r.delivered for r in b]
+
+    def test_empty_input(self):
+        assert run_many([], workers=4) == []
+
+    def test_single_config_runs_inline(self, monkeypatch):
+        # One config to run starts no worker, however many are allowed.
+        import repro.parallel.supervisor as supervisor_module
+
+        def no_lanes(*args, **kwargs):
+            raise AssertionError("a one-config sweep started a worker")
+
+        monkeypatch.setattr(supervisor_module, "ProcessPoolExecutor", no_lanes)
+        [result] = run_many([tiny(seed=5)], workers=8)
+        assert isinstance(result, RunSummary) and result.seed == 5
+
+    def test_serial_sweep_honours_timeout(self):
+        # Only killing its worker stops a hung run, so a timeout puts even
+        # a serial sweep on a lane.  Lane start-up counts toward the
+        # deadline, so 0.05 s always fires.
+        [result] = run_many([tiny(seed=5)], workers=1, timeout=0.05)
+        assert isinstance(result, FailedRun)
+        assert result.error_type == "WorkerTimeout"
 
 
 class TestSummarize:

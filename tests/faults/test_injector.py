@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.sanitizer import Sanitizer
-from repro.engine.simulator import Simulator
 from repro.errors import FaultInjectionError
 from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.faults.injector import (
@@ -15,14 +14,6 @@ from repro.faults.injector import (
     KIND_NODE_UP,
     KIND_TRANSFER_FAULT,
 )
-from repro.net.transfer import TransferManager
-from repro.policies.fifo import FifoPolicy
-from repro.routing.spray_and_wait import SprayAndWaitRouter
-from repro.traces.contact_trace import ContactEvent, ContactTrace
-from repro.units import kbps, megabytes
-from repro.world.node import Node
-from repro.world.radio import Radio
-from repro.world.trace_world import TraceWorld
 from tests.helpers import build_micro_world, make_message, total_copies_in_network
 
 LINKED = [(0.0, 0.0), (50.0, 0.0)]       # inside the 100 m default range
@@ -53,58 +44,6 @@ class TestWorldFaultHooks:
         assert mw.world.force_link_down(0, 1) is False
         mw.sim.run(until=4.0)  # both endpoints healthy: re-forms next tick
         assert (0, 1) in mw.world.links
-
-
-class TestTraceWorldFaultHooks:
-    def build(self, trace: ContactTrace, sim_time: float = 30.0):
-        sim = Simulator(end_time=sim_time)
-        radio = Radio(100.0, kbps(250))
-        nodes = [Node(i, radio, megabytes(2.5)) for i in range(2)]
-        tm = TransferManager(sim)
-        for node in nodes:
-            SprayAndWaitRouter(node, FifoPolicy()).bind(sim, tm, 2)
-        world = TraceWorld(sim, nodes, tm, trace)
-        world.start()
-        return sim, world
-
-    def test_down_node_discards_recorded_contacts(self):
-        trace = ContactTrace([
-            ContactEvent(1.0, 0, 1, True),
-            ContactEvent(5.0, 0, 1, False),
-            ContactEvent(10.0, 0, 1, True),
-        ])
-        sim, world = self.build(trace)
-        ups = []
-        sim.listeners.subscribe("link.up", lambda a, b: ups.append(sim.now))
-        world.set_node_down(0)
-        sim.schedule_at(7.0, world.set_node_up, 0)
-        sim.run()
-        # The 1.0 contact never happens; rejoining at 7.0 resumes at the
-        # next recorded contact (10.0).
-        assert ups == [10.0]
-
-    def test_set_node_down_tears_down_live_links(self):
-        trace = ContactTrace([ContactEvent(1.0, 0, 1, True)])
-        sim, world = self.build(trace)
-        downs = []
-        sim.listeners.subscribe("link.down", lambda a, b: downs.append(sim.now))
-        sim.schedule_at(3.0, world.set_node_down, 1)
-        sim.run()
-        assert downs == [3.0]
-        assert world.links == set()
-
-    def test_force_link_down_reforms_at_next_trace_up(self):
-        trace = ContactTrace([
-            ContactEvent(1.0, 0, 1, True),
-            ContactEvent(10.0, 0, 1, True),  # duplicate while up; re-up after flap
-            ContactEvent(15.0, 0, 1, False),
-        ])
-        sim, world = self.build(trace)
-        ups = []
-        sim.listeners.subscribe("link.up", lambda a, b: ups.append(sim.now))
-        sim.schedule_at(2.0, world.force_link_down, 0, 1)
-        sim.run()
-        assert ups == [1.0, 10.0]
 
 
 class TestChurnInjection:

@@ -3,7 +3,7 @@
 The reproducibility contract is stronger than "same delivery ratio": the
 same :class:`ScenarioConfig` (same seed) must yield a *byte-identical* event
 trace and identical metric time series — run-to-run in one process, and
-serial vs. ``parallel_map`` spawn workers.  A drift anywhere in the event
+in-process vs. spawn workers.  A drift anywhere in the event
 ordering, RNG stream usage or float arithmetic shows up here first, as a
 trace diff instead of a mysteriously shifted figure.
 
@@ -14,12 +14,13 @@ dumps for offline diffing (CI uploads that directory as an artifact).
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro.experiments.runner import build_scenario, run_built
 from repro.experiments.scenario import ScenarioConfig
-from repro.parallel.pool import parallel_map
 from tests.obs.conftest import tiny_config
 
 #: Retain everything the tiny scenario emits (asserted: nothing evicted).
@@ -29,7 +30,7 @@ CAPACITY = 500_000
 def observed_run(config: ScenarioConfig) -> tuple[str, str]:
     """One fully observed run -> (trace JSONL, time-series JSON) strings.
 
-    Module-level (not a closure) so ``parallel_map`` can pickle it into
+    Module-level (not a closure) so a process pool can pickle it into
     spawn workers.  Returning serialized strings makes the comparison
     byte-exact and keeps the IPC payload simple.
     """
@@ -88,8 +89,11 @@ class TestReplayDeterminism:
     def test_serial_vs_parallel_workers_identical(self):
         """Spawned workers replay the exact same bytes as in-process runs."""
         configs = [tiny_config(seed=seed) for seed in (1, 2)]
-        serial = parallel_map(observed_run, configs, workers=1)
-        parallel = parallel_map(observed_run, configs, workers=2)
+        serial = [observed_run(config) for config in configs]
+        with ProcessPoolExecutor(
+            max_workers=2, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            parallel = list(pool.map(observed_run, configs))
         for config, s_run, p_run in zip(configs, serial, parallel):
             assert_identical(f"seed{config.seed}-serial-vs-parallel",
                              [s_run, p_run])

@@ -1,5 +1,5 @@
-"""Process-pool map: ordering, serial/parallel equivalence; supervised
-lanes: failure containment."""
+"""Supervised worker lanes: the spawn start method, input-order results
+inline and across lanes, and failure containment."""
 
 from __future__ import annotations
 
@@ -10,39 +10,12 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.parallel.pool import _pool_context, default_workers, parallel_map
-from repro.parallel.supervisor import WorkerSupervisor
+from repro.parallel.supervisor import (
+    WorkerSupervisor,
+    _pool_context,
+    default_workers,
+)
 from repro.reports.summary import RunSummary
-
-
-def square(x: int) -> int:
-    return x * x
-
-
-def flaky(x: int) -> int:
-    """Raises on negative inputs (picklable, for spawn workers)."""
-    if x < 0:
-        raise ValueError(f"bad item {x}")
-    return x * x
-
-
-def test_serial_path():
-    assert parallel_map(square, [1, 2, 3], workers=1) == [1, 4, 9]
-
-
-def test_empty_input():
-    assert parallel_map(square, [], workers=4) == []
-
-
-def test_single_item_runs_inline():
-    assert parallel_map(square, [7], workers=8) == [49]
-
-
-def test_parallel_matches_serial_order():
-    items = list(range(20))
-    serial = parallel_map(square, items, workers=1)
-    parallel = parallel_map(square, items, workers=2)
-    assert serial == parallel
 
 
 def test_default_workers_positive():
@@ -54,19 +27,11 @@ def test_pool_uses_spawn_start_method():
     assert _pool_context().get_start_method() == "spawn"
 
 
-class TestOnError:
-    def test_without_on_error_exceptions_propagate(self):
-        with pytest.raises(ValueError):
-            parallel_map(flaky, [2, -3, 4], workers=1)
-        with pytest.raises(ValueError):
-            parallel_map(flaky, [2, -3, 4], workers=2)
-
-
-# -- supervised lanes --------------------------------------------------------
-# Failure containment is the supervisor's job (parallel_map has none); these
-# drive it the way a sweep round does: two lanes, one attempt per job unless
-# a test asks for more.  Everything below is module-level and light to
-# import, because every spawn worker imports this module to find `act`.
+# -- failure containment -----------------------------------------------------
+# These drive the supervisor the way a sweep round does: two lanes, one
+# attempt per job unless a test asks for more.  Everything below is
+# module-level and light to import, because every spawn worker imports this
+# module to find `act`.
 
 
 @dataclass(frozen=True)
@@ -115,10 +80,11 @@ def lane_dir(tmp_path, monkeypatch):
     return tmp_path
 
 
-def supervise(jobs, *, timeout=None, max_attempts=1):
-    """Runs *jobs* on two lanes; returns (outcomes in input order, stats)."""
+def supervise(jobs, *, workers=2, timeout=None, max_attempts=1):
+    """Runs *jobs* on *workers* lanes (0: inline); returns (outcomes in
+    input order, stats)."""
     sup = WorkerSupervisor(
-        2, run_fn=act, timeout=timeout, max_attempts=max_attempts,
+        workers, run_fn=act, timeout=timeout, max_attempts=max_attempts,
         backoff_base=0.0,
     )
     outcomes = {}
@@ -150,6 +116,32 @@ def runs(logdir):
         log.stem: len(log.read_text(encoding="utf-8").splitlines())
         for log in logdir.glob("*.log")
     }
+
+
+def test_serial_path(lane_dir, monkeypatch):
+    # No lanes: every job runs inline, once, and starts no worker.
+    import repro.parallel.supervisor as supervisor_module
+
+    def no_lanes(*args, **kwargs):
+        raise AssertionError("an inline supervisor started a worker")
+
+    monkeypatch.setattr(supervisor_module, "ProcessPoolExecutor", no_lanes)
+    outcomes, _ = supervise([Job("a"), Job("b"), Job("c")], workers=0)
+    assert verdicts(outcomes) == ["a", "b", "c"]
+    assert runs(lane_dir) == {"a": 1, "b": 1, "c": 1}
+
+
+def test_parallel_matches_serial_order(lane_dir):
+    # Earlier jobs sleep longer, so the two lanes finish out of input
+    # order; the outcomes still come back in it, equal to the inline run.
+    jobs = [Job(f"j{i}", delay=0.05 * (5 - i), seed=i) for i in range(6)]
+    serial, _ = supervise(jobs, workers=0)
+    parallel, _ = supervise(jobs, workers=2)
+    def ran(outcomes):
+        return [(o.result.scenario, o.result.seed) for o in outcomes]
+
+    assert ran(parallel) == ran(serial)
+    assert ran(serial) == [(job.name, job.seed) for job in jobs]
 
 
 class TestTimeout:

@@ -1,7 +1,7 @@
 """Mutation checks: the deep rules must catch real regressions in src/.
 
 Each test copies the repo's actual ``src/`` tree, re-introduces a historic
-bug class (unsorted set teardown, a dropped snapshot codec field) and
+bug class (an unsorted set walk, a dropped snapshot codec field) and
 asserts the analyzer reports *exactly* the expected finding — no more, no
 less.  This pins the rules to the behaviour-relevant sites they exist to
 protect, not just to synthetic fixtures.
@@ -38,18 +38,18 @@ def test_unmutated_copy_is_clean(src_copy: Path):
     assert not result.findings, "\n".join(f.message for f in result.findings)
 
 
-def test_removing_sorted_in_world_teardown_yields_one_rep102(src_copy: Path):
+def test_removing_sorted_in_routing_phase_yields_one_rep102(src_copy: Path):
     _mutate(
         src_copy,
-        "src/repro/world/trace_world.py",
-        "for i, j in sorted(pair for pair in self.links if node_id in pair):",
-        "for i, j in (pair for pair in self.links if node_id in pair):",
+        "src/repro/world/world.py",
+        "for node_id in sorted(due.awake):",
+        "for node_id in due.awake:",
     )
     result = analyze(src_copy)
     assert [f.code for f in result.findings] == ["REP102"]
     finding = result.findings[0]
-    assert finding.path == "src/repro/world/trace_world.py"
-    assert "TraceWorld.set_node_down" in finding.message
+    assert finding.path == "src/repro/world/world.py"
+    assert "repro.world.world.routing_phase" in finding.message
 
 
 def test_dropping_a_snapshot_codec_field_yields_one_rep103(src_copy: Path):

@@ -251,7 +251,6 @@ def test_rep009_flags_exactly_the_marked_handlers():
     "src/repro/chaos/fuzzer.py",
     "src/repro/experiments/runner.py",
     "src/repro/experiments/sweep.py",
-    "src/repro/parallel/pool.py",
 ])
 def test_rep009_allows_designated_failure_boundaries(path):
     out = lint_source(

@@ -16,7 +16,7 @@ import json
 from repro.chaos.runner import stable_summary
 from repro.engine.events import PRIORITY_SNAPSHOT
 from repro.experiments.runner import build_scenario, run_built
-from repro.parallel.pool import _pool_context
+from repro.parallel.supervisor import _pool_context
 from repro.snapshot import fork, read_snapshot, restore, save, write_snapshot
 from tests.obs.conftest import tiny_config
 

@@ -15,30 +15,20 @@ from __future__ import annotations
 import contextlib
 from unittest import mock
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.world.trace_world as trace_world_module
 import repro.world.world as world_module
 from repro.core.dropped_list import DroppedListStore
 from repro.core.sdsrp import SdsrpPolicy
-from repro.engine.simulator import Simulator
-from repro.net.generator import MessageGenerator, TrafficSpec
 from repro.net.outcomes import DROP_OVERFLOW
-from repro.net.transfer import TransferManager
 from repro.obs.profiler import timed
 from repro.policies.fifo import FifoPolicy
-from repro.reports.metrics import MetricsCollector
 from repro.routing.base import Router
 from repro.routing.epidemic import EpidemicRouter
 from repro.routing.prophet import ProphetRouter
 from repro.routing.spray_and_wait import SprayAndWaitRouter
-from repro.traces.contact_trace import ContactEvent, ContactTrace
-from repro.units import kbps, megabytes
-from repro.world.node import Node
-from repro.world.radio import Radio
-from repro.world.trace_world import TraceWorld
+from repro.units import megabytes
 from tests.helpers import build_micro_world, make_message, scripted_mobility
 
 
@@ -95,9 +85,7 @@ def reference_try_send(self):
 
 REFERENCE_PATCHES = [
     (world_module, "routing_phase", _reference),
-    (trace_world_module, "routing_phase", _reference),
     (world_module, "link_down", reference_link_down),
-    (trace_world_module, "link_down", reference_link_down),
     (Router, "try_send", reference_try_send),
     # Every peer store is merged from, drop record or not.
     (DroppedListStore, "holds_drops", property(lambda self: True)),
@@ -246,45 +234,3 @@ def test_transfer_ending_pinned_and_expired():
     calls = assert_same_as_reference(STACKS[0], frames, ops)
     purges = [t for t, name, node in calls if name == "purge_expired" and node == 0]
     assert purges == [float(t) for t in range(6, 19)]
-
-
-# -- trace replay ----------------------------------------------------------------
-
-_event = st.tuples(
-    st.integers(0, 118), st.integers(0, 3), st.integers(0, 3), st.booleans()
-)
-
-
-def run_trace(reference, events, seed, policy_factory):
-    sim = Simulator(end_time=120.0)
-    radio = Radio(100.0, kbps(250))
-    nodes = [Node(i, radio, megabytes(1.0)) for i in range(4)]
-    tm = TransferManager(sim)
-    trace = ContactTrace([
-        ContactEvent(t + 0.25, a, b, up) for t, a, b, up in sorted(events) if a != b
-    ])
-    with as_reference(reference):
-        world = TraceWorld(sim, nodes, tm, trace)
-        for node in nodes:
-            SprayAndWaitRouter(node, policy_factory()).bind(sim, tm, len(nodes))
-        metrics = MetricsCollector()
-        metrics.subscribe(sim)
-        calls = record_calls(sim, nodes)
-        MessageGenerator(
-            sim, nodes,
-            TrafficSpec(interval_range=(3.0, 8.0), message_size=megabytes(0.5),
-                        ttl=20.0, initial_copies=4),
-            np.random.default_rng(seed),
-        ).start()
-        world.start()
-        sim.run()
-    return calls, outcome(metrics, nodes)
-
-
-@settings(max_examples=25)
-@given(events=st.lists(_event, max_size=40), seed=st.integers(0, 3),
-       policy_factory=st.sampled_from([FifoPolicy, SdsrpPolicy]))
-def test_trace_world_replay_matches_the_reference(events, seed, policy_factory):
-    calls, result = run_trace(False, events, seed, policy_factory)
-    assert (calls, result) == run_trace(True, events, seed, policy_factory)
-    assert any(name == "purge_expired" for _, name, _ in calls)

@@ -24,29 +24,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.world.trace_world as trace_world_module
 import repro.world.world as world_module
-from repro.core.sdsrp import SdsrpPolicy, SdsrpShared
-from repro.engine.simulator import Simulator
-from repro.experiments.runner import BuiltSimulation, build_scenario, run_built
+from repro.core.sdsrp import SdsrpPolicy
+from repro.experiments.runner import build_scenario, run_built
 from repro.experiments.scenario import ScenarioConfig
-from repro.net.generator import MessageGenerator, TrafficSpec
-from repro.net.transfer import TransferManager
 from repro.obs.profiler import timed
-from repro.obs.trace import EventTrace
-from repro.policies.fifo import FifoPolicy
-from repro.reports.contact_report import ContactReport
-from repro.reports.metrics import MetricsCollector
 from repro.routing.base import Router
-from repro.routing.epidemic import EpidemicRouter
 from repro.routing.prophet import ProphetRouter
 from repro.routing.spray_and_focus import SprayAndFocusRouter
-from repro.routing.spray_and_wait import SprayAndWaitRouter
-from repro.traces.contact_trace import ContactEvent, ContactTrace
 from repro.world.contacts import diff_keys
-from repro.world.node import Node
-from repro.world.radio import Radio
-from repro.world.trace_world import TraceWorld
 from repro.world.world import World
 
 # -- the reference: the link path before the time was handed down ------------
@@ -126,43 +112,6 @@ def reference_force_link_down(self, i, j):
         return False
     self.link_keys = np.delete(self.link_keys, at)
     reference_link_down(self.sim, self.transfer_manager, self.nodes[a], self.nodes[b])
-    return True
-
-
-def reference_trace_apply(self, a_id, b_id, up):
-    a, b = self.nodes[a_id], self.nodes[b_id]
-    key = (min(a_id, b_id), max(a_id, b_id))
-    if up:
-        if key in self.links:
-            return
-        if a_id in self.down_nodes or b_id in self.down_nodes:
-            return
-        self.links.add(key)
-        reference_link_up(self.sim, a, b)
-    else:
-        if key not in self.links:
-            return
-        self._drop_link(a, b)
-
-
-def reference_trace_drop_link(self, a, b):
-    self.links.discard((min(a.id, b.id), max(a.id, b.id)))
-    reference_link_down(self.sim, self.transfer_manager, a, b)
-
-
-def reference_trace_set_node_down(self, node_id):
-    if node_id in self.down_nodes:
-        return
-    self.down_nodes.add(node_id)
-    for i, j in sorted(pair for pair in self.links if node_id in pair):
-        self._drop_link(self.nodes[i], self.nodes[j])
-
-
-def reference_trace_force_link_down(self, i, j):
-    key = (min(i, j), max(i, j))
-    if key not in self.links:
-        return False
-    self._drop_link(self.nodes[key[0]], self.nodes[key[1]])
     return True
 
 
@@ -251,14 +200,8 @@ REFERENCE_PATCHES = [
     (World, "update", reference_update),
     (World, "set_node_down", reference_set_node_down),
     (World, "force_link_down", reference_force_link_down),
-    (TraceWorld, "_apply", reference_trace_apply),
-    (TraceWorld, "_drop_link", reference_trace_drop_link),
-    (TraceWorld, "set_node_down", reference_trace_set_node_down),
-    (TraceWorld, "force_link_down", reference_trace_force_link_down),
     (world_module, "link_up", reference_link_up),
     (world_module, "link_down", reference_link_down),
-    (trace_world_module, "link_up", reference_link_up),
-    (trace_world_module, "link_down", reference_link_down),
     (Router, "on_link_up", reference_on_link_up),
     (Router, "on_link_down", reference_on_link_down),
     (Router, "try_send", reference_try_send),
@@ -435,78 +378,3 @@ def test_micro_world_exercises_gossip_and_drops():
     assert '"topic":"transfer.aborted"' in jsonl
     assert samples > 0
     assert any(len(node_records) > 1 for node_records in records)
-
-
-# -- trace replay ------------------------------------------------------------------
-
-TRACE_NODES = 5
-ROUTERS = {
-    "snw": SprayAndWaitRouter,
-    "epidemic": EpidemicRouter,
-    "prophet": ProphetRouter,
-    "snf": SprayAndFocusRouter,
-}
-
-_event = st.tuples(
-    st.integers(0, 118), st.integers(0, TRACE_NODES - 1),
-    st.integers(0, TRACE_NODES - 1), st.booleans(),
-)
-_trace_op = st.one_of(
-    st.tuples(st.just("flap"), _slot, st.integers(0, TRACE_NODES - 1),
-              st.integers(0, TRACE_NODES - 1)),
-    st.tuples(st.just("down"), _slot, st.integers(0, TRACE_NODES - 1)),
-    st.tuples(st.just("up"), _slot, st.integers(0, TRACE_NODES - 1)),
-)
-
-
-def run_trace(reference, stack, events, ops, seed):
-    router_name, policy_name = stack
-    config = micro_config(stack, seed).replace(n_nodes=TRACE_NODES)
-    sim = Simulator(end_time=SIM_TIME)
-    radio = Radio(config.radio_range, config.bandwidth)
-    nodes = [Node(i, radio, config.buffer_bytes) for i in range(TRACE_NODES)]
-    tm = TransferManager(sim)
-    trace = ContactTrace([
-        ContactEvent(t + 0.25, a, b, up) for t, a, b, up in sorted(events) if a != b
-    ])
-    shared = SdsrpShared.for_fleet(TRACE_NODES) if policy_name == "sdsrp" else None
-    with as_reference(reference):
-        world = TraceWorld(sim, nodes, tm, trace)
-        for node in nodes:
-            policy = SdsrpPolicy(shared=shared) if shared is not None else FifoPolicy()
-            ROUTERS[router_name](node, policy).bind(sim, tm, TRACE_NODES)
-        metrics = MetricsCollector()
-        metrics.subscribe(sim)
-        contacts = ContactReport()
-        contacts.subscribe(sim)
-        event_trace = EventTrace(capacity=config.trace_capacity)
-        event_trace.subscribe(sim)
-        calls = record_hook_calls(sim, nodes)
-        generator = MessageGenerator(
-            sim, nodes,
-            TrafficSpec(interval_range=config.interval_range,
-                        message_size=config.message_size, ttl=config.ttl,
-                        initial_copies=config.initial_copies),
-            np.random.default_rng(seed),
-        )
-        generator.start()
-        world.start()
-        for op in ops:
-            sim.schedule_at(op[1] + 0.5, apply, world, op)
-        summary = run_built(BuiltSimulation(
-            config=config, sim=sim, world=world, nodes=nodes, metrics=metrics,
-            contacts=contacts, generator=generator, shared=shared,
-            trace=event_trace,
-        ))
-    return (
-        calls, event_trace.to_jsonl(), comparable(summary),
-        router_state(nodes), sdsrp_state(shared, nodes),
-    )
-
-
-@settings(max_examples=30, deadline=None)
-@given(stack=st.sampled_from(STACKS), events=st.lists(_event, max_size=40),
-       ops=st.lists(_trace_op, max_size=10), seed=st.integers(0, 3))
-def test_trace_world_replay_matches_the_reference(stack, events, ops, seed):
-    result = run_trace(False, stack, events, ops, seed)
-    assert result == run_trace(True, stack, events, ops, seed)

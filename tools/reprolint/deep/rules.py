@@ -478,10 +478,10 @@ Sets iterate in hash order, which varies with PYTHONHASHSEED and between
 processes; `os.listdir`/`glob` iterate in filesystem order.  If that order
 reaches simulator state — buffer contents, link transitions, RNG draws,
 emitted events, dict insertion order — two runs of the same seed diverge.
-`TraceWorld.set_node_down` is the in-tree case: the trace world keeps its
-links as a set of pairs, and taking a node down fires one `link.down`
-event per link it held, so it walks `sorted(...)` of them.  (`World` keeps
-its links as a sorted key array instead, so its events fire in key order.)
+`repro.world.world.routing_phase` is the in-tree case: the due set keeps
+its awake node ids as a set, and the idle-sender loop starts transfers
+node by node, so it walks `sorted(due.awake)`.  (`World` keeps its links
+as a sorted key array instead, so its link events fire in key order.)
 
 The taint model: iterating a set-typed expression (inferred from literals,
 annotations, `set()` constructors, set operators, class attribute types and
@@ -497,7 +497,7 @@ comprehension) or a dict from a tainted iteration is reported at the
 materialization site.
 
 Fix with `sorted(...)` at the iteration site (the repo's convention — see
-`TraceWorld.set_node_down`), or restructure so the loop only builds
+`routing_phase`), or restructure so the loop only builds
 unordered results (set/counter accumulation is safe and not flagged).
 """
 

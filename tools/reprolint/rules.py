@@ -659,9 +659,8 @@ class Rep009SwallowedInvariant(Rule):
     detected simulator bug into a silently-wrong run — the exact failure
     mode the oracle stack exists to prevent.  Only the designated failure
     boundaries may absorb broad exceptions: the chaos runner (it *is* the
-    oracle), the sweep engine's crash-safe paths (failures become
-    ``FailedRun`` records) and the worker pool.  Everywhere else in
-    ``src/repro``, either catch something narrower than
+    oracle) and the sweep engine (failures become ``FailedRun`` records).
+    Everywhere else in ``src/repro``, either catch something narrower than
     ``InvariantViolation`` or re-raise it unchanged (bare ``raise`` or
     ``raise <bound name>``; wrapping it in another exception type hides the
     invariant from the oracles and is equally flagged).
@@ -682,7 +681,6 @@ class Rep009SwallowedInvariant(Rule):
     _ALLOWED_FILES = {
         "src/repro/experiments/runner.py",
         "src/repro/experiments/sweep.py",
-        "src/repro/parallel/pool.py",
     }
 
     def _catches_broadly(self, handler: ast.ExceptHandler) -> bool:

@@ -11,9 +11,8 @@ Performance model (see ``docs/static_analysis.md``):
 * an on-disk result cache (``.reprolint_cache/``, enabled by the CLI) keyed
   by mtime + sha256 + a tool fingerprint skips unchanged files entirely —
   per-file violations and the project-rule facts are both replayed;
-* cache misses can be linted in parallel with
-  :func:`repro.parallel.pool.parallel_map` when the ``repro`` package is
-  importable (``--workers``); the runner degrades to serial otherwise.
+* cache misses can be linted in parallel on a ``spawn`` process pool
+  (``--workers``); the runner degrades to serial when the pool breaks.
 
 Robustness: a file that cannot be decoded (non-UTF-8 bytes) or parsed
 (syntax error, null bytes) is reported as a structured ``REP000`` finding
@@ -26,10 +25,12 @@ import argparse
 import ast
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path, PurePosixPath
 from typing import Any
 
@@ -145,7 +146,7 @@ def _lint_blob(
 
 
 def _lint_file_task(item: tuple[str, str]) -> dict[str, Any]:
-    """Worker entry for ``parallel_map``: lint one file from disk.
+    """Worker entry for the lint pool: lint one file from disk.
 
     Takes/returns only JSON-safe values so the spawn pool can pickle them;
     rules are re-instantiated per call (they are cheap, stateless objects).
@@ -285,27 +286,22 @@ class ResultCache:
 # -- parallel support --------------------------------------------------------
 
 
-def _resolve_parallel_map() -> Callable[..., list[Any]] | None:
-    """Import ``repro.parallel.pool.parallel_map`` if available.
+def _lint_in_pool(
+    items: list[tuple[str, str]], workers: int
+) -> list[dict[str, Any]]:
+    """Lint *items* on a ``spawn`` process pool, results in input order.
 
-    The linter lives in ``tools/`` and must not hard-depend on the linted
-    package; when ``repro`` is not importable (e.g. ``PYTHONPATH=tools``
-    only) we try the sibling ``src/`` checkout, then fall back to serial.
+    Spawn, not fork, on every platform: workers must not inherit the
+    parent's state, and the linter must not depend on the package it lints.
+    Chunked so IPC is amortized over many small files.
     """
-    try:
-        from repro.parallel.pool import parallel_map
-        return parallel_map
-    except ImportError:
-        pass
-    src = Path(__file__).resolve().parents[2] / "src"
-    if src.is_dir() and str(src) not in sys.path:
-        sys.path.append(str(src))
-        try:
-            from repro.parallel.pool import parallel_map
-            return parallel_map
-        except ImportError:
-            return None
-    return None
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(items)),
+        mp_context=multiprocessing.get_context("spawn"),
+    ) as pool:
+        return list(pool.map(
+            _lint_file_task, items, chunksize=max(1, len(items) // 32)
+        ))
 
 
 # -- public entry points -----------------------------------------------------
@@ -346,9 +342,7 @@ class LintStats:
             f"reprolint: {self.files} file(s), "
             f"{self.cache_hits} cached, {self.cache_misses} linted"
             + (
-                " (parallel)"
-                if self.parallel_workers < 0
-                else f" ({self.parallel_workers} workers)"
+                f" ({self.parallel_workers} workers)"
                 if self.parallel_workers
                 else ""
             )
@@ -370,8 +364,8 @@ def lint_paths(
 
     *cache_dir* enables the on-disk result cache (ignored when *codes*
     narrows the rule set — partial results must never poison the cache).
-    *workers* > 1 lints cache misses through ``parallel_map`` when the
-    ``repro`` package is importable; ``None`` decides automatically.
+    *workers* > 1 lints cache misses on a process pool; ``None`` decides
+    automatically (all cores but one, once there are enough misses).
     """
     started = time.perf_counter()
     stats = stats if stats is not None else LintStats()
@@ -396,45 +390,32 @@ def lint_paths(
         stats.cache_hits = cache.hits
     stats.cache_misses = len(misses)
 
-    # Phase 2: lint the misses (serial, or parallel_map when it pays off).
-    pmap: Callable[..., list[Any]] | None = None
-    effective_workers = 0
-    if misses and workers != 1 and codes is None:
-        wanted = workers if workers is not None else 0
-        if wanted > 1 or (workers is None and len(misses) >= PARALLEL_THRESHOLD):
-            pmap = _resolve_parallel_map()
-            effective_workers = wanted if wanted > 1 else 0
-    if pmap is not None:
-        items = [(name, str(file)) for name, file in misses]
+    # Phase 2: lint the misses (serial, or on a pool when it pays off).
+    pool_workers = 0
+    if len(misses) > 1 and codes is None:
+        if workers is None and len(misses) >= PARALLEL_THRESHOLD:
+            pool_workers = max(1, (os.cpu_count() or 2) - 1)
+        elif workers is not None:
+            pool_workers = workers
+    items = [(name, str(file)) for name, file in misses]
+    results: list[dict[str, Any]] | None = None
+    if pool_workers > 1:
         try:
-            results = pmap(
-                _lint_file_task,
-                items,
-                workers=effective_workers or None,
-                chunksize=max(1, len(items) // 32),
-            )
-            stats.parallel_workers = effective_workers or -1
+            results = _lint_in_pool(items, pool_workers)
+            stats.parallel_workers = pool_workers
         except Exception:
             # A broken pool (sandboxed CI, missing /dev/shm, ...) must not
             # fail lint; re-lint everything serially instead.
-            results = [_lint_file_task(item) for item in items]
-            stats.parallel_workers = 0
-        for (name, file), result in zip(misses, results):
-            per_file[name] = (result["violations"], result["facts"])
-            if cache is not None and result["sha256"] is not None:
-                cache.store(
-                    name, file, result["violations"], result["facts"],
-                    sha256=result["sha256"],
-                )
-    else:
-        for name, file in misses:
-            result = _lint_file_task((name, str(file)))
-            per_file[name] = (result["violations"], result["facts"])
-            if cache is not None and result["sha256"] is not None:
-                cache.store(
-                    name, file, result["violations"], result["facts"],
-                    sha256=result["sha256"],
-                )
+            results = None
+    if results is None:
+        results = [_lint_file_task(item) for item in items]
+    for (name, file), result in zip(misses, results):
+        per_file[name] = (result["violations"], result["facts"])
+        if cache is not None and result["sha256"] is not None:
+            cache.store(
+                name, file, result["violations"], result["facts"],
+                sha256=result["sha256"],
+            )
 
     # Phase 3: merge in collection order (project-rule state is order-
     # dependent: duplicate class names resolve last-wins, as before).
@@ -483,8 +464,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="lint cache misses with N parallel workers (requires the repro "
-        "package; default: auto)",
+        help="lint cache misses with N parallel workers (default: auto)",
     )
     parser.add_argument(
         "--stats", action="store_true",
