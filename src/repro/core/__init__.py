@@ -3,8 +3,8 @@
 * :mod:`repro.core.priority` — the delivery-probability and priority math
   (Eqs. 4-13 of the paper): broadcasting functions for curves, and
   bit-identical scalar kernels for the policy's per-message ranking.
-* :mod:`repro.core.intermeeting` — intermeeting-time estimation
-  (Definitions 1-2, Eq. 3): λ and λ_min = (N-1)λ.
+* :mod:`repro.core.intermeeting` — the fleet-shared λ estimator: Def. 2
+  node-level gaps, scaled to E(I) by Eq. 3.
 * :mod:`repro.core.dropped_list` — the gossiped dropped-message records
   (Fig. 5) used to estimate :math:`d_i(T_i)`.
 * :mod:`repro.core.spray_tree` — the binary-spray-tree estimate of
@@ -12,17 +12,13 @@
 * :mod:`repro.core.sdsrp` — the buffer policy combining all of the above
   (Algorithm 1).
 * :mod:`repro.core.oracle` — a global-knowledge oracle supplying exact
-  :math:`m_i, n_i, d_i` (ablation against the distributed estimators).
+  :math:`m_i, n_i` in place of the distributed estimates (ablation; the
+  ``-oracle`` policy names).
 """
 
 from repro.core.dropped_list import DroppedListStore, DropRecord
 from repro.core.knapsack import KnapsackSdsrpPolicy
-from repro.core.intermeeting import (
-    IntermeetingEstimator,
-    MinIntermeetingEstimator,
-    PairIntermeetingEstimator,
-    StaticIntermeetingEstimator,
-)
+from repro.core.intermeeting import MinIntermeetingEstimator
 from repro.core.oracle import GlobalInfectionOracle
 from repro.core.params import SdsrpParams
 from repro.core.priority import (
@@ -43,14 +39,11 @@ __all__ = [
     "DropRecord",
     "DroppedListStore",
     "GlobalInfectionOracle",
-    "IntermeetingEstimator",
     "KnapsackSdsrpPolicy",
     "MinIntermeetingEstimator",
-    "PairIntermeetingEstimator",
     "SdsrpParams",
     "SdsrpPolicy",
     "SdsrpShared",
-    "StaticIntermeetingEstimator",
     "delivery_probability",
     "estimate_infected",
     "exponent_coefficient",

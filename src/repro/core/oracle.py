@@ -6,7 +6,9 @@ unknown parameters can be obtained through the centralized control channel"
 implements that strong assumption — exact :math:`m_i`, :math:`n_i`,
 :math:`d_i` maintained from simulator events — so the cost of the paper's
 estimators can be quantified (``sdsrp-oracle`` vs ``sdsrp`` in the ablation
-benchmarks).
+benchmarks).  The scenario builder subscribes one per fleet for the
+``-oracle`` policy names, and the policy then takes :math:`m_i` and
+:math:`n_i` from it; λ still comes from the intermeeting estimator.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """SDSRP configuration knobs.
 
 The defaults reproduce the paper's strategy; the alternatives are the
-ablation axes called out in DESIGN.md §3.
+ablation axes called out in DESIGN.md §3.  Where m_i and n_i come from is
+not a knob here: the scenario builder picks it once for the fleet (the
+``-oracle`` policy names, :class:`repro.core.sdsrp.SdsrpShared`).
 """
 
 from __future__ import annotations
@@ -9,10 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-
-#: How the policy obtains m_i / n_i / d_i.
-ESTIMATOR_DISTRIBUTED = "distributed"  # paper: spray tree + dropped-list gossip
-ESTIMATOR_ORACLE = "oracle"  # ablation: exact global knowledge
 
 #: Which priority expression to evaluate.
 FORM_CLOSED = "closed"  # Eq. 10
@@ -24,53 +22,25 @@ REJECT_OWN = "own"  # reject messages this node itself dropped (default)
 REJECT_ANY = "any"  # reject messages any known record lists (aggressive)
 REJECT_OFF = "off"  # no rejection (ablation)
 
-#: How λ is sampled online (see repro.core.intermeeting).
-INTERMEETING_MIN = "min"  # Def. 2: node-level gaps, scaled by Eq. 3 (default)
-INTERMEETING_PAIR = "pair"  # Def. 1: per-pair gaps (censored in short runs)
-
 
 @dataclass(frozen=True)
 class SdsrpParams:
     """Tunable parameters of :class:`repro.core.sdsrp.SdsrpPolicy`."""
 
-    #: m/n/d source: ESTIMATOR_DISTRIBUTED or ESTIMATOR_ORACLE.
-    estimator: str = ESTIMATOR_DISTRIBUTED
     #: Priority expression: FORM_CLOSED or FORM_TAYLOR.
     priority_form: str = FORM_CLOSED
     #: Taylor truncation length when priority_form == FORM_TAYLOR.
     taylor_terms: int = 8
-    #: Online λ sampling: INTERMEETING_MIN or INTERMEETING_PAIR.
-    intermeeting_mode: str = INTERMEETING_MIN
-    #: Prior pairwise E(I) (seconds) used before the estimator has samples.
-    prior_intermeeting: float = 20000.0
-    #: Pseudo-count weight of the prior.
-    prior_weight: int = 20
     #: Dropped-list rejection rule: REJECT_OWN / REJECT_ANY / REJECT_OFF.
     reject_rule: str = REJECT_OWN
-    #: Record overflow drops in the gossiped dropped list.
-    gossip_drops: bool = True
     #: Eq. 15 reference time: False = latest spray (the paper's formula),
     #: True = current time (aggressive branch growth; ablation).
     extrapolate_spray_tree: bool = False
-    #: Prune dropped-list entries for expired messages at each contact.
-    prune_dropped_lists: bool = True
 
     def __post_init__(self) -> None:
-        if self.estimator not in (ESTIMATOR_DISTRIBUTED, ESTIMATOR_ORACLE):
-            raise ConfigurationError(f"unknown estimator {self.estimator!r}")
         if self.priority_form not in (FORM_CLOSED, FORM_TAYLOR):
             raise ConfigurationError(f"unknown priority_form {self.priority_form!r}")
         if self.taylor_terms < 1:
             raise ConfigurationError(f"taylor_terms must be >= 1: {self.taylor_terms}")
-        if self.prior_intermeeting <= 0:
-            raise ConfigurationError(
-                f"prior_intermeeting must be positive: {self.prior_intermeeting}"
-            )
-        if self.prior_weight < 1:
-            raise ConfigurationError(f"prior_weight must be >= 1: {self.prior_weight}")
         if self.reject_rule not in (REJECT_OWN, REJECT_ANY, REJECT_OFF):
             raise ConfigurationError(f"unknown reject_rule {self.reject_rule!r}")
-        if self.intermeeting_mode not in (INTERMEETING_MIN, INTERMEETING_PAIR):
-            raise ConfigurationError(
-                f"unknown intermeeting_mode {self.intermeeting_mode!r}"
-            )

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.sanitizer import Sanitizer
 from repro.core.oracle import GlobalInfectionOracle
-from repro.core.params import ESTIMATOR_ORACLE, SdsrpParams
+from repro.core.params import SdsrpParams
 from repro.core.sdsrp import SdsrpPolicy, SdsrpShared
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError, InvariantViolation, SnapshotError
@@ -34,7 +34,7 @@ from repro.obs.profiler import PhaseProfiler
 from repro.obs.timeseries import TimeSeriesCollector
 from repro.obs.trace import DEFAULT_CONTEXT_EVENTS, EventTrace
 from repro.policies.base import BufferPolicy
-from repro.policies.registry import make_policy
+from repro.policies.registry import make_policy, policy_factory
 from repro.reports.contact_report import ContactReport
 from repro.reports.metrics import MetricsCollector
 from repro.reports.summary import FailedRun, RunSummary
@@ -109,50 +109,36 @@ def _make_mobility(config: ScenarioConfig) -> MobilityModel:
     raise ConfigurationError(f"unknown mobility {config.mobility!r}")
 
 
-#: Policies of the SDSRP family share fleet state (λ estimator / oracle);
-#: the suffix "-oracle" switches any of them to exact global knowledge.
-_SHARED_FAMILY: dict[str, type[SdsrpPolicy]] = {}
-
-
-def _shared_family() -> dict[str, type[SdsrpPolicy]]:
-    if not _SHARED_FAMILY:
-        from repro.core.knapsack import KnapsackSdsrpPolicy
-        from repro.policies.gbsd import GbsdPolicy
-
-        _SHARED_FAMILY.update(
-            {
-                "sdsrp": SdsrpPolicy,
-                "sdsrp-oracle": SdsrpPolicy,
-                "sdsrp-knapsack": KnapsackSdsrpPolicy,
-                "gbsd": GbsdPolicy,
-                "gbsd-oracle": GbsdPolicy,
-            }
-        )
-    return _SHARED_FAMILY
+#: The name suffix that runs an SDSRP-family policy with exact global
+#: knowledge of m and n (``sdsrp-oracle``, ``gbsd-oracle``, ...).
+ORACLE_SUFFIX = "-oracle"
 
 
 def _make_policies(
     config: ScenarioConfig, sim: Simulator
 ) -> tuple[list[BufferPolicy], SdsrpShared | None]:
-    """One policy instance per node, plus the SDSRP shared state if any."""
-    family = _shared_family()
-    if config.policy in family:
-        cls = family[config.policy]
-        kwargs = dict(config.policy_kwargs)
-        if config.policy.endswith("-oracle"):
-            kwargs["estimator"] = ESTIMATOR_ORACLE
-        params = SdsrpParams(**kwargs)
-        oracle = None
-        if params.estimator == ESTIMATOR_ORACLE:
-            oracle = GlobalInfectionOracle()
-            oracle.subscribe(sim)
-        shared = SdsrpShared.for_fleet(config.n_nodes, params=params, oracle=oracle)
-        return [cls(shared=shared) for _ in range(config.n_nodes)], shared
-    policies = [
-        make_policy(config.policy, **config.policy_kwargs)
-        for _ in range(config.n_nodes)
-    ]
-    return policies, None
+    """One policy instance per node, plus the SDSRP shared state if any.
+
+    A registered :class:`SdsrpPolicy` subclass gets one fleet-shared state
+    built from ``policy_kwargs``; :data:`ORACLE_SUFFIX` on its name adds a
+    :class:`GlobalInfectionOracle` to it.
+    """
+    name = config.policy.removesuffix(ORACLE_SUFFIX)
+    factory = policy_factory(name)
+    if not (isinstance(factory, type) and issubclass(factory, SdsrpPolicy)):
+        policies = [
+            make_policy(config.policy, **config.policy_kwargs)
+            for _ in range(config.n_nodes)
+        ]
+        return policies, None
+    params = SdsrpParams(**config.policy_kwargs)
+    oracle = None
+    if name != config.policy:
+        oracle = GlobalInfectionOracle()
+        oracle.subscribe(sim)
+    shared = SdsrpShared.for_fleet(config.n_nodes, params=params, oracle=oracle)
+    policies = [make_policy(name, shared=shared) for _ in range(config.n_nodes)]
+    return policies, shared
 
 
 def _make_router(config: ScenarioConfig, node: Node, policy: BufferPolicy) -> Router:

@@ -71,9 +71,10 @@ def run_many(
     on worker lanes otherwise, and on at least one lane whenever
     ``timeout`` is set, since a hung run can only be stopped by killing its
     worker.  Every failure — a raising scenario, a hung worker (``timeout``
-    seconds after its item was handed to it; it is killed), or a dying
-    worker process — is returned as a :class:`FailedRun` record in the
-    failing config's slot instead of poisoning the sweep:
+    seconds after its lane was ready to run the item, so a new lane's
+    start-up is not charged; it is killed), or a dying worker process — is
+    returned as a :class:`FailedRun` record in the failing config's slot
+    instead of poisoning the sweep:
 
     * ``retries`` re-runs failed items up to that many extra times, each
       attempt with a fresh seed derived from the original (a pathological

@@ -14,10 +14,13 @@ or re-run:
   :class:`BrokenProcessPool`; the job is charged a ``WorkerDeath`` attempt
   and only that lane is replaced;
 * **hangs** — each flight carries a deadline on the supervisor's injected
-  clock, counted from when the job is handed to its lane (detection is a
+  clock, counted from when its lane is ready to run it (detection is a
   pure function of that clock, so tests drive it deterministically); an
   overdue flight's worker is killed, the job charged a ``WorkerTimeout``
-  attempt, and the lane replaced;
+  attempt, and the lane replaced.  A new lane's start-up — spawning the
+  worker and importing ``run_fn``'s module — is not the job's: with a
+  timeout, the new worker first imports that module, and the job's
+  deadline starts when the import returns;
 * **orphans** — lane workers watch their parent and exit when it dies, so
   a SIGKILLed caller leaves no worker (and no resource tracker) behind;
 * **bounded retries** — with ``max_attempts > 1`` a failed attempt is
@@ -44,6 +47,7 @@ a module-level function, so spawn workers can unpickle it, that returns a
 from __future__ import annotations
 
 import concurrent.futures
+import importlib
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -74,6 +78,11 @@ __all__ = [
 #: for retry k, capped.  The service passes its own, shorter shape.
 BACKOFF_BASE = 0.5
 BACKOFF_CAP = 30.0
+
+#: Longest wait, in real seconds, for a new lane to start before a flight's
+#: deadline starts anyway: a worker that hangs while starting is then still
+#: caught by that deadline.
+LANE_STARTUP_LIMIT = 60.0
 
 #: Error type recorded when a flight exceeds its heartbeat deadline.
 ERROR_TIMEOUT = "WorkerTimeout"
@@ -289,7 +298,9 @@ class WorkerSupervisor:
     def submit(self, job_id: str, config: Any, *, attempts: int = 0) -> None:
         """Start (or restart) a job; its outcome arrives via :meth:`poll`.
 
-        Call only while :meth:`has_capacity` holds."""
+        Call only while :meth:`has_capacity` holds.  With a timeout, a job
+        handed to a new lane waits here until the lane has started, so its
+        deadline does not count the start-up."""
         if not self.has_capacity():
             raise ConfigurationError(
                 "supervisor is marked dead or has no free lane; "
@@ -306,6 +317,7 @@ class WorkerSupervisor:
         busy = {f.lane for f in self._flights}
         flight.lane = next(i for i in range(self.workers) if i not in busy)
         executor = self._lanes[flight.lane]
+        ready = None
         if executor is None or executor._broken:
             # A worker that died idle (OOM killer, an outside kill) broke
             # its lane without failing any job; submitting to it would
@@ -316,10 +328,17 @@ class WorkerSupervisor:
                 mp_context=_pool_context(),
                 initializer=_exit_with_parent,
             )
+            if self.timeout is not None:
+                ready = executor.submit(
+                    importlib.import_module, self._run_fn.__module__
+                )
         flight.future = executor.submit(self._run_fn, flight.config)
-        flight.deadline = (
-            self._clock() + self.timeout if self.timeout is not None else None
-        )
+        if self.timeout is not None:
+            if ready is not None:
+                # A start-up that fails fails the job's own future too,
+                # which is where its error is read.
+                concurrent.futures.wait([ready], timeout=LANE_STARTUP_LIMIT)
+            flight.deadline = self._clock() + self.timeout
         self._flights.append(flight)
 
     def _run_inline(self, config: Any) -> RunSummary | FailedRun:

@@ -15,7 +15,9 @@ Additional classic policies are included as extra baselines: LIFO, random,
 MOFO (most-forwarded-first dropped) and SHLI (shortest-lifetime-first
 dropped) from Lindgren & Phanse's queue-policy study [9].
 
-Use :func:`make_policy` to construct any policy by name.
+Use :func:`make_policy` to construct any policy by name.  An SDSRP-family
+policy also takes its fleet's ``shared`` state, which the scenario runner
+builds once per run.
 """
 
 from repro.policies.base import BufferPolicy, PolicyContext

@@ -31,19 +31,23 @@ def available_policies() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def policy_factory(name: str) -> Callable[..., BufferPolicy] | None:
+    """The factory registered under *name*, or None."""
+    _ensure_builtins()
+    return _REGISTRY.get(name)
+
+
 def make_policy(name: str, **kwargs: object) -> BufferPolicy:
     """Instantiate the policy registered under *name*.
 
-    Keyword arguments are forwarded to the factory (e.g. SDSRP's estimator
-    parameters).
+    Keyword arguments are forwarded to the factory (e.g. the fleet's
+    ``shared`` state for the SDSRP family).
     """
-    _ensure_builtins()
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
+    factory = policy_factory(name)
+    if factory is None:
         raise ConfigurationError(
             f"unknown policy {name!r}; available: {available_policies()}"
-        ) from None
+        )
     return factory(**kwargs)
 
 

@@ -29,12 +29,7 @@ import dataclasses
 from typing import Any
 
 from repro.core.dropped_list import DroppedListStore
-from repro.core.intermeeting import (
-    MinIntermeetingEstimator,
-    PairIntermeetingEstimator,
-    StaticIntermeetingEstimator,
-    _RunningMean,
-)
+from repro.core.intermeeting import MinIntermeetingEstimator
 from repro.core.oracle import GlobalInfectionOracle
 from repro.core.sdsrp import SdsrpPolicy, SdsrpShared
 from repro.errors import SnapshotError
@@ -258,29 +253,13 @@ def _capture_shared(shared: SdsrpShared | None) -> dict[str, Any] | None:
     }
 
 
-def _capture_mean(acc: _RunningMean) -> dict[str, Any]:
-    return {"total": acc.total, "count": acc.count}
-
-
-def _capture_estimator(est: Any) -> dict[str, Any]:
-    if isinstance(est, MinIntermeetingEstimator):
-        return {
-            "kind": "min",
-            "acc": _capture_mean(est._acc),
-            "active": [[i, n] for i, n in est._active.items()],
-            "last_idle": [[i, t] for i, t in est._last_idle.items()],
-        }
-    if isinstance(est, PairIntermeetingEstimator):
-        return {
-            "kind": "pair",
-            "acc": _capture_mean(est._acc),
-            "last_end": [[a, b, t] for (a, b), t in est._last_end.items()],
-        }
-    if isinstance(est, StaticIntermeetingEstimator):
-        return {"kind": "static"}
-    raise SnapshotError(
-        f"estimator {type(est).__name__} is not snapshot-capable"
-    )
+def _capture_estimator(est: MinIntermeetingEstimator) -> dict[str, Any]:
+    return {
+        "kind": "min",
+        "acc": {"total": est.gap_sum, "count": est.sample_count},
+        "active": [[i, n] for i, n in est._active.items()],
+        "last_idle": [[i, t] for i, t in est._last_idle.items()],
+    }
 
 
 def _capture_oracle(oracle: GlobalInfectionOracle | None) -> dict | None:

@@ -34,12 +34,7 @@ from collections import deque
 from typing import Any
 
 from repro.core.dropped_list import DropRecord
-from repro.core.intermeeting import (
-    MinIntermeetingEstimator,
-    PairIntermeetingEstimator,
-    StaticIntermeetingEstimator,
-    _RunningMean,
-)
+from repro.core.intermeeting import MinIntermeetingEstimator
 from repro.core.oracle import _InfectionState
 from repro.core.sdsrp import SdsrpPolicy
 from repro.errors import ConfigurationError, SnapshotError
@@ -405,40 +400,15 @@ def _restore_shared(shared: Any, data: dict[str, Any] | None) -> None:
         }
 
 
-def _restore_mean(acc: _RunningMean, data: dict[str, Any]) -> None:
-    acc.total = float(data["total"])
-    acc.count = int(data["count"])
-
-
-def _restore_estimator(est: Any, data: dict[str, Any]) -> None:
-    kind = data["kind"]
-    if kind == "min":
-        if not isinstance(est, MinIntermeetingEstimator):
-            raise SnapshotError(
-                f"snapshot estimator is 'min' but scenario built "
-                f"{type(est).__name__}"
-            )
-        _restore_mean(est._acc, data["acc"])
-        est._active = {int(i): int(n) for i, n in data["active"]}
-        est._last_idle = {int(i): float(v) for i, v in data["last_idle"]}
-    elif kind == "pair":
-        if not isinstance(est, PairIntermeetingEstimator):
-            raise SnapshotError(
-                f"snapshot estimator is 'pair' but scenario built "
-                f"{type(est).__name__}"
-            )
-        _restore_mean(est._acc, data["acc"])
-        est._last_end = {
-            (int(a), int(b)): float(v) for a, b, v in data["last_end"]
-        }
-    elif kind == "static":
-        if not isinstance(est, StaticIntermeetingEstimator):
-            raise SnapshotError(
-                f"snapshot estimator is 'static' but scenario built "
-                f"{type(est).__name__}"
-            )
-    else:
-        raise SnapshotError(f"unknown estimator kind {kind!r}")
+def _restore_estimator(
+    est: MinIntermeetingEstimator, data: dict[str, Any]
+) -> None:
+    if data["kind"] != "min":
+        raise SnapshotError(f"unknown estimator kind {data['kind']!r}")
+    est.gap_sum = float(data["acc"]["total"])
+    est.sample_count = int(data["acc"]["count"])
+    est._active = {int(i): int(n) for i, n in data["active"]}
+    est._last_idle = {int(i): float(v) for i, v in data["last_idle"]}
 
 
 # -- collectors ------------------------------------------------------------

@@ -1,118 +1,78 @@
-"""Intermeeting estimators: Def. 1 / Def. 2 sampling and Eq. 3 scaling."""
+"""The intermeeting estimator: Def. 2 sampling and Eq. 3 scaling."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.intermeeting import (
+    PRIOR_INTERMEETING,
+    PRIOR_WEIGHT,
     MinIntermeetingEstimator,
-    PairIntermeetingEstimator,
-    StaticIntermeetingEstimator,
-    pair_key,
 )
 from repro.errors import ConfigurationError
 
 
-def test_pair_key_canonical():
-    assert pair_key(3, 7) == (3, 7)
-    assert pair_key(7, 3) == (3, 7)
-
-
-class TestStatic:
-    def test_derived_quantities(self):
-        est = StaticIntermeetingEstimator(mean=1000.0)
-        assert est.mean_intermeeting() == 1000.0
-        assert est.rate() == pytest.approx(1e-3)
-        assert est.mean_min_intermeeting(101) == pytest.approx(10.0)
-        assert est.min_rate(101) == pytest.approx(0.1)
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            StaticIntermeetingEstimator(0.0)
-        with pytest.raises(ConfigurationError):
-            StaticIntermeetingEstimator(100.0).mean_min_intermeeting(1)
-
-
-class TestPairEstimator:
-    def test_prior_used_before_samples(self):
-        est = PairIntermeetingEstimator(prior_mean=500.0, min_samples=10)
-        assert est.mean_intermeeting() == 500.0
-
-    def test_samples_pull_mean_toward_data(self):
-        est = PairIntermeetingEstimator(prior_mean=500.0, min_samples=2)
-        est.observe_link_down(0, 1, 0.0)
-        est.observe_link_up(0, 1, 100.0)  # sample: 100
-        assert est.sample_count == 1
-        # (100 + 2*500) / 3
-        assert est.mean_intermeeting() == pytest.approx(1100 / 3)
-
-    def test_first_contact_yields_no_sample(self):
-        est = PairIntermeetingEstimator(prior_mean=500.0)
-        est.observe_link_up(0, 1, 50.0)
-        assert est.sample_count == 0
-
-    def test_duplicate_endpoint_reports_counted_once(self):
-        est = PairIntermeetingEstimator(prior_mean=500.0)
-        est.observe_link_down(0, 1, 0.0)
-        est.observe_link_down(1, 0, 0.0)  # other endpoint, same event
-        est.observe_link_up(0, 1, 100.0)
-        est.observe_link_up(1, 0, 100.0)
-        assert est.sample_count == 1
-
-    def test_pairs_tracked_independently(self):
-        est = PairIntermeetingEstimator(prior_mean=100.0, min_samples=1)
-        est.observe_link_down(0, 1, 0.0)
-        est.observe_link_down(2, 3, 0.0)
-        est.observe_link_up(0, 1, 10.0)
-        est.observe_link_up(2, 3, 30.0)
-        assert est.sample_count == 2
-
-
 class TestMinEstimator:
     def test_prior_is_pairwise_scaled(self):
-        est = MinIntermeetingEstimator(prior_mean=990.0, n_nodes=100)
-        assert est.mean_min_intermeeting() == pytest.approx(10.0)
-        assert est.mean_intermeeting() == pytest.approx(990.0)
+        est = MinIntermeetingEstimator(n_nodes=101)
+        assert est.mean_min_intermeeting() == pytest.approx(
+            PRIOR_INTERMEETING / 100
+        )
+        assert est.mean_intermeeting() == pytest.approx(PRIOR_INTERMEETING)
+
+    def test_prior_used_before_samples(self):
+        est = MinIntermeetingEstimator(n_nodes=10)
+        est.observe_link_up(0, 5.0)
+        est.observe_link_down(0, 10.0)  # idle from t=10, no gap closed yet
+        assert est.sample_count == 0
+        assert est.mean_intermeeting() == PRIOR_INTERMEETING
+
+    def test_derived_quantities(self):
+        # Eq. 3: E(I) = (N-1) E(I_min) and λ = 1/E(I).
+        est = MinIntermeetingEstimator(n_nodes=11)
+        est.observe_link_down(3, 0.0)
+        est.observe_link_up(3, 40.0)
+        assert est.mean_intermeeting() == est.mean_min_intermeeting() * 10
+        assert est.rate() == 1.0 / est.mean_intermeeting()
+
+    def test_first_contact_yields_no_sample(self):
+        est = MinIntermeetingEstimator(n_nodes=10)
+        est.observe_link_up(0, 50.0)
+        assert est.sample_count == 0
 
     def test_node_level_gap_sampling(self):
-        est = MinIntermeetingEstimator(prior_mean=99.0, n_nodes=100,
-                                       min_samples=1)
-        est.observe_link_up(5, 9, 0.0)
-        est.observe_link_down(5, 9, 10.0)  # node 5 idle from t=10
-        est.observe_link_up(5, 2, 30.0)  # gap 20 for node 5
+        est = MinIntermeetingEstimator(n_nodes=100)
+        est.observe_link_up(5, 0.0)
+        est.observe_link_down(5, 10.0)  # node 5 idle from t=10
+        est.observe_link_up(5, 30.0)  # gap 20 for node 5
         assert est.sample_count == 1
-        # (20 + 1*1.0) / 2 ... prior_min = 99/99 = 1
-        assert est.mean_min_intermeeting() == pytest.approx(10.5)
-        assert est.mean_intermeeting() == pytest.approx(10.5 * 99)
+        prior_min = PRIOR_INTERMEETING / 99
+        expected = (20.0 + PRIOR_WEIGHT * prior_min) / (1 + PRIOR_WEIGHT)
+        assert est.mean_min_intermeeting() == pytest.approx(expected)
+        assert est.mean_intermeeting() == pytest.approx(expected * 99)
 
     def test_overlapping_contacts_do_not_sample(self):
-        est = MinIntermeetingEstimator(prior_mean=99.0, n_nodes=100,
-                                       min_samples=1)
-        est.observe_link_up(5, 1, 0.0)
-        est.observe_link_up(5, 2, 5.0)  # still busy: no gap started
-        est.observe_link_down(5, 1, 10.0)  # one contact remains
-        est.observe_link_up(5, 3, 15.0)  # no sample: node never went idle
+        est = MinIntermeetingEstimator(n_nodes=100)
+        est.observe_link_up(5, 0.0)
+        est.observe_link_up(5, 5.0)  # still busy: no gap started
+        est.observe_link_down(5, 10.0)  # one contact remains
+        est.observe_link_up(5, 15.0)  # no sample: node never went idle
         assert est.sample_count == 0
-        est.observe_link_down(5, 2, 20.0)
-        est.observe_link_down(5, 3, 20.0)
-        est.observe_link_up(5, 4, 50.0)  # idle 20 -> 50: sample 30
+        est.observe_link_down(5, 20.0)
+        est.observe_link_down(5, 20.0)
+        est.observe_link_up(5, 50.0)  # idle 20 -> 50: sample 30
         assert est.sample_count == 1
 
     def test_both_endpoints_sample_independently(self):
-        est = MinIntermeetingEstimator(prior_mean=99.0, n_nodes=100,
-                                       min_samples=1)
-        est.observe_link_up(0, 1, 0.0)
-        est.observe_link_up(1, 0, 0.0)
-        est.observe_link_down(0, 1, 10.0)
-        est.observe_link_down(1, 0, 10.0)
-        est.observe_link_up(0, 2, 30.0)
-        est.observe_link_up(1, 3, 40.0)
+        est = MinIntermeetingEstimator(n_nodes=100)
+        est.observe_link_up(0, 0.0)
+        est.observe_link_up(1, 0.0)
+        est.observe_link_down(0, 10.0)
+        est.observe_link_down(1, 10.0)
+        est.observe_link_up(0, 30.0)
+        est.observe_link_up(1, 40.0)
         assert est.sample_count == 2  # one gap per node
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            MinIntermeetingEstimator(prior_mean=100.0, n_nodes=1)
-        with pytest.raises(ConfigurationError):
-            MinIntermeetingEstimator(prior_mean=0.0, n_nodes=10)
-        with pytest.raises(ConfigurationError):
-            MinIntermeetingEstimator(prior_mean=10.0, n_nodes=10, min_samples=0)
+            MinIntermeetingEstimator(n_nodes=1)

@@ -15,7 +15,7 @@ def knapsack_world(buffer_bytes=megabytes(1.0)):
     shared = SdsrpShared.for_fleet(len(ISOLATED))
 
     def factory():
-        return KnapsackSdsrpPolicy(shared=shared)
+        return KnapsackSdsrpPolicy(shared)
 
     return build_micro_world(
         points=ISOLATED, policy_factory=factory,

@@ -5,14 +5,19 @@ import pytest
 from repro.core.params import SdsrpParams
 from repro.errors import ConfigurationError
 
+#: Knobs SdsrpParams no longer has: the oracle is picked by policy name,
+#: the λ prior is a constant, and overflow drops are always gossiped and
+#: pruned.  Naming one is an unknown keyword.
+DELETED_KNOBS = {
+    "estimator", "prior_intermeeting", "prior_weight", "intermeeting_mode",
+    "gossip_drops", "prune_dropped_lists",
+}
+
 
 def test_defaults_are_paper_faithful():
     p = SdsrpParams()
-    assert p.estimator == "distributed"
     assert p.priority_form == "closed"
-    assert p.intermeeting_mode == "min"
     assert p.reject_rule == "own"
-    assert p.gossip_drops is True
     assert p.extrapolate_spray_tree is False
 
 
@@ -26,10 +31,13 @@ def test_defaults_are_paper_faithful():
         {"prior_weight": 0},
         {"reject_rule": "sometimes"},
         {"intermeeting_mode": "vibes"},
+        {"gossip_drops": False},
+        {"prune_dropped_lists": False},
     ],
 )
 def test_rejects_bad_values(kwargs):
-    with pytest.raises(ConfigurationError):
+    error = TypeError if DELETED_KNOBS & set(kwargs) else ConfigurationError
+    with pytest.raises(error):
         SdsrpParams(**kwargs)
 
 

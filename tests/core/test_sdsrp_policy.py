@@ -4,19 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.oracle import GlobalInfectionOracle
 from repro.core.params import SdsrpParams
 from repro.core.sdsrp import SdsrpPolicy, SdsrpShared
-from repro.errors import ConfigurationError
 from repro.net.outcomes import ReceiveOutcome
 from repro.units import megabytes
 from tests.helpers import build_micro_world, make_message
 
 
-def sdsrp_world(points, params: SdsrpParams | None = None, **kw):
-    shared = SdsrpShared.for_fleet(len(points), params=params)
+def sdsrp_world(points, params: SdsrpParams | None = None, oracle=None, **kw):
+    shared = SdsrpShared.for_fleet(len(points), params=params, oracle=oracle)
 
     def factory():
-        return SdsrpPolicy(shared=shared)
+        return SdsrpPolicy(shared)
 
     kw.setdefault("area", (10_000.0, 1_000.0))
     mw = build_micro_world(points=points, policy_factory=factory, **kw)
@@ -32,19 +32,31 @@ ISOLATED_AREA = (10_000.0, 1_000.0)
 
 class TestAttach:
     def test_policy_requires_attach_for_estimator(self):
-        policy = SdsrpPolicy()
-        with pytest.raises(ConfigurationError):
-            _ = policy.estimator
+        # The link hooks feed the estimator as this node: not before attach.
+        mw, shared = sdsrp_world(ISOLATED)
+        policy = SdsrpPolicy(shared)
+        with pytest.raises(AssertionError, match="before attach"):
+            policy.on_link_up(mw.nodes[1], 0.0)
+        with pytest.raises(AssertionError, match="before attach"):
+            policy.on_link_down(mw.nodes[1], 0.0)
 
     def test_oracle_mode_requires_oracle(self):
-        params = SdsrpParams(estimator="oracle")
-        with pytest.raises(ConfigurationError):
-            sdsrp_world(ISOLATED, params=params)
+        # Oracle mode is the fleet's oracle, not a parameter: without one,
+        # m comes from the spray lineage (Eq. 15) and n from Eq. 14.
+        msg = make_message(msg_id="M1", copies=2, initial_copies=16,
+                           created_at=0.0, spray_times=[0.0, 10.0, 20.0])
+        mw, _ = sdsrp_world(ISOLATED)
+        assert mw.router(0).policy._infection(msg, 30.0) == (3, 4)
+        mw, _ = sdsrp_world(ISOLATED, oracle=GlobalInfectionOracle())
+        # The oracle never saw M1 created: no other node has seen it.
+        assert mw.router(0).policy._infection(msg, 30.0) == (0, 1)
 
     def test_params_via_shared_and_direct_conflict(self):
-        shared = SdsrpShared.for_fleet(4)
-        with pytest.raises(ConfigurationError):
-            SdsrpPolicy(params=SdsrpParams(taylor_terms=3), shared=shared)
+        # The params come from the shared state alone.
+        shared = SdsrpShared.for_fleet(4, params=SdsrpParams(taylor_terms=3))
+        assert SdsrpPolicy(shared).params is shared.params
+        with pytest.raises(TypeError):
+            SdsrpPolicy(shared, params=SdsrpParams())  # type: ignore[call-arg]
 
 
 class TestPriorityRanking:
@@ -156,16 +168,8 @@ class TestGossipOnContact:
 
 class TestOracleMode:
     def test_oracle_mode_uses_exact_counts(self):
-        from repro.core.oracle import GlobalInfectionOracle
-
-        params = SdsrpParams(estimator="oracle")
         oracle = GlobalInfectionOracle()
-        shared = SdsrpShared.for_fleet(2, params=params, oracle=oracle)
-
-        def factory():
-            return SdsrpPolicy(shared=shared)
-
-        mw = build_micro_world(points=ISOLATED, policy_factory=factory)
+        mw, _ = sdsrp_world(ISOLATED, oracle=oracle)
         oracle.subscribe(mw.sim)
         mw.sim.run(until=1.0)
         r = mw.router(0)
@@ -181,24 +185,9 @@ class TestSharedFactory:
         shared = SdsrpShared.for_fleet(20)
         assert isinstance(shared.estimator, MinIntermeetingEstimator)
 
-    def test_for_fleet_pair_mode(self):
-        from repro.core.intermeeting import PairIntermeetingEstimator
-
-        shared = SdsrpShared.for_fleet(
-            20, params=SdsrpParams(intermeeting_mode="pair")
-        )
-        assert isinstance(shared.estimator, PairIntermeetingEstimator)
-
-    def test_policies_without_shared_build_private_estimators(self):
-        mw1, _ = sdsrp_world(ISOLATED)
-        p_shared_a = mw1.router(0).policy
-        p_shared_b = mw1.router(1).policy
-        assert p_shared_a.estimator is p_shared_b.estimator
-
-        def solo_factory():
-            return SdsrpPolicy()
-
-        mw2 = build_micro_world(points=ISOLATED, policy_factory=solo_factory,
-                                area=(10_000.0, 1_000.0))
-        assert (mw2.router(0).policy.estimator
-                is not mw2.router(1).policy.estimator)
+    def test_policies_share_the_fleet_estimator(self):
+        mw, shared = sdsrp_world([(0.0, 0.0), (80.0, 0.0), (160.0, 0.0)])
+        mw.sim.run(until=2.0)
+        # Nodes 0 and 2 each meet node 1: every endpoint's first contact
+        # lands in the one fleet-wide estimator.
+        assert sorted(shared.estimator._active) == [0, 1, 2]

@@ -32,6 +32,9 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 NODE_FACTOR = 0.12
 TIME_FACTOR = 0.06
 POLICIES = ("fifo", "sdsrp")
+#: The figure sweeps also pin the paper's other two baselines, SnW-O and
+#: SnW-C.
+FIGURE_POLICIES = ("fifo", "snw-o", "snw-c", "sdsrp")
 SEED = 1
 
 
@@ -65,8 +68,8 @@ def check_golden(name: str, payload: dict) -> None:
 
 def test_fig8_copies_matches_golden():
     data = metric_sweep(
-        "rwp", "copies", policies=POLICIES, replicates=1, workers=1, seed=SEED,
-        node_factor=NODE_FACTOR, time_factor=TIME_FACTOR,
+        "rwp", "copies", policies=FIGURE_POLICIES, replicates=1, workers=1,
+        seed=SEED, node_factor=NODE_FACTOR, time_factor=TIME_FACTOR,
     )
     assert not data.failures
     check_golden("fig8_copies", data.payload())
@@ -74,8 +77,8 @@ def test_fig8_copies_matches_golden():
 
 def test_fig9_copies_matches_golden():
     data = metric_sweep(
-        "epfl", "copies", policies=POLICIES, replicates=1, workers=1, seed=SEED,
-        node_factor=NODE_FACTOR, time_factor=TIME_FACTOR,
+        "epfl", "copies", policies=FIGURE_POLICIES, replicates=1, workers=1,
+        seed=SEED, node_factor=NODE_FACTOR, time_factor=TIME_FACTOR,
     )
     assert not data.failures
     check_golden("fig9_copies", data.payload())

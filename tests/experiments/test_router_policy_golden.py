@@ -8,6 +8,11 @@ routing or buffer change that alters any router's decisions (including
 skipping work it believes cannot matter) moves a count here even when
 every other test stays green.
 
+The SDSRP family's other names (the oracle variants, the knapsack
+variant and GBSD) are pinned the same way, on the Spray-and-Wait router
+only, in ``golden/sdsrp_family_summaries.json``: they share SDSRP's
+fleet-wide state, and the runner builds that state for each of them.
+
 When a change is meant to move the numbers, regenerate with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest \
@@ -36,6 +41,8 @@ from repro.experiments.scenario import (
 
 GOLDEN = Path(__file__).parent / "golden" / "router_policy_summaries.json"
 POLICIES = ("sdsrp", "fifo", "random")
+FAMILY_GOLDEN = Path(__file__).parent / "golden" / "sdsrp_family_summaries.json"
+SDSRP_FAMILY = ("sdsrp-oracle", "sdsrp-knapsack", "gbsd", "gbsd-oracle")
 SEED = 3
 
 
@@ -61,20 +68,32 @@ def summary_record(router: str, policy: str) -> dict[str, Any]:
     return comparable(record)
 
 
+def check_golden(path: Path, key: str, got: dict[str, Any]) -> None:
+    if os.environ.get("REPRO_REGEN_GOLDEN"):
+        stored = json.loads(path.read_text()) if path.exists() else {}
+        stored[key] = got
+        path.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
+    assert got == json.loads(path.read_text())[key]
+
+
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("router", ROUTER_KINDS)
 def test_summary_matches_golden(router: str, policy: str):
-    key = f"{router}/{policy}"
-    got = summary_record(router, policy)
-    if os.environ.get("REPRO_REGEN_GOLDEN"):
-        stored = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-        stored[key] = got
-        GOLDEN.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
-    expected = json.loads(GOLDEN.read_text())[key]
-    assert got == expected
+    check_golden(GOLDEN, f"{router}/{policy}", summary_record(router, policy))
+
+
+@pytest.mark.parametrize("policy", SDSRP_FAMILY)
+def test_sdsrp_family_matches_golden(policy: str):
+    check_golden(FAMILY_GOLDEN, f"snw/{policy}", summary_record("snw", policy))
 
 
 def test_golden_covers_every_pair_and_exercises_expiry():
     stored = json.loads(GOLDEN.read_text())
     assert set(stored) == {f"{r}/{p}" for r in ROUTER_KINDS for p in POLICIES}
+    assert all(record["drops"].get("ttl", 0) > 0 for record in stored.values())
+
+
+def test_family_golden_covers_every_name_and_exercises_expiry():
+    stored = json.loads(FAMILY_GOLDEN.read_text())
+    assert set(stored) == {f"snw/{p}" for p in SDSRP_FAMILY}
     assert all(record["drops"].get("ttl", 0) > 0 for record in stored.values())

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.core.knapsack import KnapsackSdsrpPolicy
 from repro.core.sdsrp import SdsrpPolicy
 from repro.errors import ConfigurationError
 from repro.experiments.runner import build_scenario, run_scenario
@@ -36,10 +37,17 @@ class TestBuild:
         p0 = built.nodes[0].router.policy
         p1 = built.nodes[1].router.policy
         assert isinstance(p0, SdsrpPolicy)
-        assert p0.estimator is p1.estimator  # fleet-shared λ
+        assert p0._estimator is p1._estimator is built.shared.estimator
 
     def test_sdsrp_oracle_wired(self):
         built = build_scenario(tiny(policy="sdsrp-oracle"))
+        assert built.shared is not None and built.shared.oracle is not None
+
+    def test_oracle_suffix_needs_an_sdsrp_family_policy(self):
+        with pytest.raises(ConfigurationError):
+            build_scenario(tiny(policy="fifo-oracle"))
+        built = build_scenario(tiny(policy="sdsrp-knapsack-oracle"))
+        assert isinstance(built.nodes[0].router.policy, KnapsackSdsrpPolicy)
         assert built.shared is not None and built.shared.oracle is not None
 
     def test_policy_kwargs_forwarded(self):

@@ -5,7 +5,11 @@ from __future__ import annotations
 import math
 
 from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import random_waypoint_scenario, scale_scenario
+from repro.experiments.scenario import (
+    ScenarioConfig,
+    random_waypoint_scenario,
+    scale_scenario,
+)
 from repro.experiments.sweep import replicate, run_many, summarize_replicates
 from repro.reports.summary import FailedRun, RunSummary
 
@@ -60,11 +64,21 @@ class TestRunMany:
 
     def test_serial_sweep_honours_timeout(self):
         # Only killing its worker stops a hung run, so a timeout puts even
-        # a serial sweep on a lane.  Lane start-up counts toward the
-        # deadline, so 0.05 s always fires.
-        [result] = run_many([tiny(seed=5)], workers=1, timeout=0.05)
+        # a serial sweep on a lane.  A million simulated seconds cannot
+        # finish within 0.05 s of the lane being ready.
+        [result] = run_many([tiny(seed=5, sim_time=1e6)], workers=1,
+                            timeout=0.05)
         assert isinstance(result, FailedRun)
         assert result.error_type == "WorkerTimeout"
+
+    def test_lane_start_up_is_not_charged_to_the_timeout(self):
+        # Spawning a lane's worker and importing the runner takes most of a
+        # second; the run itself, a few milliseconds.  The deadline starts
+        # once the lane is ready, so the run completes.
+        cfg = ScenarioConfig(name="cold-lane", n_nodes=6, sim_time=60.0,
+                             policy="fifo", router="snw", seed=1)
+        [result] = run_many([cfg], workers=1, timeout=0.5)
+        assert isinstance(result, RunSummary)
 
 
 class TestSummarize:

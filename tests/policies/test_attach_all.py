@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.sdsrp import SdsrpPolicy, SdsrpShared
 from repro.policies.base import PolicyContext
-from repro.policies.registry import available_policies, make_policy
+from repro.policies.registry import available_policies, make_policy, policy_factory
 from tests.helpers import build_micro_world, make_message
 
 
@@ -16,7 +17,10 @@ def host():
 
 @pytest.mark.parametrize("name", available_policies())
 def test_attach_and_rank(host, name):
-    policy = make_policy(name)
+    if issubclass(policy_factory(name), SdsrpPolicy):
+        policy = make_policy(name, shared=SdsrpShared.for_fleet(10))
+    else:
+        policy = make_policy(name)
     policy.attach(PolicyContext(node=host.nodes[0], sim=host.sim, n_nodes=10))
     msg = make_message(msg_id=f"probe-{name}", copies=4, initial_copies=8)
     send = policy.send_priority(msg, now=1.0)

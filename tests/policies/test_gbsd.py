@@ -15,7 +15,7 @@ def gbsd_world():
     shared = SdsrpShared.for_fleet(len(ISOLATED))
 
     def factory():
-        return GbsdPolicy(shared=shared)
+        return GbsdPolicy(shared)
 
     return build_micro_world(points=ISOLATED, policy_factory=factory,
                              area=(10_000.0, 1_000.0))

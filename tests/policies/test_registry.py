@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.sdsrp import SdsrpPolicy
+from repro.core.sdsrp import SdsrpPolicy, SdsrpShared
 from repro.errors import ConfigurationError
 from repro.policies.base import BufferPolicy
 from repro.policies.fifo import FifoPolicy
@@ -18,7 +18,8 @@ def test_builtins_present():
 
 def test_make_policy_by_name():
     assert isinstance(make_policy("fifo"), FifoPolicy)
-    assert isinstance(make_policy("sdsrp"), SdsrpPolicy)
+    shared = SdsrpShared.for_fleet(4)
+    assert isinstance(make_policy("sdsrp", shared=shared), SdsrpPolicy)
 
 
 def test_instances_are_fresh():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import repro.world.world as world_module
 from repro.core.dropped_list import DroppedListStore
-from repro.core.sdsrp import SdsrpPolicy
+from repro.core.sdsrp import SdsrpPolicy, SdsrpShared
 from repro.net.outcomes import DROP_OVERFLOW
 from repro.obs.profiler import timed
 from repro.policies.fifo import FifoPolicy
@@ -189,8 +189,17 @@ def apply(mw, op, serial):
         mw.world.set_node_up(node_id)
 
 
+def fleet_policies(policy_cls):
+    """Per-node policy factory for one micro-world: an SDSRP fleet shares
+    one state, as the scenario runner builds it."""
+    if issubclass(policy_cls, SdsrpPolicy):
+        shared = SdsrpShared.for_fleet(N_NODES)
+        return lambda: policy_cls(shared)
+    return policy_cls
+
+
 def run_script(reference, stack, frames, ops):
-    router_factory, policy_factory = stack
+    router_factory, policy_cls = stack
     mobility = scripted_mobility(
         [10.0 * k for k in range(len(frames))],
         [[ANCHORS[a] for a in frame] for frame in frames],
@@ -198,7 +207,8 @@ def run_script(reference, stack, frames, ops):
     with as_reference(reference):
         mw = build_micro_world(
             mobility=mobility, sim_time=SIM_TIME, buffer_bytes=megabytes(1.0),
-            policy_factory=policy_factory, router_factory=router_factory,
+            policy_factory=fleet_policies(policy_cls),
+            router_factory=router_factory,
         )
         calls = record_calls(mw.sim, mw.nodes)
         for serial, op in enumerate(ops):

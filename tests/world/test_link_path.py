@@ -181,19 +181,18 @@ def reference_snf_on_link_up(self, peer):
 
 def reference_sdsrp_on_link_up(self, peer, now):
     assert self.ctx is not None
-    self.estimator.observe_link_up(self.ctx.node.id, peer.id, now)
+    self._estimator.observe_link_up(self.ctx.node.id, now)
     peer_policy = peer.router.policy if peer.router is not None else None
     if isinstance(peer_policy, SdsrpPolicy) and peer_policy.dropped is not None:
         assert self.dropped is not None
-        if self.params.prune_dropped_lists:
-            self.dropped.prune(now)
+        self.dropped.prune(now)
         if peer_policy.dropped.holds_drops:
             self.dropped.merge_from(peer_policy.dropped)
 
 
 def reference_sdsrp_on_link_down(self, peer, now):
     assert self.ctx is not None
-    self.estimator.observe_link_down(self.ctx.node.id, peer.id, now)
+    self._estimator.observe_link_down(self.ctx.node.id, now)
 
 
 REFERENCE_PATCHES = [
