@@ -15,41 +15,3 @@
   :math:`m_i, n_i` in place of the distributed estimates (ablation; the
   ``-oracle`` policy names).
 """
-
-from repro.core.dropped_list import DroppedListStore, DropRecord
-from repro.core.knapsack import KnapsackSdsrpPolicy
-from repro.core.intermeeting import MinIntermeetingEstimator
-from repro.core.oracle import GlobalInfectionOracle
-from repro.core.params import SdsrpParams
-from repro.core.priority import (
-    PEAK_P_R,
-    delivery_probability,
-    exponent_coefficient,
-    p_delivered,
-    p_remaining,
-    priority_closed_form,
-    priority_from_probabilities,
-    priority_taylor,
-)
-from repro.core.sdsrp import SdsrpPolicy, SdsrpShared
-from repro.core.spray_tree import estimate_infected
-
-__all__ = [
-    "PEAK_P_R",
-    "DropRecord",
-    "DroppedListStore",
-    "GlobalInfectionOracle",
-    "KnapsackSdsrpPolicy",
-    "MinIntermeetingEstimator",
-    "SdsrpParams",
-    "SdsrpPolicy",
-    "SdsrpShared",
-    "delivery_probability",
-    "estimate_infected",
-    "exponent_coefficient",
-    "p_delivered",
-    "p_remaining",
-    "priority_closed_form",
-    "priority_from_probabilities",
-    "priority_taylor",
-]

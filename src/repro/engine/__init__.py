@@ -14,9 +14,3 @@ Public API:
 * :class:`repro.engine.simulator.Simulator`
 * :class:`repro.engine.hooks.ListenerRegistry`
 """
-
-from repro.engine.events import Event, EventQueue
-from repro.engine.hooks import ListenerRegistry
-from repro.engine.simulator import Simulator
-
-__all__ = ["Event", "EventQueue", "ListenerRegistry", "Simulator"]

@@ -14,14 +14,6 @@ Figure reproduction lives in :mod:`repro.experiments.figures`:
 DESIGN.md §4).
 """
 
-from repro.experiments.checkpoint import SweepCheckpoint, config_fingerprint
-from repro.experiments.figures import (
-    PAPER_POLICIES,
-    FigureData,
-    fig3_intermeeting,
-    metric_sweep,
-    reduced,
-)
 from repro.experiments.runner import (
     build_scenario,
     run_scenario,
@@ -33,24 +25,13 @@ from repro.experiments.scenario import (
     random_waypoint_scenario,
     scale_scenario,
 )
-from repro.experiments.sweep import replicate, run_many, summarize_replicates
 
 __all__ = [
-    "PAPER_POLICIES",
-    "FigureData",
     "ScenarioConfig",
-    "SweepCheckpoint",
     "build_scenario",
-    "config_fingerprint",
     "epfl_scenario",
-    "fig3_intermeeting",
-    "metric_sweep",
     "random_waypoint_scenario",
-    "reduced",
-    "replicate",
-    "run_many",
     "run_scenario",
     "run_scenario_safe",
     "scale_scenario",
-    "summarize_replicates",
 ]

@@ -5,54 +5,50 @@
 runs it to the horizon and returns a
 :class:`~repro.reports.summary.RunSummary`.  Both are importable by worker
 processes (no closures), so sweeps parallelize cleanly.
+
+A run imports only the parts its config asks for, each where it is built:
+the mobility model and the router the config names (a trace-driven fleet
+also imports the movement-trace reader), and the sanitizer, fault
+injector, time series, event trace and snapshotter only when the config
+turns them on.  Importing this module loads none of them.
 """
 
 from __future__ import annotations
 
 import time
 import traceback
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.analysis.sanitizer import Sanitizer
 from repro.core.oracle import GlobalInfectionOracle
 from repro.core.params import SdsrpParams
 from repro.core.sdsrp import SdsrpPolicy, SdsrpShared
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError, InvariantViolation, SnapshotError
-from repro.faults.injector import FaultInjector
-from repro.mobility.base import MobilityModel
-from repro.mobility.random_direction import RandomDirection
-from repro.mobility.random_walk import RandomWalk
-from repro.mobility.random_waypoint import RandomWaypoint
-from repro.mobility.stationary import Stationary
-from repro.mobility.taxi import TaxiFleet
 from repro.net.generator import MessageGenerator, TrafficSpec
 from repro.net.transfer import TransferManager
 from repro.obs.profiler import PhaseProfiler
-from repro.obs.timeseries import TimeSeriesCollector
-from repro.obs.trace import DEFAULT_CONTEXT_EVENTS, EventTrace
-from repro.policies.base import BufferPolicy
 from repro.policies.registry import make_policy, policy_factory
 from repro.reports.contact_report import ContactReport
 from repro.reports.metrics import MetricsCollector
 from repro.reports.summary import FailedRun, RunSummary
 from repro.rng import RngFactory
-from repro.routing.base import Router
-from repro.routing.direct import DirectDeliveryRouter
-from repro.routing.epidemic import EpidemicRouter
-from repro.routing.first_contact import FirstContactRouter
-from repro.routing.prophet import ProphetRouter
-from repro.routing.spray_and_focus import SprayAndFocusRouter
-from repro.routing.spray_and_wait import SprayAndWaitRouter
-from repro.traces.format import read_movement_trace
 from repro.world.node import Node
 from repro.world.radio import Radio
 from repro.world.world import World
 from repro.experiments.scenario import ScenarioConfig
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.analysis.sanitizer import Sanitizer
+    from repro.faults.injector import FaultInjector
+    from repro.mobility.base import MobilityModel
+    from repro.obs.timeseries import TimeSeriesCollector
+    from repro.obs.trace import EventTrace
+    from repro.policies.base import BufferPolicy
+    from repro.routing.base import Router
     from repro.snapshot.snapshotter import PeriodicSnapshotter
 
 
@@ -84,20 +80,32 @@ class BuiltSimulation:
 
 def _make_mobility(config: ScenarioConfig) -> MobilityModel:
     if config.mobility == "rwp":
+        from repro.mobility.random_waypoint import RandomWaypoint
+
         return RandomWaypoint(
             config.n_nodes, config.area, config.speed_range, config.pause_range
         )
     if config.mobility == "taxi":
+        from repro.mobility.taxi import TaxiFleet
+
         return TaxiFleet(config.n_nodes, area=config.area)
     if config.mobility == "random-walk":
+        from repro.mobility.random_walk import RandomWalk
+
         return RandomWalk(config.n_nodes, config.area, config.speed_range)
     if config.mobility == "random-direction":
+        from repro.mobility.random_direction import RandomDirection
+
         return RandomDirection(
             config.n_nodes, config.area, config.speed_range, config.pause_range
         )
     if config.mobility == "stationary":
+        from repro.mobility.stationary import Stationary
+
         return Stationary(config.n_nodes, config.area)
     if config.mobility == "trace":
+        from repro.traces.format import read_movement_trace
+
         assert config.trace_path is not None
         mobility = read_movement_trace(config.trace_path)
         if mobility.n_nodes != config.n_nodes:
@@ -141,22 +149,35 @@ def _make_policies(
     return policies, shared
 
 
-def _make_router(config: ScenarioConfig, node: Node, policy: BufferPolicy) -> Router:
-    if config.router == "snw":
-        return SprayAndWaitRouter(node, policy)
-    if config.router == "snw-source":
-        return SprayAndWaitRouter(node, policy, source_spray=True)
-    if config.router == "epidemic":
-        return EpidemicRouter(node, policy)
-    if config.router == "direct":
-        return DirectDeliveryRouter(node, policy)
-    if config.router == "first-contact":
-        return FirstContactRouter(node, policy)
-    if config.router == "snf":
-        return SprayAndFocusRouter(node, policy)
-    if config.router == "prophet":
-        return ProphetRouter(node, policy)
-    raise ConfigurationError(f"unknown router {config.router!r}")
+def _router_factory(router: str) -> Callable[[Node, BufferPolicy], Router]:
+    """What builds one node's *router*: its class, or a partial of it."""
+    if router in ("snw", "snw-source"):
+        from repro.routing.spray_and_wait import SprayAndWaitRouter
+
+        if router == "snw-source":
+            return partial(SprayAndWaitRouter, source_spray=True)
+        return SprayAndWaitRouter
+    if router == "epidemic":
+        from repro.routing.epidemic import EpidemicRouter
+
+        return EpidemicRouter
+    if router == "direct":
+        from repro.routing.direct import DirectDeliveryRouter
+
+        return DirectDeliveryRouter
+    if router == "first-contact":
+        from repro.routing.first_contact import FirstContactRouter
+
+        return FirstContactRouter
+    if router == "snf":
+        from repro.routing.spray_and_focus import SprayAndFocusRouter
+
+        return SprayAndFocusRouter
+    if router == "prophet":
+        from repro.routing.prophet import ProphetRouter
+
+        return ProphetRouter
+    raise ConfigurationError(f"unknown router {router!r}")
 
 
 #: Routers whose forwarding conserves spray tokens, enabling the sanitizer's
@@ -187,8 +208,9 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
     world = World(sim, mobility, nodes, transfer_manager, tick=config.tick)
 
     policies, shared = _make_policies(config, sim)
+    make_router = _router_factory(config.router)
     for node, policy in zip(nodes, policies):
-        router = _make_router(config, node, policy)
+        router = make_router(node, policy)
         router.deliverable_first = config.deliverable_first
         router.bind(sim, transfer_manager, config.n_nodes, rng=rng)
 
@@ -215,11 +237,15 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
 
     fault_injector = None
     if config.faults is not None and config.faults.enabled:
+        from repro.faults.injector import FaultInjector
+
         fault_injector = FaultInjector(world, config.faults, rng.stream("faults"))
         fault_injector.start()
 
     sanitizer = None
     if sim.sanitize:
+        from repro.analysis.sanitizer import Sanitizer
+
         sanitizer = Sanitizer(
             world, check_copies=config.router in _TOKEN_CONSERVING_ROUTERS
         )
@@ -227,10 +253,14 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
 
     timeseries = None
     if config.obs_interval > 0:
+        from repro.obs.timeseries import TimeSeriesCollector
+
         timeseries = TimeSeriesCollector(nodes, interval=config.obs_interval)
         timeseries.subscribe(sim)
     trace = None
     if config.trace_capacity > 0:
+        from repro.obs.trace import EventTrace
+
         trace = EventTrace(capacity=config.trace_capacity)
         trace.subscribe(sim)
     profiler = None
@@ -280,6 +310,8 @@ def run_built(built: BuiltSimulation, wall_start: float | None = None) -> RunSum
         built.sim.run()
     except InvariantViolation as exc:
         if built.trace is not None:
+            from repro.obs.trace import DEFAULT_CONTEXT_EVENTS
+
             exc.trace_tail = built.trace.tail(DEFAULT_CONTEXT_EVENTS)
         raise
     if built.timeseries is not None:

@@ -19,9 +19,6 @@ Everything is driven by a dedicated :class:`~repro.rng.RngFactory` stream
 identical outages, flaps and truncations.
 """
 
-from repro.faults.injector import FAULT_KINDS, FaultInjector
 from repro.faults.plan import EVENT_KINDS, FaultEvent, FaultPlan
 
-__all__ = [
-    "EVENT_KINDS", "FAULT_KINDS", "FaultEvent", "FaultInjector", "FaultPlan",
-]
+__all__ = ["EVENT_KINDS", "FaultEvent", "FaultPlan"]

@@ -17,22 +17,3 @@ Models:
 * :class:`repro.mobility.taxi.TaxiFleet` — synthetic San-Francisco-taxi-like
   mobility standing in for the EPFL/CRAWDAD trace (see DESIGN.md §1).
 """
-
-from repro.mobility.base import MobilityModel, WaypointEngine
-from repro.mobility.random_direction import RandomDirection
-from repro.mobility.random_walk import RandomWalk
-from repro.mobility.random_waypoint import RandomWaypoint
-from repro.mobility.stationary import Stationary
-from repro.mobility.taxi import TaxiFleet
-from repro.mobility.trace import TraceMobility
-
-__all__ = [
-    "MobilityModel",
-    "RandomDirection",
-    "RandomWalk",
-    "RandomWaypoint",
-    "Stationary",
-    "TaxiFleet",
-    "TraceMobility",
-    "WaypointEngine",
-]

@@ -8,29 +8,3 @@
 * :class:`repro.net.generator.MessageGenerator` — periodic random traffic as
   in Table II/III of the paper.
 """
-
-from repro.net.buffer import MessageBuffer
-from repro.net.generator import MessageGenerator, TrafficSpec
-from repro.net.message import Message
-from repro.net.outcomes import (
-    MODE_COPY,
-    MODE_DELIVERY,
-    MODE_MOVE,
-    MODE_SPLIT,
-    ReceiveOutcome,
-)
-from repro.net.transfer import Transfer, TransferManager
-
-__all__ = [
-    "MODE_COPY",
-    "MODE_DELIVERY",
-    "MODE_MOVE",
-    "MODE_SPLIT",
-    "Message",
-    "MessageBuffer",
-    "MessageGenerator",
-    "ReceiveOutcome",
-    "Transfer",
-    "TrafficSpec",
-    "TransferManager",
-]

@@ -20,23 +20,3 @@ not change a single simulation outcome (enforced by
 
 See ``docs/observability.md`` for schemas and overhead numbers.
 """
-
-from repro.obs.profiler import PhaseProfiler, timed
-from repro.obs.timeseries import Histogram, TimeSeriesCollector
-from repro.obs.trace import (
-    DEFAULT_CONTEXT_EVENTS,
-    EventTrace,
-    aggregate_trace,
-    read_trace_jsonl,
-)
-
-__all__ = [
-    "DEFAULT_CONTEXT_EVENTS",
-    "EventTrace",
-    "Histogram",
-    "PhaseProfiler",
-    "TimeSeriesCollector",
-    "aggregate_trace",
-    "read_trace_jsonl",
-    "timed",
-]

@@ -20,7 +20,10 @@ or re-run:
   attempt, and the lane replaced.  A new lane's start-up — spawning the
   worker and importing ``run_fn``'s module — is not the job's: with a
   timeout, the new worker first imports that module, and the job's
-  deadline starts when the import returns;
+  deadline starts once the import has returned, or once start-up has
+  run past :data:`LANE_STARTUP_LIMIT`, so a worker that hangs while
+  starting is still caught.  Nothing waits for a start-up: cold lanes
+  start together;
 * **orphans** — lane workers watch their parent and exit when it dies, so
   a SIGKILLed caller leaves no worker (and no resource tracker) behind;
 * **bounded retries** — with ``max_attempts > 1`` a failed attempt is
@@ -79,9 +82,9 @@ __all__ = [
 BACKOFF_BASE = 0.5
 BACKOFF_CAP = 30.0
 
-#: Longest wait, in real seconds, for a new lane to start before a flight's
-#: deadline starts anyway: a worker that hangs while starting is then still
-#: caught by that deadline.
+#: Longest a new lane may take to start, in seconds on the supervisor's
+#: clock, before a flight's deadline starts anyway: a worker that hangs
+#: while starting is then still caught by that deadline.
 LANE_STARTUP_LIMIT = 60.0
 
 #: Error type recorded when a flight exceeds its heartbeat deadline.
@@ -162,6 +165,9 @@ class _Flight:
     attempts: int  # 1-based attempt number this flight is running
     lane: int = 0
     future: Future | None = None
+    #: The new lane's start-up (importing ``run_fn``'s module) while it
+    #: runs; the flight's deadline is then the start-up limit.
+    ready: Future | None = None
     deadline: float | None = None
 
 
@@ -298,9 +304,9 @@ class WorkerSupervisor:
     def submit(self, job_id: str, config: Any, *, attempts: int = 0) -> None:
         """Start (or restart) a job; its outcome arrives via :meth:`poll`.
 
-        Call only while :meth:`has_capacity` holds.  With a timeout, a job
-        handed to a new lane waits here until the lane has started, so its
-        deadline does not count the start-up."""
+        Call only while :meth:`has_capacity` holds.  Never waits for a
+        new lane to start: with a timeout, the job's deadline starts once
+        :meth:`poll` finds its lane ready."""
         if not self.has_capacity():
             raise ConfigurationError(
                 "supervisor is marked dead or has no free lane; "
@@ -317,7 +323,6 @@ class WorkerSupervisor:
         busy = {f.lane for f in self._flights}
         flight.lane = next(i for i in range(self.workers) if i not in busy)
         executor = self._lanes[flight.lane]
-        ready = None
         if executor is None or executor._broken:
             # A worker that died idle (OOM killer, an outside kill) broke
             # its lane without failing any job; submitting to it would
@@ -329,16 +334,16 @@ class WorkerSupervisor:
                 initializer=_exit_with_parent,
             )
             if self.timeout is not None:
-                ready = executor.submit(
+                # A start-up that fails fails the job's own future too,
+                # which is where its error is read.
+                flight.ready = executor.submit(
                     importlib.import_module, self._run_fn.__module__
                 )
         flight.future = executor.submit(self._run_fn, flight.config)
         if self.timeout is not None:
-            if ready is not None:
-                # A start-up that fails fails the job's own future too,
-                # which is where its error is read.
-                concurrent.futures.wait([ready], timeout=LANE_STARTUP_LIMIT)
-            flight.deadline = self._clock() + self.timeout
+            flight.deadline = self._clock() + (
+                self.timeout if flight.ready is None else LANE_STARTUP_LIMIT
+            )
         self._flights.append(flight)
 
     def _run_inline(self, config: Any) -> RunSummary | FailedRun:
@@ -354,7 +359,8 @@ class WorkerSupervisor:
 
     def poll(self) -> list[JobOutcome]:
         """Settle everything that finished, died, timed out, or is due a
-        retry; returns terminal outcomes in deterministic (submission)
+        retry, and start the deadline of each flight whose lane has
+        started; returns terminal outcomes in deterministic (submission)
         order.  Never blocks."""
         self._promote_retries()
         if not self.inline:
@@ -363,30 +369,29 @@ class WorkerSupervisor:
         return ready
 
     def wait(self) -> list[JobOutcome]:
-        """:meth:`poll`, blocking until a flight finishes or overruns its
-        deadline.
+        """:meth:`poll`, after blocking until a flight finishes, a new
+        lane has started, or the nearest deadline passes.
 
         Blocks on the flights' futures, bounded by the nearest deadline —
         never on a fixed sleep — so it is for callers on the real clock.
-        Returns ``[]`` once nothing is in flight (retries still waiting out
-        their backoff are the caller's to pace).
+        May return ``[]``: when only a lane's start-up ended, and at once
+        when nothing is in flight (retries still waiting out their backoff
+        are the caller's to pace), so callers loop on :meth:`pending`.
         """
         outcomes = self.poll()
-        while not outcomes and self._flights:
-            deadlines = [
-                f.deadline for f in self._flights if f.deadline is not None
-            ]
-            concurrent.futures.wait(
-                [f.future for f in self._flights if f.future is not None],
-                timeout=(
-                    max(0.0, min(deadlines) - self._clock())
-                    if deadlines
-                    else None
-                ),
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-            outcomes = self.poll()
-        return outcomes
+        if outcomes or not self._flights:
+            return outcomes
+        deadlines = [
+            f.deadline for f in self._flights if f.deadline is not None
+        ]
+        concurrent.futures.wait(
+            [f.ready or f.future for f in self._flights],
+            timeout=(
+                max(0.0, min(deadlines) - self._clock()) if deadlines else None
+            ),
+            return_when=concurrent.futures.FIRST_COMPLETED,
+        )
+        return self.poll()
 
     def _promote_retries(self) -> None:
         now = self._clock()
@@ -423,6 +428,13 @@ class WorkerSupervisor:
                     )
                 else:
                     result = future.result()
+            elif flight.ready is not None:
+                if flight.ready.done() or now > flight.deadline:
+                    # The lane has started (or is past the start-up
+                    # limit): the job's own deadline starts now.
+                    flight.ready = None
+                    flight.deadline = now + self.timeout
+                continue
             elif flight.deadline is not None and now > flight.deadline:
                 self.stats.timeouts += 1
                 result = self._lose_lane(

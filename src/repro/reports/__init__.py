@@ -9,16 +9,3 @@
   messages were delivered, dropped (and why) or left undelivered.
 * :class:`repro.reports.summary.RunSummary` — one run's results as a record.
 """
-
-from repro.reports.contact_report import ContactReport
-from repro.reports.fate import MessageFate, MessageFateReport
-from repro.reports.metrics import MetricsCollector
-from repro.reports.summary import RunSummary
-
-__all__ = [
-    "ContactReport",
-    "MessageFate",
-    "MessageFateReport",
-    "MetricsCollector",
-    "RunSummary",
-]

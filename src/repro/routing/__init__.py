@@ -8,22 +8,3 @@ baselines (the related work the paper positions against).
 Every router delegates scheduling order and drop decisions to a
 :class:`repro.policies.base.BufferPolicy`, which is what the paper varies.
 """
-
-from repro.routing.base import ReceiveOutcome, Router
-from repro.routing.direct import DirectDeliveryRouter
-from repro.routing.epidemic import EpidemicRouter
-from repro.routing.first_contact import FirstContactRouter
-from repro.routing.prophet import ProphetRouter
-from repro.routing.spray_and_focus import SprayAndFocusRouter
-from repro.routing.spray_and_wait import SprayAndWaitRouter
-
-__all__ = [
-    "DirectDeliveryRouter",
-    "EpidemicRouter",
-    "FirstContactRouter",
-    "ProphetRouter",
-    "ReceiveOutcome",
-    "Router",
-    "SprayAndFocusRouter",
-    "SprayAndWaitRouter",
-]

@@ -6,15 +6,3 @@ fixed tick, detects link changes with the KD-tree
 publishes ``link.up`` / ``link.down`` / ``world.updated`` events that drive
 the routing layer.
 """
-
-from repro.world.contacts import KDTreeDetector
-from repro.world.node import Node
-from repro.world.radio import Radio
-from repro.world.world import World
-
-__all__ = [
-    "KDTreeDetector",
-    "Node",
-    "Radio",
-    "World",
-]

@@ -10,7 +10,12 @@ from repro.core.knapsack import KnapsackSdsrpPolicy
 from repro.core.sdsrp import SdsrpPolicy
 from repro.errors import ConfigurationError
 from repro.experiments.runner import build_scenario, run_scenario
-from repro.experiments.scenario import random_waypoint_scenario, scale_scenario
+from repro.experiments.scenario import (
+    MOBILITY_KINDS,
+    ROUTER_KINDS,
+    random_waypoint_scenario,
+    scale_scenario,
+)
 from repro.policies.fifo import FifoPolicy
 
 
@@ -61,14 +66,15 @@ class TestBuild:
             build_scenario(tiny(policy="sdsrp",
                                 policy_kwargs={"bogus_knob": 1}))
 
-    @pytest.mark.parametrize("router", ["snw", "snw-source", "epidemic",
-                                        "direct", "first-contact", "snf"])
+    @pytest.mark.parametrize("router", ROUTER_KINDS)
     def test_all_router_kinds_build(self, router):
         built = build_scenario(tiny(router=router))
         assert built.nodes[0].router is not None
 
-    @pytest.mark.parametrize("mobility", ["rwp", "taxi", "random-walk",
-                                          "random-direction"])
+    # "trace" needs a trace file: test_trace_mobility_node_count_checked.
+    @pytest.mark.parametrize(
+        "mobility", [kind for kind in MOBILITY_KINDS if kind != "trace"]
+    )
     def test_all_mobility_kinds_build(self, mobility):
         built = build_scenario(tiny(mobility=mobility))
         assert built.world.mobility.n_nodes == 10

@@ -7,12 +7,13 @@ import pytest
 
 from repro.analysis.sanitizer import Sanitizer
 from repro.errors import FaultInjectionError
-from repro.faults import FaultEvent, FaultInjector, FaultPlan
+from repro.faults import FaultEvent, FaultPlan
 from repro.faults.injector import (
     KIND_LINK_FLAP,
     KIND_NODE_DOWN,
     KIND_NODE_UP,
     KIND_TRANSFER_FAULT,
+    FaultInjector,
 )
 from tests.helpers import build_micro_world, make_message, total_copies_in_network
 

@@ -153,6 +153,24 @@ class TestTimeout:
         assert stats.timeouts == 1
         assert runs(lane_dir) == {"a": 1, "b": 1}
 
+    def test_cold_lanes_start_together(self, lane_dir):
+        # A submit to a cold lane does not wait for its worker to spawn and
+        # import `act`: both lanes start at once, so no job has run when
+        # the second submit returns.  Waiting on each start-up in turn
+        # would have run the first job while the second lane started.
+        sup = WorkerSupervisor(2, run_fn=act, timeout=30.0, max_attempts=1)
+        outcomes = []
+        try:
+            sup.submit("0", Job("a"))
+            sup.submit("1", Job("b"))
+            assert runs(lane_dir) == {}
+            while sup.pending():
+                outcomes += sup.wait()
+        finally:
+            sup.shutdown()
+        assert sorted(verdicts(outcomes)) == ["a", "b"]
+        assert runs(lane_dir) == {"a": 1, "b": 1}
+
 
 class TestWorkerDeath:
     def test_dead_worker_becomes_error_and_rest_complete(self, lane_dir):

@@ -244,8 +244,9 @@ class TestProcessMode:
             sup.shutdown()
 
     def test_heartbeat_timeout_is_pure_clock_arithmetic(self):
-        # The deadline check runs on the injected clock: advancing it past
-        # the timeout fails the flight without any real waiting.
+        # Once the lane has started, the deadline check runs on the
+        # injected clock: advancing it past the timeout fails the flight
+        # without any real waiting.
         clock = FakeClock()
         sup = WorkerSupervisor(
             1, run_fn=hang_forever, timeout=5.0, max_attempts=1,
@@ -253,6 +254,7 @@ class TestProcessMode:
         )
         try:
             sup.submit("j1", config(seed=8))
+            assert sup.wait() == []  # returns once the lane has started
             assert sup.poll() == []  # in flight, not overdue
             clock.advance(5.1)
             outcomes = wait_for(sup, 1, budget=10.0)
@@ -275,6 +277,7 @@ class TestProcessMode:
         try:
             sup.submit("j1", config(seed=8))
             [hung] = sup.worker_pids()
+            assert sup.wait() == []  # returns once the lane has started
             clock.advance(5.1)
             outcomes = wait_for(sup, 1, budget=10.0)
             assert outcomes[0].result.error_type == ERROR_TIMEOUT

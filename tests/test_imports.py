@@ -59,3 +59,46 @@ def test_a_run_imports_neither_networkx_nor_scipy_stats():
         "print(json.dumps(sorted({'networkx', 'scipy.stats'} & set(sys.modules))))\n"
     )
     assert json.loads(out) == []
+
+
+#: Modules a plain rwp/snw/sdsrp run has no use for: worker lanes, sweeps,
+#: the opt-in checkers and collectors, and every other router and mobility
+#: model.  SciPy's KD-tree imports ``concurrent.futures`` itself, so the
+#: lanes' process pool is named by its own module.
+NOT_RUN = (
+    "multiprocessing",
+    "concurrent.futures.process",
+    "repro.parallel.supervisor",
+    "repro.experiments.sweep",
+    "repro.experiments.figures",
+    "repro.experiments.checkpoint",
+    "repro.analysis.sanitizer",
+    "repro.faults.injector",
+    "repro.obs.timeseries",
+    "repro.obs.trace",
+    "repro.traces.format",
+    "repro.reports.fate",
+    "repro.routing.direct",
+    "repro.routing.epidemic",
+    "repro.routing.first_contact",
+    "repro.routing.prophet",
+    "repro.routing.spray_and_focus",
+    "repro.mobility.random_direction",
+    "repro.mobility.random_walk",
+    "repro.mobility.stationary",
+    "repro.mobility.taxi",
+    "repro.mobility.trace",
+)
+
+
+def test_a_run_imports_only_what_it_runs():
+    out = run_blocked(
+        "import json\n"
+        "from repro.experiments.runner import build_scenario, run_built\n"
+        "from repro.experiments.scenario import ScenarioConfig\n"
+        "cfg = ScenarioConfig(name='diet', n_nodes=6, sim_time=60.0,\n"
+        "                     mobility='rwp', router='snw', policy='sdsrp')\n"
+        "run_built(build_scenario(cfg))\n"
+        f"print(json.dumps(sorted(set({NOT_RUN!r}) & set(sys.modules))))\n"
+    )
+    assert json.loads(out) == []
