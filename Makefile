@@ -33,10 +33,12 @@ lint-deep:
 # Dynamic layer: reduced paper scenarios with every runtime invariant
 # checked each tick (buffer accounting, pins, TTL, spray-token budget,
 # single commit, contact set). Serial on purpose: a violation must point
-# at one run. The taxi run is where the contact detector rebuilds most.
+# at one run. The taxi run is where the contact detector rebuilds most;
+# the churn run takes nodes down, so its ticks diff link keys by search.
 sanitize-smoke:
 	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m repro.experiments run --scenario rwp --policy sdsrp --reduced
 	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m repro.experiments run --scenario epfl --policy sdsrp --reduced
+	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m repro.experiments run --scenario rwp --policy sdsrp --reduced --churn 0.2
 	REPRO_SANITIZE=1 PYTHONPATH=src $(PYTHON) -m repro.experiments fig8 --axis copies --policies sdsrp --workers 1
 
 # Observability layer (docs/observability.md): one reduced run with the

@@ -212,16 +212,16 @@ class Simulator:
         horizon = self.end_time if until is None else min(until, self.end_time)
         self._running = True
         stopped = False
+        pop_due = self.queue.pop_due
         try:
             while True:
                 if not self._running:
                     stopped = True
                     break
-                next_time = self.queue.peek_time()
-                if next_time is None or next_time > horizon:
+                # One queue call per event: the next live one, if it is due.
+                event = pop_due(horizon)
+                if event is None:
                     break
-                event = self.queue.pop()
-                assert event is not None  # peek said non-empty
                 self.advance_to(event.time)
                 self._events_processed += 1
                 event.callback(*event.args)

@@ -36,7 +36,6 @@ from repro.experiments.scenario import (
     random_waypoint_scenario,
     scale_scenario,
 )
-from repro.experiments.sweep import replicate, run_many, summarize_replicates
 from repro.faults.plan import FaultPlan
 from repro.reports.summary import FailedRun, RunSummary
 from repro.units import megabytes
@@ -254,6 +253,14 @@ def metric_sweep(
     each run, and an interrupted sweep resumes from the ``resume``
     checkpoint file.
     """
+    # The sweep stack (worker lanes, checkpoints, multiprocessing) loads
+    # only when a sweep runs, not with the CLI parser or a single run.
+    from repro.experiments.sweep import (
+        replicate,
+        run_many,
+        summarize_replicates,
+    )
+
     base, x_label, x_values, apply_x = _axis_plan(
         scenario, axis, full, seed, node_factor, time_factor
     )

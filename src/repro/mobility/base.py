@@ -53,6 +53,15 @@ class MobilityModel(ABC):
     #: subdivided so waypoint turnarounds are not skipped over.
     max_step: float = 1.0
 
+    @property
+    def max_speed(self) -> float | None:
+        """A bound on every node's speed, in m/s, for a model whose nodes
+        move along straight legs at speeds drawn from a bounded range: an
+        advance by ``dt`` then moves no node more than ``max_speed * dt``.
+        ``None`` for a model that can jump or has not been shown not to;
+        the contact detector then tests positions on every tick."""
+        return None
+
     def advance(self, to_time: float) -> np.ndarray:
         """Advance the fleet to *to_time* and return positions."""
         if not self._initialized:
@@ -110,6 +119,8 @@ class WaypointEngine(MobilityModel):
         return rng.uniform((0.0, 0.0), (w, h), size=(n, 2))
 
     def sample_speeds(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw *n* leg speeds from :attr:`speed_range` (an override must
+        stay inside it: :attr:`max_speed` is its upper end)."""
         lo, hi = self.speed_range
         if lo == hi:
             return np.full(n, lo)
@@ -134,28 +145,52 @@ class WaypointEngine(MobilityModel):
     def positions(self) -> np.ndarray:
         return self._pos
 
+    @property
+    def max_speed(self) -> float:
+        """Every leg's speed is drawn from :attr:`speed_range`, and a node
+        travels its legs in straight lines or pauses."""
+        return self.speed_range[1]
+
     def _step(self, dt: float) -> None:
         pos, target, speed = self._pos, self._target, self._speed
         pause_left = self._pause_left
-        # One whole-array pass.  Pauses absorb travel time first (a node
-        # not pausing has pause_left == 0.0); every node with time left then
-        # moves toward its waypoint, unless it gets there.
-        consumed = np.minimum(pause_left, dt)
-        pause_left -= consumed
-        budget = dt - consumed
         vec = target - pos
         dist = np.hypot(vec[:, 0], vec[:, 1])
-        reach = speed * budget
-        active = budget > 1e-12
-        arriving = active & (reach >= dist)
-        step = reach / np.maximum(dist, 1e-12)
-        np.add(pos, vec * step[:, None], out=pos, where=(active & ~arriving)[:, None])
+        if dt > 1e-12 and not pause_left.any():
+            # The lean pass: no node pauses, so every node's budget is dt
+            # and every node moves.  The same float operations, in the same
+            # order, as the general pass below with its masks folded away.
+            # Arriving nodes move too; the loop puts them on their target.
+            reach = speed * dt
+            arriving = reach >= dist
+            vec *= (reach / np.maximum(dist, 1e-12))[:, None]
+            pos += vec
+            idx = np.flatnonzero(arriving)
+            budget = dt
+        else:
+            # One whole-array pass.  Pauses absorb travel time first (a node
+            # not pausing has pause_left == 0.0); every node with time left
+            # then moves toward its waypoint, unless it gets there.
+            consumed = np.minimum(pause_left, dt)
+            pause_left -= consumed
+            budget = dt - consumed
+            reach = speed * budget
+            active = budget > 1e-12
+            arriving = active & (reach >= dist)
+            step = reach / np.maximum(dist, 1e-12)
+            np.add(
+                pos, vec * step[:, None], out=pos,
+                where=(active & ~arriving)[:, None],
+            )
+            idx = np.flatnonzero(arriving)
+            budget = budget[idx]
+        if idx.size == 0:
+            return
 
         # Per-node work only for nodes that reached their waypoint: each
         # draws a new leg and pause, then spends what is left of dt on them.
         # A node may pass a few waypoints in one step, up to 64 legs in all.
-        idx = np.flatnonzero(arriving)
-        budget, dist = budget[idx], dist[idx]
+        dist = dist[idx]
         for _ in range(63):
             if idx.size == 0:
                 return

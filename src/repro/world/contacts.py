@@ -20,22 +20,48 @@ keeps every pair within it as a candidate, with a copy of the positions
 it saw (the anchor).  Each later call only tests the candidates, until
 some node has moved half a skin from its anchor; until then no pair
 outside the candidates can be in range.  The cache changes the cost,
-never the result.  Replaying the perf benchmark's workloads (first
-instance, 2-core x86-64 VM, SciPy 1.17), a call took 18 µs for 100 RWP
-nodes (a fresh query per tick: 52 µs), 50 µs for 200 taxis (128 µs) and
-1.6 ms for 10k nodes (6.9 ms), rebuilding on 121 of 3,001, 126 of 501
-and 3 of 41 calls.
+never the result.
 
-The world keeps its link set as such an array.  After the first tick only
-a few links change per tick (~280 of ~10.9k at 10k nodes), so
-:func:`diff_keys` finds them with sorted-array searches and
-:func:`split_keys` turns those alone into two lists of Python-int ends
-with one array division, which the tick walks in step.  :func:`decode`
-builds ``(i, j)`` tuples for callers that want pairs (snapshots
-JSON-encode links; NumPy integers do not encode).
+Whether a node can have moved that far is known without a look at the
+positions when the mobility model moves its nodes along straight legs at
+speeds from a bounded range and says so
+(:attr:`~repro.mobility.base.MobilityModel.max_speed`).  The world then
+hands each call a *drift*, that bound times the time since its last
+call, and the detector sums the drifts since its last rebuild: while the
+sum stays within half a skin, no node can be farther than that from its
+anchor, and the displacement test is skipped.  A model that can jump
+(trace playback) or has not been shown not to declares no bound, and
+every call tests the positions.  For the paper's 2 m/s nodes the sum
+passes half the skin after 25 calls; on the perf benchmark's 100 RWP
+nodes 120 of 3,001 calls tested positions, and each of those rebuilt.
+
+Replaying the perf benchmark's workloads (first instance, 2-core x86-64
+VM, SciPy 1.17), rebuilding on 121 of 3,001, 126 of 501 and 3 of 41
+calls, a call took 8.5 µs for 100 RWP nodes (a fresh query per tick:
+32 µs), 32 µs for 200 taxis (63 µs) and 0.9 ms for 10k nodes (4.2 ms).
+
+The world keeps its link set as such an array, and the detector keeps
+which of its candidates were in range at its last call, with the keys of
+those: its result, replaced, never edited in place.  A call that keeps
+its candidates compares the new in-range mask with the old one.  If no
+candidate changed sides, it returns its previous result itself (1,834 of
+3,001 calls for the 100 RWP nodes), and the world, holding that same
+array, has nothing to diff.  Otherwise :meth:`KDTreeDetector.changes`
+names the keys that left and joined, read off the flipped candidates,
+which sort by key: no search.  After a rebuild, or when the world's link
+set is not the detector's last result, :func:`diff_keys` finds the
+changes with sorted-array searches.  On the replays the tick's link step
+went from 3.4 to 0.4 µs for 100 RWP nodes and from 373 to 23 µs for 10k
+nodes, where ~280 of ~10.9k links change per tick.  :func:`split_keys`
+turns the changed keys alone into two lists of Python-int ends with one
+array division, which the tick walks in step.  :func:`decode` builds
+``(i, j)`` tuples for callers that want pairs (snapshots JSON-encode
+links; NumPy integers do not encode).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -65,7 +91,8 @@ _HALF_SKIN = SKIN_RATIO / 2 * (1 - 1e-9)
 
 class KDTreeDetector:
     """A ``cKDTree`` candidate list, rebuilt once a node has moved half a
-    skin (see the module docstring); the detector for every fleet size."""
+    skin, that reports which candidates flipped (see the module
+    docstring); the detector for every fleet size."""
 
     def __init__(self) -> None:
         #: Positions at the last rebuild: a copy, since the mobility model
@@ -77,11 +104,34 @@ class KDTreeDetector:
         empty = np.empty(0, dtype=np.int64)
         self._keys = empty
         self._ends = (empty, empty)
+        #: The drift bounds handed in since the last rebuild, summed: no
+        #: node can be farther than this from its anchor.
+        self._drift = 0.0
+        #: Which candidates the last call found in range, and their keys
+        #: (the last result, replaced, never edited in place).
+        self._inside = np.empty(0, dtype=bool)
+        self._found = empty
+        #: ``(before, gone, came)`` after a call that kept its candidates
+        #: and saw some flip: the result of the call before it, and the
+        #: keys that left and joined.  ``None`` otherwise.
+        self._flips: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def pairs(self, positions: np.ndarray, radius: float) -> np.ndarray:
+    def pairs(
+        self, positions: np.ndarray, radius: float, drift: float = math.inf
+    ) -> np.ndarray:
         """Sorted int64 keys ``i * N + j`` of all pairs ``(i, j), i < j``
-        with distance <= *radius*."""
+        with distance <= *radius*.
+
+        *drift* bounds how far any node has moved since the previous call
+        (``max_speed * dt`` for a mobility model that declares a speed
+        bound); the default, infinity, claims nothing.  While the drifts
+        since the last rebuild sum to at most half a skin, no node can
+        have left its half-skin, and the positions are not tested.  A call
+        without a rebuild returns the previous result itself when no
+        candidate changed sides.
+        """
         self._check(positions, radius)
+        self._flips = None
         if positions.shape[0] < 2:
             return np.empty(0, dtype=np.int64)
         anchor = self._anchor
@@ -90,32 +140,69 @@ class KDTreeDetector:
             or anchor.shape != positions.shape
             or radius != self._radius
         ):
-            self._rebuild(positions, radius)
-        else:
+            return self._rebuild(positions, radius)
+        self._drift += drift
+        limit = radius * _HALF_SKIN
+        # ``not <=``: a NaN drift tests the positions, a NaN displacement
+        # rebuilds, and cKDTree rejects it.
+        if not self._drift <= limit:
             moved = positions - anchor
             moved *= moved
-            limit = radius * _HALF_SKIN
-            # ``not <=``: a NaN displacement rebuilds, and cKDTree rejects it.
             if not ((moved[:, 0] + moved[:, 1]).max() <= limit * limit):
-                self._rebuild(positions, radius)
+                return self._rebuild(positions, radius)
+        inside = self._in_range(positions, radius)
+        flipped = inside != self._inside
+        before = self._found
+        if not flipped.any():
+            return before
+        # Candidates sort by key, so both lists come out in key order.
+        changed = self._keys[flipped]
+        joined = inside[flipped]
+        self._flips = (before, changed[~joined], changed[joined])
+        self._inside = inside
+        self._found = found = self._keys.compress(inside)
+        return found
+
+    def changes(self, old: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(gone, came)``: the keys of *old* missing from the last result,
+        and those of the last result missing from *old*, read off the
+        candidates that flipped; ``None`` unless the last call kept its
+        candidates, some flipped, and *old* is the result of the call
+        before it."""
+        flips = self._flips
+        if flips is None or flips[0] is not old:
+            return None
+        return flips[1], flips[2]
+
+    def _in_range(self, positions: np.ndarray, radius: float) -> np.ndarray:
+        """Which candidates are within *radius* at *positions*."""
         i, j = self._ends
         diff = positions.take(i, axis=0)
         diff -= positions.take(j, axis=0)
-        dx, dy = diff[:, 0], diff[:, 1]
-        return self._keys[dx * dx + dy * dy <= radius * radius]
+        diff *= diff
+        return diff[:, 0] + diff[:, 1] <= radius * radius
 
-    def _rebuild(self, positions: np.ndarray, radius: float) -> None:
-        """Gather the candidates within the radius plus the skin."""
+    def _rebuild(self, positions: np.ndarray, radius: float) -> np.ndarray:
+        """Gather the candidates within the radius plus the skin; the keys
+        of those within the radius."""
         n = positions.shape[0]
-        found = cKDTree(positions).query_pairs(
+        ends = cKDTree(positions).query_pairs(
             radius * (1 + SKIN_RATIO), output_type="ndarray"
         )
-        keys = found[:, 0].astype(np.int64) * n + found[:, 1]
+        keys = ends[:, 0].astype(np.int64) * n + ends[:, 1]
+        # Freed before the in-range test below: 16 bytes a candidate.
+        del ends
         keys.sort()
         self._keys = keys
         self._ends = np.divmod(keys, n)
         self._anchor = positions.copy()
         self._radius = radius
+        self._drift = 0.0
+        self._inside = inside = self._in_range(positions, radius)
+        # ``compress``, not ``keys[inside]``: the same keys, and at 10k
+        # nodes (43k candidates, a quarter in range) 5x faster.
+        self._found = found = keys.compress(inside)
+        return found
 
     @staticmethod
     def _check(positions: np.ndarray, radius: float) -> None:

@@ -6,6 +6,25 @@ with the contact detector, fires ``link.down`` (aborting in-flight
 transfers) and ``link.up`` events, purges expired messages, and gives idle
 routers a chance to start transfers.
 
+The tick costs what changed.  It hands the detector a drift, how far any
+node can have moved since the last tick (the mobility model's
+``max_speed`` times the time between ticks, infinite for a model without
+one), so the detector tests positions only once nodes may have left their
+half-skin (:mod:`repro.world.contacts`).  Then one of three cases holds:
+
+* no candidate flipped: the detector returns its previous key array, the
+  very object :attr:`World.link_keys` holds, and the tick fires nothing;
+* some candidates flipped: :meth:`KDTreeDetector.changes` names the keys
+  that left and joined, in key order, and the tick fires those;
+* the detector rebuilt, or the world's link set is not its last result
+  (down nodes or mixed radio ranges filter the detector's keys, or
+  :meth:`World.set_node_down`, :meth:`World.force_link_down` or
+  :meth:`World.set_links` replaced the set): the tick compares the two
+  arrays and diffs them by sorted-array search.
+
+All three fire the same events in the same order.  The identity test is
+sound because link arrays are replaced, never edited in place.
+
 The last two steps (:func:`routing_phase`) visit only the nodes of a
 :class:`DueSet`, the nodes that can act:
 
@@ -198,6 +217,9 @@ class World:
         #: the detector's candidate pairs touching them are discarded.
         self.down_nodes: set[int] = set()
         self.positions = np.zeros((len(nodes), 2))
+        #: The time :attr:`positions` were last advanced to: the detector's
+        #: drift bound covers the movement since then.
+        self._moved_at = 0.0
         self._ranges = np.array([n.radio.range_m for n in self.nodes])
         self._max_range = float(self._ranges.max())
         self._uniform_range = bool(np.all(self._ranges == self._ranges[0]))
@@ -218,15 +240,26 @@ class World:
         """One world step: move, rewire links, purge TTLs, kick senders."""
         now = self.sim.now
         profiler = self.sim.profiler
+        mobility = self.mobility
         with timed(profiler, "movement"):
-            self.positions = self.mobility.advance(now)
+            self.positions = mobility.advance(now)
+        bound = mobility.max_speed
+        drift = math.inf if bound is None else bound * (now - self._moved_at)
+        self._moved_at = now
+        detector = self.detector
         with timed(profiler, "contacts"):
-            keys = self.detect_links(self.detector)
+            keys = self.detect_links(detector, drift)
 
         with timed(profiler, "links"):
             old = self.link_keys
-            if not np.array_equal(keys, old):
-                gone, came = diff_keys(old, keys)
+            changes = None
+            # The same array means no candidate flipped (module docstring).
+            if keys is not old:
+                changes = detector.changes(old)
+                if changes is None and not np.array_equal(keys, old):
+                    changes = diff_keys(old, keys)
+            if changes is not None:
+                gone, came = changes
                 # Key order is pair order, so events fire in an order that
                 # is a function of the pair ids alone; snapshot/restore runs
                 # stay byte-identical to uninterrupted ones.
@@ -248,10 +281,14 @@ class World:
         benchmark's worker does) need not know that.
         """
 
-    def detect_links(self, detector: KDTreeDetector) -> np.ndarray:
+    def detect_links(
+        self, detector: KDTreeDetector, drift: float = math.inf
+    ) -> np.ndarray:
         """The link keys *detector* finds at the current positions: pairs
-        within the smaller of the two radio ranges, neither end down."""
-        keys = detector.pairs(self.positions, self._max_range)
+        within the smaller of the two radio ranges, neither end down.
+        *drift* bounds any node's movement since *detector*'s last call
+        (see :meth:`KDTreeDetector.pairs`)."""
+        keys = detector.pairs(self.positions, self._max_range, drift)
         if not self._uniform_range:
             keys = self._within_both_ranges(keys)
         if self.down_nodes:

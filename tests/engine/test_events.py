@@ -92,12 +92,17 @@ class TestCancellation:
         q.cancel(e)
         assert len(q) == 0
 
-    def test_peek_skips_cancelled_head(self):
+    def test_pop_due_skips_cancelled_head(self):
         q = EventQueue()
         head = q.schedule(0.5, lambda: None)
-        q.schedule(2.0, lambda: None)
+        later = q.schedule(2.0, lambda: None)
         q.cancel(head)
-        assert q.peek_time() == 2.0
+        # The cancelled head is discarded; the live event past the horizon
+        # stays queued until a later horizon reaches it.
+        assert q.pop_due(1.0) is None
+        assert len(q) == 1
+        assert q.pop_due(2.0) is later
+        assert q.pop_due(5.0) is None
 
     def test_clear_empties_queue(self):
         q = EventQueue()

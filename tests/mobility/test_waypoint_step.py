@@ -12,6 +12,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.mobility.base import WaypointEngine
@@ -127,6 +129,26 @@ class TestLongWalks:
         )
         assert assert_same_walk(engine, 2000) > 100
 
+    def test_hand_set_pauses_switch_between_the_two_passes(self):
+        # A fleet that never draws a pause takes the lean pass, until some
+        # nodes are put mid-pause by hand; their steps take the general
+        # pass until the last of those pauses runs out.
+        engine = started(RandomWaypoint(80, (900.0, 700.0), (1.0, 9.0)), 5)
+        reference = with_reference(engine)
+        chooser = np.random.default_rng(55)
+        passes = {"lean": 0, "general": 0}
+        for t in range(1, 1501):
+            if t % 40 == 0:
+                held = chooser.choice(80, size=3, replace=False)
+                pauses = chooser.uniform(0.2, 6.0, size=3)
+                engine._pause_left[held] = pauses
+                reference._pause_left[held] = pauses
+            passes["general" if engine._pause_left.any() else "lean"] += 1
+            engine.advance(float(t))
+            reference.advance(float(t))
+            assert_identical(engine, reference)
+        assert passes["lean"] > 500 and passes["general"] > 100, passes
+
     def test_fractional_steps(self):
         # advance() hands _step dt < 1 when asked for times between ticks.
         engine = started(
@@ -137,6 +159,57 @@ class TestLongWalks:
             engine.advance(float(t))
             reference.advance(float(t))
             assert_identical(engine, reference)
+
+
+def fleets() -> st.SearchStrategy[WaypointEngine]:
+    """Waypoint fleets of every kind the drift bound covers."""
+    return st.one_of(
+        st.builds(
+            lambda n, hi: RandomWaypoint(n, (300.0, 200.0), (0.5, hi)),
+            st.integers(1, 40), st.floats(0.5, 30.0),
+        ),
+        st.builds(
+            lambda n, hi, pause: RandomWaypoint(
+                n, (300.0, 200.0), (1.0, hi), (0.0, pause)
+            ),
+            st.integers(1, 40), st.floats(1.0, 30.0), st.floats(0.0, 5.0),
+        ),
+        st.builds(TaxiFleet, st.integers(1, 60)),
+    )
+
+
+class TestSpeedBound:
+    """The contact detector skips its positional test on the strength of
+    ``max_speed``: no step may move a node farther than ``max_speed * dt``."""
+
+    @given(
+        fleets(),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.floats(0.05, 3.0), min_size=1, max_size=60),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_no_step_moves_a_node_farther_than_the_bound(
+        self, engine, seed, gaps
+    ):
+        engine.initialize(np.random.default_rng(seed))
+        bound = engine.max_speed
+        assert bound == engine.speed_range[1]
+        t = 0.0
+        for gap in gaps:
+            before = engine.positions.copy()
+            t += gap
+            engine.advance(t)
+            moved = np.hypot(*(engine.positions - before).T).max()
+            # Rounding of the positions themselves: far inside the
+            # detector's margin of 1e-9 of its half skin.
+            assert moved <= bound * gap * (1 + 1e-9) + 1e-9
+
+    def test_models_not_shown_to_move_in_legs_declare_no_bound(self):
+        from repro.mobility.random_walk import RandomWalk
+        from repro.mobility.stationary import Stationary
+
+        assert Stationary(3, (10.0, 10.0)).max_speed is None
+        assert RandomWalk(3, (10.0, 10.0)).max_speed is None
 
 
 class ScriptedTargets(RandomWaypoint):

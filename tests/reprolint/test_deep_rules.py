@@ -55,6 +55,15 @@ def test_rep101_suppression_is_matched_and_counted():
     assert not result.unused
 
 
+def test_calls_resolve_through_function_local_imports():
+    # `run_local` imports `build_run` in its own body, shadowing the
+    # module-level alias of the compliant function: only the local import
+    # puts the underived seed on a worker path.
+    result = run_fixture("localimport", "REP101")
+    assert not result.broken
+    assert [f.message.count("repro.build.build_run") for f in result.findings] == [1]
+
+
 def test_provenance_cycles_terminate():
     # A method reading the attribute it rebinds, and two methods reading
     # each other's attributes, once recursed until RecursionError.

@@ -102,3 +102,26 @@ def test_a_run_imports_only_what_it_runs():
         f"print(json.dumps(sorted(set({NOT_RUN!r}) & set(sys.modules))))\n"
     )
     assert json.loads(out) == []
+
+
+#: What only a sweep uses: worker lanes, checkpoints and the process pool.
+SWEEP_STACK = (
+    "multiprocessing",
+    "concurrent.futures.process",
+    "repro.parallel.supervisor",
+    "repro.experiments.sweep",
+    "repro.experiments.checkpoint",
+)
+
+
+def test_the_cli_and_the_figures_module_leave_the_sweep_stack_unloaded():
+    # `repro-experiments run` builds the whole parser, which reads the figure
+    # presets; the stack loads only once a sweep runs.
+    out = run_blocked(
+        "import json\n"
+        "from repro.experiments.cli import build_parser\n"
+        "build_parser()\n"
+        "import repro.experiments.figures\n"
+        f"print(json.dumps(sorted(set({SWEEP_STACK!r}) & set(sys.modules))))\n"
+    )
+    assert json.loads(out) == []

@@ -5,6 +5,7 @@ candidate list that never changes a result however positions move."""
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -166,9 +167,46 @@ def threshold(radius: float) -> float:
     return radius * contacts._HALF_SKIN
 
 
+class Tracked:
+    """A detector driven as the world drives it: each call hands it a drift
+    that holds (the farthest any node moved since the call before, or more)
+    and is checked against the O(N^2) reference, and so are its flips."""
+
+    def __init__(self, data) -> None:
+        self.data = data
+        self.detector = KDTreeDetector()
+        self.seen: np.ndarray | None = None
+        self.keys = np.empty(0, dtype=np.int64)
+        self.truth: set[tuple[int, int]] = set()
+
+    def check(self, positions: np.ndarray, radius: float, step: str) -> None:
+        detector, before = self.detector, self.keys
+        seen, anchor = self.seen, detector._anchor
+        if seen is None or seen.shape != positions.shape:
+            drift = math.inf
+        else:
+            drift = float(np.hypot(*(positions - seen).T).max())
+            drift *= self.data.draw(st.sampled_from([1.0, 1.5]), label="slack")
+        keys = detector.pairs(positions, radius, drift)
+        truth = brute_truth(positions, radius)
+        n = positions.shape[0]
+        assert set(decode(keys, n)) == truth, step
+        changes = detector.changes(before)
+        if keys is before:
+            assert truth == self.truth, step
+        elif changes is not None:
+            gone, came = (decode(k, n) for k in changes)
+            assert gone == sorted(self.truth - truth), step
+            assert came == sorted(truth - self.truth), step
+        else:
+            assert detector._anchor is not anchor, f"{step}: no rebuild, no flips"
+        self.seen, self.keys, self.truth = positions.copy(), keys, truth
+
+
 class TestCandidateList:
     """One detector over moving positions: every call equals the O(N^2)
-    reference, whether it reused its candidates or rebuilt them."""
+    reference, whether it reused its candidates or rebuilt them, and so do
+    the flips it reports."""
 
     @given(st.data())
     @settings(max_examples=200)
@@ -178,6 +216,7 @@ class TestCandidateList:
         n = data.draw(st.integers(min_value=2, max_value=40), label="n")
         positions = rng.uniform(0.0, 8 * radius, size=(n, 2))
         detector = KDTreeDetector()
+        tracked = Tracked(data)
         for _ in range(data.draw(st.integers(min_value=1, max_value=15))):
             step = data.draw(st.sampled_from(
                 ["small", "in-place", "teleport", "tie", "approach", "resize",
@@ -216,6 +255,7 @@ class TestCandidateList:
                 assert found(detector, positions, radius) == brute_truth(
                     positions, radius
                 )
+                tracked.check(positions, radius, "approach: far")
                 positions = positions.copy()
                 closing = unit * threshold(radius) * rng.uniform(0.9, 1.0)
                 positions[a] += closing
@@ -230,6 +270,7 @@ class TestCandidateList:
             assert found(detector, positions, radius) == brute_truth(
                 positions, radius
             ), step
+            tracked.check(positions, radius, step)
 
     def test_positions_edited_in_place(self):
         # The detector must keep its own copy of the positions it built

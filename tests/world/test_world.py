@@ -178,7 +178,7 @@ def detect(world: World, pairs) -> None:
     """Make the world's detector find exactly *pairs* from now on."""
     n = len(world.nodes)
     keys = np.array(sorted(i * n + j for i, j in pairs), dtype=np.int64)
-    world.detector.pairs = lambda positions, radius: keys
+    world.detector.pairs = lambda positions, radius, drift: keys
 
 
 class TestLinkKeyDiff:
@@ -246,6 +246,62 @@ class TestLinkKeyDiff:
         assert world.force_link_down(0, 5) is False
         assert world.force_link_down(1, 1) is False
         assert world.links == {(1, 2)}
+
+
+class TestFlipTicks:
+    """The tick reads link changes off the candidates that flipped."""
+
+    def test_a_tick_with_no_flip_keeps_the_link_array(self):
+        mw = build_micro_world(points=[(0.0, 0.0), (50.0, 0.0), (500.0, 500.0)])
+        events = []
+        for topic in ("link.up", "link.down"):
+            mw.sim.listeners.subscribe(
+                topic, lambda a, b, topic=topic: events.append(topic)
+            )
+        mw.sim.run(until=1.0)
+        keys = mw.world.link_keys
+        assert events == ["link.up"]
+        mw.sim.run(until=20.0)
+        assert mw.world.link_keys is keys
+        assert events == ["link.up"]
+
+    def test_a_moving_fleet_fires_the_tuple_set_diff(self):
+        # The paper's 2 m/s legs: most ticks keep the candidates, some flip
+        # a pair, a few rebuild; every tick's events must be the sorted
+        # tuple-set diff of the reference link sets, downs first.
+        from repro.mobility.random_waypoint import RandomWaypoint
+
+        n = 30
+        mobility = RandomWaypoint(n, (600.0, 500.0), (2.0, 2.0))
+        mw = build_micro_world(mobility=mobility, sim_time=400.0)
+        world = mw.world
+        events: list = []
+        for topic in ("link.down", "link.up"):
+            mw.sim.listeners.subscribe(
+                topic, lambda a, b, topic=topic: events.append((topic, (a.id, b.id)))
+            )
+        links: set = set()
+        kept = flipped = 0
+        for t in range(400):
+            before = world.link_keys
+            mw.sim.run(until=float(t))
+            truth = {
+                (i, j) for i, j in decode(
+                    KDTreeDetector().pairs(world.positions, 100.0), n
+                )
+            }
+            expected = [("link.down", p) for p in sorted(links - truth)]
+            expected += [("link.up", p) for p in sorted(truth - links)]
+            assert events == expected, t
+            assert world.links == truth
+            if world.link_keys is before:
+                assert not events
+                kept += 1
+            elif events and world.detector.changes(before) is not None:
+                flipped += 1
+            events.clear()
+            links = truth
+        assert kept > 100 and flipped > 20, (kept, flipped)
 
 
 class TestDeterministicLinkOrder:

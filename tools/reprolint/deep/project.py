@@ -2,7 +2,8 @@
 
 Loads every ``*.py`` under a source root into :class:`ModuleInfo` records
 (dotted module name, parsed tree, import map) and indexes classes, methods
-and attribute write sites so rules can ask cross-module questions:
+(each with the imports its own body makes) and attribute write sites so
+rules can ask cross-module questions:
 
 * resolve a call expression to the project function(s) it may reach
   (:meth:`Project.resolve_call` / :meth:`Project.method_candidates`);
@@ -68,6 +69,9 @@ class FunctionInfo:
     module: "ModuleInfo"
     node: FunctionNode
     cls: "ClassInfo | None" = None
+    #: Names bound by ``import`` statements inside the body (nested
+    #: functions' included), as :attr:`ModuleInfo.imports` maps them.
+    imports: dict[str, str] = field(default_factory=dict)
 
     @property
     def params(self) -> list[str]:
@@ -334,22 +338,11 @@ class Project:
             self._index_statement(module, stmt)
 
     def _index_statement(self, module: ModuleInfo, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Import):
-            for alias in stmt.names:
-                local = alias.asname or alias.name.split(".", 1)[0]
-                target = alias.name if alias.asname else alias.name.split(".", 1)[0]
-                module.imports[local] = target
-        elif isinstance(stmt, ast.ImportFrom):
-            base = self._import_base(module, stmt)
-            for alias in stmt.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                module.imports[local] = f"{base}.{alias.name}" if base else alias.name
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            self._bind_import(module, stmt, module.imports)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            info = FunctionInfo(
-                qualname=f"{module.name}.{stmt.name}",
-                name=stmt.name, module=module, node=stmt,
+            info = self._function(
+                module, stmt, f"{module.name}.{stmt.name}", None
             )
             module.functions[stmt.name] = info
             self.methods_by_name.setdefault(stmt.name, []).append(info)
@@ -359,6 +352,38 @@ class Project:
             for inner in ast.iter_child_nodes(stmt):
                 if isinstance(inner, ast.stmt):
                     self._index_statement(module, inner)
+
+    def _function(
+        self, module: ModuleInfo, node: FunctionNode, qualname: str,
+        cls: "ClassInfo | None",
+    ) -> FunctionInfo:
+        """A :class:`FunctionInfo` with the imports its body makes."""
+        info = FunctionInfo(
+            qualname=qualname, name=node.name, module=module, node=node,
+            cls=cls,
+        )
+        for inner in ast.walk(node):
+            if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                self._bind_import(module, inner, info.imports)
+        return info
+
+    def _bind_import(
+        self, module: ModuleInfo, stmt: ast.Import | ast.ImportFrom,
+        imports: dict[str, str],
+    ) -> None:
+        """Record the names *stmt*, in *module*, binds into *imports*."""
+        if isinstance(stmt, ast.Import):
+            for alias in stmt.names:
+                local = alias.asname or alias.name.split(".", 1)[0]
+                target = alias.name if alias.asname else alias.name.split(".", 1)[0]
+                imports[local] = target
+            return
+        base = self._import_base(module, stmt)
+        for alias in stmt.names:
+            if alias.name == "*":
+                continue
+            local = alias.asname or alias.name
+            imports[local] = f"{base}.{alias.name}" if base else alias.name
 
     def _import_base(self, module: ModuleInfo, stmt: ast.ImportFrom) -> str:
         if stmt.level == 0:
@@ -384,9 +409,8 @@ class Project:
         _class_anno_kinds(stmt, cls)
         for item in stmt.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                info = FunctionInfo(
-                    qualname=f"{cls.qualname}.{item.name}",
-                    name=item.name, module=module, node=item, cls=cls,
+                info = self._function(
+                    module, item, f"{cls.qualname}.{item.name}", cls
                 )
                 cls.methods[item.name] = info
                 self.methods_by_name.setdefault(item.name, []).append(info)
@@ -406,13 +430,19 @@ class Project:
                 out.extend(cls.methods.values())
         return out
 
-    def resolve_symbol(self, module: ModuleInfo, dotted: list[str]) -> FunctionInfo | ClassInfo | None:
-        """Resolve a dotted name used inside *module* to a project symbol."""
+    def resolve_symbol(
+        self, module: ModuleInfo, dotted: list[str],
+        local_imports: dict[str, str] | None = None,
+    ) -> FunctionInfo | ClassInfo | None:
+        """Resolve a dotted name used inside *module* to a project symbol;
+        *local_imports*, a function's own, shadow the module's."""
         if not dotted:
             return None
         head = dotted[0]
         target: list[str]
-        if head in module.imports:
+        if local_imports and head in local_imports:
+            target = local_imports[head].split(".") + dotted[1:]
+        elif head in module.imports:
             target = module.imports[head].split(".") + dotted[1:]
         elif head in module.functions and len(dotted) == 1:
             return module.functions[head]
@@ -466,7 +496,7 @@ class Project:
             return None
         if chain[0] == "self" and fn.cls is not None and len(chain) == 2:
             return self.class_method(fn.cls, chain[1])
-        symbol = self.resolve_symbol(fn.module, chain)
+        symbol = self.resolve_symbol(fn.module, chain, fn.imports)
         if isinstance(symbol, FunctionInfo):
             return symbol
         if isinstance(symbol, ClassInfo):
