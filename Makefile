@@ -107,15 +107,16 @@ perf-pairs:
 	$(PYTHON) tools/perf_pairs.py --parent $(PARENT) --pairs $(PAIRS) $(PERF_ARGS)
 
 # The paper's exact grids (Tables II/III). Hours of CPU; tune --workers.
-# Each sweep checkpoints to *.ckpt.jsonl, so a killed run resumes from its
-# completed grid points when you re-run the target.
+# Each sweep keeps its finished runs in a figN_<axis>.store/ run store, so a
+# killed run resumes from its completed grid points when you re-run the
+# target.
 figures-full:
-	PYTHONPATH=src $(PYTHON) -m repro.experiments fig8 --axis copies --full --workers 4 --resume fig8_copies.ckpt.jsonl --json fig8_copies.json
-	PYTHONPATH=src $(PYTHON) -m repro.experiments fig8 --axis buffer --full --workers 4 --resume fig8_buffer.ckpt.jsonl --json fig8_buffer.json
-	PYTHONPATH=src $(PYTHON) -m repro.experiments fig8 --axis rate   --full --workers 4 --resume fig8_rate.ckpt.jsonl --json fig8_rate.json
-	PYTHONPATH=src $(PYTHON) -m repro.experiments fig9 --axis copies --full --workers 4 --resume fig9_copies.ckpt.jsonl --json fig9_copies.json
-	PYTHONPATH=src $(PYTHON) -m repro.experiments fig9 --axis buffer --full --workers 4 --resume fig9_buffer.ckpt.jsonl --json fig9_buffer.json
-	PYTHONPATH=src $(PYTHON) -m repro.experiments fig9 --axis rate   --full --workers 4 --resume fig9_rate.ckpt.jsonl --json fig9_rate.json
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig8 --axis copies --full --workers 4 --resume fig8_copies.store --json fig8_copies.json
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig8 --axis buffer --full --workers 4 --resume fig8_buffer.store --json fig8_buffer.json
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig8 --axis rate   --full --workers 4 --resume fig8_rate.store --json fig8_rate.json
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig9 --axis copies --full --workers 4 --resume fig9_copies.store --json fig9_copies.json
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig9 --axis buffer --full --workers 4 --resume fig9_buffer.store --json fig9_buffer.json
+	PYTHONPATH=src $(PYTHON) -m repro.experiments fig9 --axis rate   --full --workers 4 --resume fig9_rate.store --json fig9_rate.json
 
 fig3:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments fig3 --scenario rwp
@@ -135,6 +136,7 @@ examples:
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache
-	rm -f *.ckpt.jsonl obs-metrics.json obs-trace.jsonl fig-validate.json perf.json
+	rm -rf fig8_*.store fig9_*.store
+	rm -f obs-metrics.json obs-trace.jsonl fig-validate.json perf.json
 	rm -rf perf-pairs
 	find . -name __pycache__ -type d -exec rm -rf {} +

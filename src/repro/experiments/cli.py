@@ -45,12 +45,15 @@ def _add_sweep_args(parser: argparse.ArgumentParser,
     parser.add_argument("--replicates", type=int, default=1)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--policies", nargs="+", default=list(F.PAPER_POLICIES))
-    parser.add_argument("--resume", type=str, default=None, metavar="PATH",
-                        help="JSONL checkpoint file; completed runs are "
-                             "reused when re-running after an interruption")
+    parser.add_argument("--resume", type=str, default=None, metavar="DIR",
+                        help="run-store directory (a repro-service root "
+                             "works too); every finished run is kept there "
+                             "and reused when re-running after an "
+                             "interruption")
     parser.add_argument("--retries", type=int, default=0,
-                        help="re-run failed grid points up to N extra times "
-                             "(fresh derived seed per attempt)")
+                        help="re-run a failed grid point up to N extra "
+                             "times, unchanged (same config and seed), each "
+                             "after a seeded backoff")
     parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                         help="per-run wall-clock limit; a hung run becomes a "
                              "recorded failure instead of stalling the sweep")

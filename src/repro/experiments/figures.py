@@ -249,11 +249,12 @@ def metric_sweep(
     Runs the (policy × x × replicate) grid and aggregates it (see
     :func:`repro.experiments.sweep.run_many`): failed grid points become
     :class:`FailedRun` entries in :attr:`FigureData.failures` instead of
-    aborting the whole grid, ``retries`` reruns them, ``timeout`` bounds
-    each run, and an interrupted sweep resumes from the ``resume``
-    checkpoint file.
+    aborting the whole grid, ``retries`` reruns them with their own
+    configs, ``timeout`` bounds each run, and ``resume`` names a run-store
+    directory that keeps every finished run, so an interrupted sweep
+    resumes from the runs it completed.
     """
-    # The sweep stack (worker lanes, checkpoints, multiprocessing) loads
+    # The sweep stack (worker lanes, the run store, multiprocessing) loads
     # only when a sweep runs, not with the CLI parser or a single run.
     from repro.experiments.sweep import (
         replicate,

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import time
 import traceback
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -149,34 +147,43 @@ def _make_policies(
     return policies, shared
 
 
-def _router_factory(router: str) -> Callable[[Node, BufferPolicy], Router]:
-    """What builds one node's *router*: its class, or a partial of it."""
+def _make_routers(
+    router: str, nodes: list[Node], policies: list[BufferPolicy]
+) -> list[Router]:
+    """One *router* per node, around that node's buffer policy.
+
+    The router's module is imported once per build, and each branch calls
+    its class by name, so the call graph reaches every constructor.
+    """
+    pairs = zip(nodes, policies)
     if router in ("snw", "snw-source"):
         from repro.routing.spray_and_wait import SprayAndWaitRouter
 
-        if router == "snw-source":
-            return partial(SprayAndWaitRouter, source_spray=True)
-        return SprayAndWaitRouter
+        source_spray = router == "snw-source"
+        return [
+            SprayAndWaitRouter(node, policy, source_spray=source_spray)
+            for node, policy in pairs
+        ]
     if router == "epidemic":
         from repro.routing.epidemic import EpidemicRouter
 
-        return EpidemicRouter
+        return [EpidemicRouter(node, policy) for node, policy in pairs]
     if router == "direct":
         from repro.routing.direct import DirectDeliveryRouter
 
-        return DirectDeliveryRouter
+        return [DirectDeliveryRouter(node, policy) for node, policy in pairs]
     if router == "first-contact":
         from repro.routing.first_contact import FirstContactRouter
 
-        return FirstContactRouter
+        return [FirstContactRouter(node, policy) for node, policy in pairs]
     if router == "snf":
         from repro.routing.spray_and_focus import SprayAndFocusRouter
 
-        return SprayAndFocusRouter
+        return [SprayAndFocusRouter(node, policy) for node, policy in pairs]
     if router == "prophet":
         from repro.routing.prophet import ProphetRouter
 
-        return ProphetRouter
+        return [ProphetRouter(node, policy) for node, policy in pairs]
     raise ConfigurationError(f"unknown router {router!r}")
 
 
@@ -208,9 +215,7 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
     world = World(sim, mobility, nodes, transfer_manager, tick=config.tick)
 
     policies, shared = _make_policies(config, sim)
-    make_router = _router_factory(config.router)
-    for node, policy in zip(nodes, policies):
-        router = make_router(node, policy)
+    for router in _make_routers(config.router, nodes, policies):
         router.deliverable_first = config.deliverable_first
         router.bind(sim, transfer_manager, config.n_nodes, rng=rng)
 

@@ -7,8 +7,8 @@ Thin, deterministic glue between scenario configs and worker processes:
 * :func:`run_many` — run a list of configs on the worker supervisor,
   serial or parallel, preserving input order; failures become
   :class:`~repro.reports.summary.FailedRun` records in place, optionally
-  retried with fresh derived seeds and checkpointed to a resumable JSONL
-  file;
+  retried (the same config again, after a seeded backoff) and kept in a
+  resumable run store;
 * :func:`summarize_replicates` — average metric values over replicates.
 """
 
@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Sequence
+from pathlib import Path
+from typing import Union
 
-from repro.experiments.checkpoint import (
-    SweepCheckpoint,
-    SweepResult,
-    config_fingerprint,
-)
+from repro.errors import ConfigurationError
+from repro.experiments.checkpoint import RunStore, config_fingerprint
 from repro.experiments.runner import run_scenario_safe
 from repro.experiments.scenario import ScenarioConfig
 from repro.parallel.supervisor import (
@@ -44,6 +43,12 @@ __all__ = [
     "run_many",
     "summarize_replicates",
 ]
+
+SweepResult = Union[RunSummary, FailedRun]
+
+#: Seconds between polls while backed-off retries are all a sweep has left
+#: (the pace of ScenarioService.drain).
+_RETRY_POLL = 0.02
 
 
 def replicate(config: ScenarioConfig, n: int) -> list[ScenarioConfig]:
@@ -76,112 +81,77 @@ def run_many(
     returned as a :class:`FailedRun` record in the failing config's slot
     instead of poisoning the sweep:
 
-    * ``retries`` re-runs failed items up to that many extra times, each
-      attempt with a fresh seed derived from the original (a pathological
-      seed must not fail the grid point forever), after a seeded
-      exponential-with-jitter backoff (:func:`backoff_delays`; transient
-      resource exhaustion — OOM-killed workers, a saturated disk — needs
-      breathing room, but the pause must stay deterministic per seed);
-    * ``checkpoint`` appends each finished item to a JSONL file keyed by
-      config fingerprint; re-running with the same path skips configs whose
-      summaries are already recorded (``--resume`` in the CLI).
+    * ``retries`` reruns a failed config, unchanged, up to that many extra
+      times, each after a seeded exponential-with-jitter backoff per job
+      (:func:`backoff_delays`; transient resource exhaustion — OOM-killed
+      workers, a saturated disk — needs breathing room, but the pause must
+      stay deterministic);
+    * ``checkpoint`` names a run-store directory
+      (:class:`~repro.experiments.checkpoint.RunStore`, the layout the
+      scenario service keeps under its root): each finished summary is
+      stored under its config's fingerprint, and configs already stored
+      there are served without running (``--resume`` in the CLI).
+      Failures are not stored, so running the sweep again retries them.
     """
-    return _run_resilient(
-        list(configs),
-        workers=default_workers() if workers is None else workers,
-        retries=retries,
-        timeout=timeout,
-        checkpoint=SweepCheckpoint(checkpoint) if checkpoint else None,
-    )
-
-
-def _run_resilient(
-    configs: list[ScenarioConfig],
-    workers: int,
-    retries: int,
-    timeout: float | None,
-    checkpoint: SweepCheckpoint | None,
-) -> list[SweepResult]:
-    keys = [config_fingerprint(c) for c in configs]
-    # One backoff schedule per sweep, seeded from the grid itself so the
-    # pause pattern replays exactly (and differs between unrelated sweeps).
-    backoff = backoff_delays(
-        derive_seed(configs[0].seed if configs else 0, "sweep.backoff"),
-        retries,
-    )
-    results: dict[int, SweepResult] = {}
+    configs = list(configs)
+    workers = default_workers() if workers is None else workers
+    store = None
     if checkpoint is not None:
+        if Path(checkpoint).is_file():
+            raise ConfigurationError(
+                f"sweep checkpoint {checkpoint} is a file; a sweep resumes "
+                "from a run-store directory (JSONL sweep checkpoints are "
+                "not read)"
+            )
+        store = RunStore(checkpoint)
+    keys = [config_fingerprint(c) for c in configs]
+    results: dict[int, SweepResult] = {}
+    if store is not None:
         for i, key in enumerate(keys):
-            hit = checkpoint.completed(key)
+            hit = store.cache.get(key)
             if hit is not None:
                 results[i] = hit
 
     pending = [i for i in range(len(configs)) if i not in results]
-    # The sweep keeps its own retry policy (whole rounds, a fresh seed per
-    # round), so the supervisor runs each submission exactly once.  A
-    # serial sweep, or one with a single config left, runs inline, in
+    # A serial sweep, or one with a single config left, runs inline, in
     # input order, unless a timeout needs a worker to kill.
     inline = timeout is None and (workers <= 1 or len(pending) <= 1)
     supervisor = WorkerSupervisor(
         0 if inline else max(1, workers),
         run_fn=run_scenario_safe,
         timeout=timeout,
-        max_attempts=1,
+        max_attempts=retries + 1,
+        # Seeded from the grid itself, so the pause pattern replays exactly
+        # (and differs between unrelated sweeps).
+        seed=derive_seed(configs[0].seed if configs else 0, "sweep.backoff"),
+        backoff_base=BACKOFF_BASE,
+        backoff_cap=BACKOFF_CAP,
     )
+
+    def settle(outcomes: list[JobOutcome]) -> None:
+        for outcome in outcomes:
+            i = int(outcome.job_id)
+            results[i] = outcome.result
+            if store is not None and isinstance(outcome.result, RunSummary):
+                store.cache.put(keys[i], outcome.result)
+
     try:
-        for attempt in range(retries + 1):
-            if not pending:
-                break
-            if attempt > 0:
-                time.sleep(backoff[attempt - 1])
-            batch = []
-            for i in pending:
-                cfg = configs[i]
-                if attempt > 0:
-                    # Fresh derived seed per retry: a crash tied to one
-                    # seed's event sequence must not fail the grid point
-                    # forever.
-                    cfg = cfg.replace(
-                        seed=derive_seed(cfg.seed, "retry", attempt)
-                    )
-                if (
-                    checkpoint is not None
-                    and cfg.snapshot_every > 0
-                    and cfg.snapshot_to is None
-                ):
-                    # Mid-run resume for killed workers: each grid point
-                    # rolls its own snapshot file next to the sweep
-                    # checkpoint, keyed by config fingerprint.
-                    # run_scenario_safe resumes from it when present and
-                    # removes it on success.  A retry changes the seed, so
-                    # a stale snapshot from the crashed attempt fails the
-                    # config match and is rebuilt from scratch.
-                    snap_dir = checkpoint.path.parent / (
-                        checkpoint.path.name + ".snap"
-                    )
-                    cfg = cfg.replace(
-                        snapshot_to=str(snap_dir / f"{keys[i]}.snap.gz")
-                    )
-                batch.append(cfg)
-
-            def settle(outcomes: list[JobOutcome]) -> None:
-                for outcome in outcomes:
-                    i = int(outcome.job_id)
-                    result = outcome.result
-                    if checkpoint is not None:
-                        checkpoint.record(keys[i], result)
-                    if isinstance(result, FailedRun):
-                        result = result.replace_attempts(attempt + 1)
-                    results[i] = result
-
-            for i, cfg in zip(pending, batch):
-                while not supervisor.has_capacity():
-                    settle(supervisor.wait())
-                supervisor.submit(str(i), cfg)
-                settle(supervisor.poll())
-            while supervisor.pending():
+        for i in pending:
+            while not supervisor.has_capacity():
                 settle(supervisor.wait())
-            pending = [i for i in pending if isinstance(results[i], FailedRun)]
+            cfg = configs[i]
+            supervisor.submit(
+                str(i), cfg if store is None else store.to_run(cfg, keys[i])
+            )
+            settle(supervisor.poll())
+        while supervisor.pending():
+            outcomes = supervisor.wait()
+            if not outcomes:
+                # wait() returns at once when no run is in flight: pace the
+                # backed-off retries, as ScenarioService.drain paces its
+                # pump.
+                time.sleep(_RETRY_POLL)
+            settle(outcomes)
     finally:
         supervisor.shutdown()
     return [results[i] for i in range(len(configs))]

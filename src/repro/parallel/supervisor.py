@@ -29,11 +29,10 @@ or re-run:
 * **bounded retries** — with ``max_attempts > 1`` a failed attempt is
   rescheduled after the seeded equal-jitter :func:`backoff_delays` (never
   an ad-hoc sleep — reprolint REP010 enforces this repo-wide).  Retries
-  rerun the *byte-exact same config*: the service's result cache is keyed
-  by config fingerprint, and mutating the seed on retry would break the
-  same-fingerprint-same-bytes soundness argument (docs/service.md).
-  Sweeps pass ``max_attempts=1`` and retry whole rounds themselves, each
-  under a fresh derived seed;
+  rerun the *byte-exact same config*: the run store that sweeps and the
+  service share is keyed by config fingerprint, and mutating the seed on
+  retry would break the same-fingerprint-same-bytes soundness argument
+  (docs/service.md).  Sweeps and the service both retry this way;
 * **poison-job quarantine** — a job that exhausts ``max_attempts`` is
   failed terminally and, given a ``quarantine_dir``, written as a
   self-contained JSON reproducer in the chaos-corpus format
@@ -77,8 +76,8 @@ __all__ = [
     "default_workers",
 ]
 
-#: Default backoff shape (a sweep's retry rounds): base * 2^(k-1) seconds
-#: for retry k, capped.  The service passes its own, shorter shape.
+#: Default backoff shape (a sweep's retries): base * 2^(k-1) seconds for
+#: retry k, capped.  The service passes its own, shorter shape.
 BACKOFF_BASE = 0.5
 BACKOFF_CAP = 30.0
 
@@ -112,7 +111,7 @@ def backoff_delays(
 ) -> list[float]:
     """Exponential backoff with equal jitter, fully determined by *seed*.
 
-    Delay for retry round ``k`` (1-based) is drawn from
+    Delay for retry ``k`` (1-based) is drawn from
     ``[w/2, w]`` where ``w = min(cap, base * 2**(k-1))`` — the classic
     equal-jitter scheme, except the jitter comes from a dedicated stream of
     a :class:`~repro.rng.RngFactory` seeded with *seed*, never from

@@ -3,7 +3,8 @@
 Two record types: :class:`RunSummary` for a completed simulation and
 :class:`FailedRun` for one that died or timed out inside a sweep (see
 :func:`repro.experiments.runner.run_scenario_safe`).  Both round-trip
-through plain dicts so the sweep checkpoint file can persist them as JSONL.
+through plain dicts; the run store (:mod:`repro.experiments.checkpoint`)
+keeps summaries in that form.
 """
 
 from __future__ import annotations

@@ -6,11 +6,11 @@ supervisor (:mod:`repro.parallel.supervisor`) with heartbeat/timeout
 detection and seeded retry backoff, bounded admission with explicit
 backpressure and load shedding, and a result cache keyed by the
 deterministic config fingerprint (same fingerprint → same bytes, so
-serving a hit is indistinguishable from recomputing).
+serving a hit is indistinguishable from recomputing), laid out as the run
+store sweeps resume from (:mod:`repro.experiments.checkpoint`).
 """
 
 from repro.service.api import ScenarioService, ServiceStats, Ticket
-from repro.service.cache import ResultCache
 from repro.service.queue import AdmissionQueue
 from repro.service.store import (
     DONE,
@@ -31,7 +31,6 @@ __all__ = [
     "JobStore",
     "QUEUED",
     "RUNNING",
-    "ResultCache",
     "SHED",
     "ScenarioService",
     "ServiceStats",

@@ -1,7 +1,8 @@
 """The resilient scenario service: submit configs, survive anything.
 
 :class:`ScenarioService` glues the journal (:mod:`repro.service.store`),
-the fingerprint result cache (:mod:`repro.service.cache`), the bounded
+the fingerprint result cache (the run store of
+:mod:`repro.experiments.checkpoint`, which sweeps share), the bounded
 admission queue (:mod:`repro.service.queue`) and the worker supervisor
 (:mod:`repro.parallel.supervisor`) into one crash-tolerant job service:
 
@@ -36,12 +37,11 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigurationError, SnapshotError
-from repro.experiments.checkpoint import config_fingerprint
+from repro.experiments.checkpoint import RunStore, config_fingerprint
 from repro.experiments.runner import run_scenario_safe
 from repro.experiments.scenario import ScenarioConfig
 from repro.parallel.supervisor import JobOutcome, WorkerSupervisor
 from repro.reports.summary import FailedRun, RunSummary
-from repro.service.cache import ResultCache
 from repro.service.queue import SHED_DISPLACED, AdmissionQueue
 from repro.service.store import (
     DONE,
@@ -121,7 +121,8 @@ class ScenarioService:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.store = JobStore(self.root / "journal.jsonl")
-        self.cache = ResultCache(self.root / "cache")
+        self._runs = RunStore(self.root)
+        self.cache = self._runs.cache
         self.queue = AdmissionQueue(queue_capacity)
         self.supervisor = WorkerSupervisor(
             workers,
@@ -301,18 +302,10 @@ class ScenarioService:
                     f"{exc} (resubmit the scenario)",
                 )
                 continue
-            if config.snapshot_every > 0 and config.snapshot_to is None:
-                # Mid-run resume for long jobs, the sweep engine's idiom:
-                # the job rolls a snapshot keyed by its fingerprint under
-                # the service root; run_scenario_safe resumes from a valid
-                # one and removes it on success.  snapshot_to is execution
-                # plumbing — the submit-time fingerprint (the cache key)
-                # was taken before this mutation, like the sweep's.
-                config = config.replace(
-                    snapshot_to=str(
-                        self.root / "snap" / f"{job.fingerprint}.snap.gz"
-                    )
-                )
+            # Mid-run resume for long jobs: a snapshotting job rolls its
+            # snapshot in the run store, keyed by its submit-time
+            # fingerprint.
+            config = self._runs.to_run(config, job.fingerprint)
             self.store.record_running(job_id, attempts=job.attempts + 1)
             self.supervisor.submit(job_id, config, attempts=job.attempts)
 

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ReproError
+from repro.experiments.checkpoint import RunStore
 from repro.experiments.scenario import random_waypoint_scenario, scale_scenario
 from repro.service.api import ScenarioService
 from repro.service.store import JobStore
@@ -168,7 +169,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     root = Path(args.root)
     store = JobStore(root / "journal.jsonl")
-    cache_dir = root / "cache"
+    cache = RunStore(root).cache
     payload = {
         "root": str(root),
         "counts": store.counts(),
@@ -184,9 +185,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
             }
             for j in store.jobs()
         ],
-        "cache_entries": sorted(
-            p.name for p in cache_dir.glob("*.json.gz")
-        ) if cache_dir.is_dir() else [],
+        "cache_entries": [
+            cache.path_for(fp).name for fp in cache.fingerprints()
+        ],
         "skipped_journal_lines": store.skipped_lines,
     }
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)

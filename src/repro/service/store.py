@@ -3,10 +3,9 @@
 Every job-state transition is one JSONL line, flushed and fsynced as
 written, so a SIGKILL at any instant loses at most the line being written.
 The journal is the service's *only* authoritative state: restarting a
-killed service replays the file (torn final line tolerated, exactly like
-:class:`repro.experiments.checkpoint.SweepCheckpoint`) and resumes where it
-died — jobs recorded ``running`` at the crash are put back in the queue,
-terminal jobs stay terminal, and nothing accepted is ever forgotten.
+killed service replays the file (torn final line tolerated) and resumes
+where it died — jobs recorded ``running`` at the crash are put back in the
+queue, terminal jobs stay terminal, and nothing accepted is ever forgotten.
 
 State machine (see docs/service.md)::
 
@@ -203,9 +202,9 @@ class JobStore:
     def _needs_newline(self) -> bool:
         """True when the journal exists and does not end in a newline.
 
-        Same torn-tail repair as the sweep checkpoint: prepending a newline
-        quarantines a half-written fragment on its own line, where
-        :meth:`_load` skips it, instead of gluing two records together.
+        Torn-tail repair: prepending a newline quarantines a half-written
+        fragment on its own line, where :meth:`_load` skips it, instead of
+        gluing two records together.
         """
         try:
             with open(self.path, "rb") as fh:

@@ -1,17 +1,17 @@
-"""Sweep checkpoints: fingerprints, persistence, resume semantics."""
+"""The run store: fingerprints, resume semantics, one store for sweeps and
+the service."""
 
 from __future__ import annotations
 
 import json
 import math
 
-import pytest
-
-from repro.experiments.checkpoint import SweepCheckpoint, config_fingerprint
+from repro.experiments.checkpoint import RunStore, config_fingerprint
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import random_waypoint_scenario, scale_scenario
 from repro.experiments.sweep import run_many
 from repro.reports.summary import FailedRun, RunSummary
+from repro.service.api import ScenarioService
 
 
 def tiny(**kw):
@@ -52,121 +52,24 @@ class TestFingerprint:
 
 class TestPersistence:
     def test_summary_roundtrip_including_nan(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
+        cache = RunStore(tmp_path).cache
         summary = run_scenario(tiny())
-        assert math.isnan(summary.mean_intermeeting) or True  # either way
-        SweepCheckpoint(path).record("k1", summary)
-        loaded = SweepCheckpoint(path).completed("k1")
+        cache.put("k1", summary)
+        loaded = cache.get("k1")
         assert isinstance(loaded, RunSummary)
-        assert stable([loaded]) == stable([summary])
-
-    def test_failed_runs_are_loaded_but_not_completed(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        failure = FailedRun("s", "fifo", 1, "RuntimeError", "boom")
-        SweepCheckpoint(path).record("k1", failure)
-        ckpt = SweepCheckpoint(path)
-        assert ckpt.completed("k1") is None  # resume must retry it
-        assert ckpt.failed("k1") == failure
+        # json.dumps spells NaN one way; NaN != NaN would fail a plain ==.
+        assert json.dumps(loaded.record()) == json.dumps(summary.record())
 
     def test_last_record_per_key_wins(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        ckpt = SweepCheckpoint(path)
-        ckpt.record("k1", FailedRun("s", "fifo", 1, "RuntimeError", "boom"))
-        summary = run_scenario(tiny())
-        ckpt.record("k1", summary)
-        with pytest.warns(UserWarning, match="duplicate"):
-            reloaded = SweepCheckpoint(path)
-        assert reloaded.completed("k1") is not None
-        assert reloaded.failed("k1") is None
-
-    def test_torn_final_line_is_ignored(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        SweepCheckpoint(path).record("k1", run_scenario(tiny()))
-        with open(path, "a") as fh:
-            fh.write('{"key": "k2", "kind": "summary", "data": {"sc')
-        ckpt = SweepCheckpoint(path)
-        assert len(ckpt) == 1
-        assert ckpt.completed("k1") is not None
-        assert ckpt.completed("k2") is None
-
-    def test_torn_line_with_valid_json_but_bad_shape_is_ignored(self, tmp_path):
-        # A crash can also tear a line into a *shorter valid JSON document*
-        # (e.g. the data object closed early); from_record then raises
-        # TypeError, which the loader must treat like any other torn line.
-        path = tmp_path / "ckpt.jsonl"
-        SweepCheckpoint(path).record("k1", run_scenario(tiny()))
-        with open(path, "a") as fh:
-            fh.write('{"key": "k2", "kind": "summary", "data": {}}\n')
-            fh.write('{"key": "k3", "kind": "wat", "data": {}}\n')
-        ckpt = SweepCheckpoint(path)
-        assert len(ckpt) == 1
-        assert ckpt.completed("k1") is not None
-        assert ckpt.completed("k2") is None
-
-    def test_duplicate_fingerprints_warn_once_and_keep_the_last(
-        self, tmp_path
-    ):
-        # A journal with hand-duplicated lines (a retry history, or a
-        # sweep that recomputed items after a pool rebuild before the
-        # harvest fix): replay keeps the LAST record per key and warns
-        # exactly once, naming the counts.
-        import warnings as warnings_module
-
-        path = tmp_path / "ckpt.jsonl"
-        ckpt = SweepCheckpoint(path)
-        summary = run_scenario(tiny())
-        ckpt.record("k1", FailedRun("s", "fifo", 1, "RuntimeError", "boom"))
-        ckpt.record("k2", summary)
-        # Duplicate both keys by replaying the file onto itself.
-        lines = path.read_text(encoding="utf-8")
-        first_k1 = json.loads(lines.splitlines()[0])
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write(lines)  # k1 failed, k2 summary — again
-            fh.write(json.dumps(first_k1) + "\n")  # k1 a third time
-
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            reloaded = SweepCheckpoint(path)
-        dup_warnings = [
-            w for w in caught if "duplicate" in str(w.message)
-        ]
-        assert len(dup_warnings) == 1  # once per load, not per line
-        assert "3 duplicate line(s)" in str(dup_warnings[0].message)
-        assert "2 fingerprint(s)" in str(dup_warnings[0].message)
-        assert reloaded.duplicate_keys == 3
-        # Last-write-wins: k1's final record is the failure replay, k2's
-        # the summary.
-        assert reloaded.failed("k1") is not None
-        assert reloaded.completed("k2") is not None
-
-    def test_clean_journal_does_not_warn(self, tmp_path):
-        import warnings as warnings_module
-
-        path = tmp_path / "ckpt.jsonl"
-        SweepCheckpoint(path).record("k1", run_scenario(tiny()))
-        with warnings_module.catch_warnings(record=True) as caught:
-            warnings_module.simplefilter("always")
-            reloaded = SweepCheckpoint(path)
-        assert [w for w in caught if "duplicate" in str(w.message)] == []
-        assert reloaded.duplicate_keys == 0
-
-    def test_record_repairs_a_torn_tail_before_appending(self, tmp_path):
-        # Hand-truncate the final line (no trailing newline), then append:
-        # the new record must land on its own line, not be glued onto the
-        # torn fragment (which would lose both records on reload).
-        path = tmp_path / "ckpt.jsonl"
-        ckpt = SweepCheckpoint(path)
-        summary = run_scenario(tiny())
-        ckpt.record("k1", summary)
-        ckpt.record("k2", summary)
-        whole = path.read_bytes()
-        path.write_bytes(whole[:-10])  # tear the k2 line mid-write
-        survivor = SweepCheckpoint(path)
-        survivor.record("k3", summary)
-        reloaded = SweepCheckpoint(path)
-        assert reloaded.completed("k1") is not None  # first line intact
-        assert reloaded.completed("k2") is None  # torn, quarantined
-        assert reloaded.completed("k3") is not None  # appended cleanly
+        # A config run twice (listed twice in one grid, say) is stored
+        # twice; the later write is the one served.
+        cache = RunStore(tmp_path).cache
+        first, second = run_scenario(tiny()), run_scenario(tiny())
+        cache.put("k1", first)
+        cache.put("k1", second)
+        assert json.dumps(cache.get("k1").record()) == json.dumps(
+            second.record()
+        )
 
 
 class TestResumedSweeps:
@@ -174,37 +77,72 @@ class TestResumedSweeps:
         configs = [tiny(seed=s) for s in (5, 6, 7)]
         uninterrupted = run_many(configs, workers=1)
 
-        # "Killed" sweep: only the first two items got checkpointed.
-        path = tmp_path / "ckpt.jsonl"
+        # "Killed" sweep: only the first two items got stored.
+        path = tmp_path / "store"
         partial = run_many(configs[:2], workers=1, checkpoint=str(path))
         assert stable(partial) == stable(uninterrupted[:2])
 
-        # Resume over the full grid: completed runs come from the file.
+        # Resume over the full grid: completed runs come from the store.
         resumed = run_many(configs, workers=1, checkpoint=str(path))
         assert stable(resumed) == stable(uninterrupted)
-        # The reused entries are the recorded objects, not re-runs: their
-        # recorded wall clocks match the checkpointed ones exactly.
-        reloaded = SweepCheckpoint(path)
+        # The reused entries are the stored records, not re-runs: their
+        # recorded wall clocks match the stored ones exactly.
+        cache = RunStore(path).cache
         for cfg, result in zip(configs[:2], resumed[:2]):
-            hit = reloaded.completed(config_fingerprint(cfg))
-            assert hit == result
+            hit = cache.get(config_fingerprint(cfg))
+            assert json.dumps(hit.record()) == json.dumps(result.record())
 
-    def test_resumed_failures_are_retried(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
+    def test_resumed_failures_are_retried(self, tmp_path, monkeypatch):
+        # A failure is never stored, so running the sweep again over the
+        # same store runs the config again.
+        import repro.experiments.sweep as sweep_module
+
+        path = tmp_path / "store"
         cfg = tiny(seed=9)
-        ckpt = SweepCheckpoint(path)
-        ckpt.record(
-            config_fingerprint(cfg),
-            FailedRun(cfg.name, cfg.policy, cfg.seed, "OSError", "flaky disk"),
-        )
+
+        def flaky_disk(config):
+            return FailedRun(
+                config.name, config.policy, config.seed, "OSError",
+                "flaky disk",
+            )
+
+        monkeypatch.setattr(sweep_module, "run_scenario_safe", flaky_disk)
+        [failed] = run_many([cfg], workers=1, checkpoint=str(path))
+        assert isinstance(failed, FailedRun)
+        assert RunStore(path).cache.fingerprints() == []
+        monkeypatch.undo()
         [result] = run_many([cfg], workers=1, checkpoint=str(path))
         assert isinstance(result, RunSummary)
 
-    def test_checkpoint_file_is_valid_jsonl(self, tmp_path):
-        path = tmp_path / "ckpt.jsonl"
-        run_many([tiny(seed=3), broken()], workers=1, checkpoint=str(path))
-        lines = [json.loads(x) for x in path.read_text().splitlines() if x]
-        assert {entry["kind"] for entry in lines} == {"summary", "failed"}
+
+class TestOneStoreTwoClients:
+    """A sweep's ``checkpoint`` directory and a service root are one
+    layout: either client serves what the other computed."""
+
+    def test_the_service_serves_a_sweeps_store(self, tmp_path):
+        cfg = tiny(seed=11)
+        [swept] = run_many([cfg], workers=1, checkpoint=str(tmp_path))
+        with ScenarioService(tmp_path) as service:
+            ticket = service.submit(cfg)
+            served = service.result(ticket.job_id)
+        assert ticket.cached
+        assert json.dumps(served.record()) == json.dumps(swept.record())
+
+    def test_a_sweep_serves_a_services_store(self, tmp_path, monkeypatch):
+        import repro.experiments.sweep as sweep_module
+
+        cfg = tiny(seed=12)
+        with ScenarioService(tmp_path) as service:
+            ticket = service.submit(cfg)
+            assert service.drain(max_wall=60.0)
+            computed = service.result(ticket.job_id)
+
+        def no_run(config):
+            raise AssertionError(f"stored run computed again: {config.seed}")
+
+        monkeypatch.setattr(sweep_module, "run_scenario_safe", no_run)
+        [served] = run_many([cfg], workers=1, checkpoint=str(tmp_path))
+        assert json.dumps(served.record()) == json.dumps(computed.record())
 
 
 class TestFailureOrdering:
@@ -225,7 +163,9 @@ class TestFailureOrdering:
         assert isinstance(parallel[1], FailedRun)
         assert parallel[1].error_type == serial[1].error_type
 
-    def test_retries_use_fresh_seeds_and_count_attempts(self):
-        [result] = run_many([broken(seed=4)], workers=1, retries=2)
+    def test_retries_keep_seed_and_count_attempts(self):
+        config = broken(seed=4)
+        [result] = run_many([config], workers=1, retries=2)
         assert isinstance(result, FailedRun)
+        assert result.seed == config.seed
         assert result.attempts == 3

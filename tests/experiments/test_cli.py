@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro.experiments.figures as F
 from repro.experiments.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -142,17 +148,17 @@ def test_fig8_churn_axis(capsys, monkeypatch):
 def test_fig8_resume_reuses_checkpointed_results(capsys, tmp_path, monkeypatch):
     # "Killed" sweep: only the 1-point grid got checkpointed.
     monkeypatch.setattr(F, "REDUCED_COPIES", (16,))
-    ckpt = tmp_path / "sweep.jsonl"
+    store = tmp_path / "sweep.store"
     assert main(["fig8", "--axis", "copies", "--policies", "fifo",
-                 "--workers", "1", "--resume", str(ckpt)]) == 0
-    recorded = ckpt.read_text()
+                 "--workers", "1", "--resume", str(store)]) == 0
+    recorded = {p: p.read_bytes() for p in (store / "cache").iterdir()}
     assert recorded
 
     # Resume over the full grid vs. an uninterrupted fresh sweep.
     monkeypatch.setattr(F, "REDUCED_COPIES", (16, 32))
     resumed_json = tmp_path / "resumed.json"
     assert main(["fig8", "--axis", "copies", "--policies", "fifo",
-                 "--workers", "1", "--resume", str(ckpt),
+                 "--workers", "1", "--resume", str(store),
                  "--json", str(resumed_json)]) == 0
     fresh_json = tmp_path / "fresh.json"
     assert main(["fig8", "--axis", "copies", "--policies", "fifo",
@@ -163,8 +169,26 @@ def test_fig8_resume_reuses_checkpointed_results(capsys, tmp_path, monkeypatch):
     assert json.dumps(resumed["series"], sort_keys=True) == json.dumps(
         fresh["series"], sort_keys=True
     )
-    # The checkpoint was appended to, never rewritten.
-    assert ckpt.read_text().startswith(recorded)
+    # The stored runs were served, never rewritten.
+    assert {p: p.read_bytes() for p in recorded} == recorded
+
+
+def test_fig8_resume_refuses_a_file(tmp_path):
+    # A run store is a directory; a JSONL checkpoint file is not read.
+    path = tmp_path / "fig8.ckpt.jsonl"
+    path.write_text("")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.experiments", "fig8", "--policies",
+         "fifo", "--workers", "1", "--resume", str(path)],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert proc.returncode != 0
+    assert "ConfigurationError" in proc.stderr
+    assert str(path) in proc.stderr
 
 
 @pytest.mark.parametrize("flags", [[], ["--retries", "1"]],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 from repro.experiments.runner import run_scenario
@@ -126,25 +127,6 @@ class TestBackoff:
         for a, b in zip(halved, full):
             assert a == b / 2  # same jitter draw, scaled window
 
-    def test_retry_rounds_sleep_the_seeded_schedule(self, monkeypatch):
-        import time as time_module
-
-        from repro.experiments.sweep import backoff_delays
-        from repro.rng import derive_seed
-
-        slept = []
-        monkeypatch.setattr(time_module, "sleep", slept.append)
-
-        def broken(**kw):
-            return tiny(
-                mobility="trace", trace_path="/nonexistent/contacts.txt", **kw
-            )
-
-        config = broken(seed=4)
-        run_many([config], workers=1, retries=2)
-        expected = backoff_delays(derive_seed(config.seed, "sweep.backoff"), 2)
-        assert slept == expected
-
 
 class TestBackoffEdges:
     def test_zero_attempts_is_empty(self):
@@ -179,36 +161,43 @@ class TestBackoffEdges:
         assert backoff_delays(11, 4) == expected
 
 
-class TestRetrySeeds:
-    def test_failed_item_retries_with_fresh_derived_seed(self, monkeypatch):
-        # First attempt fails for one config; the retry must run a config
-        # whose seed is derived from the original (never the same event
-        # sequence again), and the result must land in the original slot.
-        import time as time_module
-
+class TestRetries:
+    def test_a_resumed_run_is_the_declared_run(self, tmp_path, monkeypatch):
+        # One config's first attempt fails.  Its retry reruns the same
+        # config, so the summary returned, and stored under that config's
+        # fingerprint, ran at the config's own seed; a second sweep over
+        # the store then computes nothing and returns the same records.
         import repro.experiments.sweep as sweep_module
-        from repro.reports.summary import FailedRun, RunSummary
-        from repro.rng import derive_seed
+        from repro.experiments.checkpoint import RunStore, config_fingerprint
 
         ok, bad = tiny(seed=3), tiny(seed=4)
-        retry_seed = derive_seed(bad.seed, "retry", 1)
         calls = []
 
-        def fake_safe(cfg):
-            calls.append(cfg.seed)
-            if cfg.seed == bad.seed:
+        def first_bad_attempt_dies(cfg):
+            calls.append(cfg)
+            if cfg == bad and calls.count(bad) == 1:
                 return FailedRun(
                     scenario=cfg.name, policy=cfg.policy, seed=cfg.seed,
                     error_type="Boom", error_message="first attempt dies",
                 )
             return run_scenario(cfg)
 
-        monkeypatch.setattr(sweep_module, "run_scenario_safe", fake_safe)
-        monkeypatch.setattr(time_module, "sleep", lambda _seconds: None)
-        results = run_many([ok, bad], workers=1, retries=1)
-        assert calls == [ok.seed, bad.seed, retry_seed]
-        assert isinstance(results[0], RunSummary)
-        assert results[0].seed == ok.seed
-        assert isinstance(results[1], RunSummary)  # retry succeeded ...
-        assert results[1].seed == retry_seed  # ... with the derived seed
-        assert len(results) == 2  # ordering preserved, one slot per config
+        monkeypatch.setattr(
+            sweep_module, "run_scenario_safe", first_bad_attempt_dies
+        )
+        store = tmp_path / "store"
+        results = run_many([ok, bad], workers=1, retries=1,
+                           checkpoint=str(store))
+        assert calls == [ok, bad, bad]
+        assert isinstance(results[1], RunSummary)
+        assert results[1].seed == bad.seed
+        stored = RunStore(store).cache.get(config_fingerprint(bad))
+        assert stored is not None and stored.seed == bad.seed
+
+        calls.clear()
+        again = run_many([ok, bad], workers=1, retries=1,
+                         checkpoint=str(store))
+        assert calls == []
+        assert [json.dumps(r.record()) for r in again] == [
+            json.dumps(r.record()) for r in results
+        ]

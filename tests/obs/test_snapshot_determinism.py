@@ -185,17 +185,13 @@ class TestCrashRecovery:
     def test_killed_sweep_worker_resumes_under_resume(self, tmp_path):
         """Acceptance: a sweep item killed mid-run resumes from its in-run
         snapshot when the sweep re-runs with ``--resume``."""
-        ckpt = tmp_path / "sweep.jsonl"
+        ckpt = tmp_path / "sweep"
         configs = [observed(seed=s, snapshot_every=150.0) for s in (5, 6)]
         uninterrupted = run_many(configs, workers=1)
 
         # Simulate the killed worker: run item 0 by hand against the sweep's
         # derived per-item snapshot path and die mid-run.
-        derived = (
-            ckpt.parent
-            / (ckpt.name + ".snap")
-            / f"{config_fingerprint(configs[0])}.snap.gz"
-        )
+        derived = ckpt / "snap" / f"{config_fingerprint(configs[0])}.snap.gz"
         self._kill_mid_run(
             configs[0].replace(snapshot_to=str(derived)), at=451.0
         )

@@ -28,7 +28,7 @@ def test_pool_uses_spawn_start_method():
 
 
 # -- failure containment -----------------------------------------------------
-# These drive the supervisor the way a sweep round does: two lanes, one
+# These drive the supervisor the way a sweep does: two lanes, one
 # attempt per job unless a test asks for more.  Everything below is
 # module-level and light to import, because every spawn worker imports this
 # module to find `act`.
@@ -218,17 +218,3 @@ class TestTwoDeathsSameGeneration:
         assert [o.attempts for o in outcomes] == [2, 2, 1, 1]
         assert stats.worker_deaths == 2
         assert runs(lane_dir) == {"die-a": 1, "die-b": 1, "c": 1, "d": 1}
-
-    def test_retry_seeds_for_crashed_items_are_fresh_and_distinct(self):
-        """The sweep's retry convention: each crashed item retries under a
-        derived seed, so two items dying in the same generation never
-        retry correlated."""
-        from repro.rng import derive_seed
-
-        base_a, base_b = 101, 202
-        retry_a = [derive_seed(base_a, "retry", k) for k in (1, 2)]
-        retry_b = [derive_seed(base_b, "retry", k) for k in (1, 2)]
-        all_seeds = [base_a, base_b, *retry_a, *retry_b]
-        assert len(set(all_seeds)) == len(all_seeds)
-        # Deterministic: the same crash replays the same retry schedule.
-        assert retry_a == [derive_seed(base_a, "retry", k) for k in (1, 2)]

@@ -9,12 +9,14 @@ loudly with the offending function name in the diff.
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
 from reprolint.deep import analyze, main
 from reprolint.deep.baseline import load_baseline, apply_baseline
 from reprolint.deep.cli import DEFAULT_BASELINE
+from reprolint.deep.project import load_project
 
 HERE = Path(__file__).parent
 FIXTURES = HERE / "fixtures" / "deep"
@@ -261,3 +263,28 @@ def test_src_self_check_against_committed_baseline():
 def test_committed_baseline_is_empty():
     baseline = load_baseline(REPO_ROOT / DEFAULT_BASELINE)
     assert baseline == {}
+
+
+def test_router_constructors_are_reachable_from_build_scenario():
+    # The call graph follows calls: a router class handed out uncalled, as
+    # a factory, would hide its constructor from the worker-path rules.
+    project = load_project(REPO_ROOT)
+    runner = project.modules["repro.experiments.runner"]
+    queue = [runner.functions["build_scenario"]]
+    reached: set[str] = set()
+    while queue:
+        fn = queue.pop()
+        if fn.qualname in reached:
+            continue
+        reached.add(fn.qualname)
+        for node in ast.walk(fn.node):
+            if isinstance(node, ast.Call):
+                callee = project.resolve_call(fn, node)
+                if callee is not None:
+                    queue.append(callee)
+    for router in (
+        "spray_and_wait.SprayAndWaitRouter",
+        "spray_and_focus.SprayAndFocusRouter",
+        "prophet.ProphetRouter",
+    ):
+        assert f"repro.routing.{router}.__init__" in reached, router

@@ -5,7 +5,7 @@ from __future__ import annotations
 import gzip
 import json
 
-from repro.service.cache import CACHE_SCHEMA, ResultCache
+from repro.experiments.checkpoint import CACHE_SCHEMA, ResultCache
 from tests.service.test_supervisor import fake_summary
 
 

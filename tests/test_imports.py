@@ -104,7 +104,7 @@ def test_a_run_imports_only_what_it_runs():
     assert json.loads(out) == []
 
 
-#: What only a sweep uses: worker lanes, checkpoints and the process pool.
+#: What only a sweep uses: worker lanes, the run store and the process pool.
 SWEEP_STACK = (
     "multiprocessing",
     "concurrent.futures.process",
