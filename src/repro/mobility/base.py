@@ -110,13 +110,16 @@ class WaypointEngine(MobilityModel):
             raise ConfigurationError(f"bad pause_range: {pause_range}")
         self.speed_range = (float(lo), float(hi))
         self.pause_range = (float(plo), float(phi))
+        #: The area's far corner, ``(width, height)``.
+        self._corner = np.array(self.area)
 
     # -- hooks ---------------------------------------------------------------
 
     def sample_targets(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw *n* destination points; default is uniform over the area."""
-        w, h = self.area
-        return rng.uniform((0.0, 0.0), (w, h), size=(n, 2))
+        # What rng.uniform((0, 0), (w, h), size=(n, 2)) draws, 0 + w * u
+        # per coordinate, without its per-call broadcasting set-up.
+        return rng.random((n, 2)) * self._corner
 
     def sample_speeds(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Draw *n* leg speeds from :attr:`speed_range` (an override must
@@ -160,13 +163,13 @@ class WaypointEngine(MobilityModel):
             # The lean pass: no node pauses, so every node's budget is dt
             # and every node moves.  The same float operations, in the same
             # order, as the general pass below with its masks folded away.
-            # Arriving nodes move too; the loop puts them on their target.
+            # Arriving nodes move too; _arrive puts them on their target.
             reach = speed * dt
             arriving = reach >= dist
             vec *= (reach / np.maximum(dist, 1e-12))[:, None]
             pos += vec
             idx = np.flatnonzero(arriving)
-            budget = dt
+            budgets = [dt] * idx.size
         else:
             # One whole-array pass.  Pauses absorb travel time first (a node
             # not pausing has pause_left == 0.0); every node with time left
@@ -183,41 +186,65 @@ class WaypointEngine(MobilityModel):
                 where=(active & ~arriving)[:, None],
             )
             idx = np.flatnonzero(arriving)
-            budget = budget[idx]
-        if idx.size == 0:
-            return
+            budgets = budget[idx].tolist() if idx.size else []
+        if idx.size:
+            self._arrive(idx.tolist(), budgets, dist[idx].tolist())
 
-        # Per-node work only for nodes that reached their waypoint: each
-        # draws a new leg and pause, then spends what is left of dt on them.
-        # A node may pass a few waypoints in one step, up to 64 legs in all.
-        dist = dist[idx]
+    def _arrive(
+        self, nodes: list[int], budgets: list[float], dists: list[float]
+    ) -> None:
+        """Put *nodes*, which reach their waypoints *dists* away with
+        *budgets* of time left, on new legs and pauses, and spend what is
+        left of the step on them.
+
+        Arrivals are few per step (one to four taxis of 200, a handful of
+        10,000 walkers), so after each round's draws the work is per node,
+        on Python floats: the float operations of a whole-array pass, in
+        the same order (``np.hypot``, whose rounding ``math.hypot`` does not
+        share).  Each round draws targets, speeds and pauses for all of its
+        nodes at once, in node order, as one array pass would.  A node may
+        pass a few waypoints in one step, up to 64 legs in all.
+        """
+        pos, target, speed = self._pos, self._target, self._speed
+        pause_left, rng = self._pause_left, self._rng
+        # (node, budget, distance, waypoint, speed) of each arriving node.
+        legs = [
+            (i, b, d, target[i].tolist(), speed.item(i))
+            for i, b, d in zip(nodes, budgets, dists)
+        ]
         for _ in range(63):
-            if idx.size == 0:
+            k = len(legs)
+            targets = self.sample_targets(k, rng).tolist()
+            speeds = self.sample_speeds(k, rng).tolist()
+            pauses = self.sample_pauses(k, rng).tolist()
+            again = []
+            for (i, b, d, (x, y), v), (tx, ty), v2, p in zip(
+                legs, targets, speeds, pauses
+            ):
+                b -= d / v
+                if b > 1e-12 and p > 0:
+                    consumed = min(p, b)
+                    p -= consumed
+                    b -= consumed
+                if b > 1e-12 and p <= 0:
+                    vx, vy = tx - x, ty - y
+                    d = float(np.hypot(vx, vy))
+                    reach = v2 * b
+                    if reach >= d:
+                        # At the next waypoint too: the next round draws
+                        # its new leg and writes this node back.
+                        again.append((i, b, d, [tx, ty], v2))
+                        continue
+                    step = reach / max(d, 1e-12)
+                    x += vx * step
+                    y += vy * step
+                pos[i] = x, y
+                target[i] = tx, ty
+                speed[i] = v2
+                pause_left[i] = p
+            if not again:
                 return
-            pos[idx] = target[idx]
-            budget -= dist / speed[idx]
-            k = idx.size
-            target[idx] = self.sample_targets(k, self._rng)
-            speed[idx] = self.sample_speeds(k, self._rng)
-            pause_left[idx] = self.sample_pauses(k, self._rng)
-            pausing = (budget > 1e-12) & (pause_left[idx] > 0)
-            if pausing.any():
-                held = idx[pausing]
-                consumed = np.minimum(pause_left[held], budget[pausing])
-                pause_left[held] -= consumed
-                budget[pausing] -= consumed
-            going = (budget > 1e-12) & (pause_left[idx] <= 0)
-            idx, budget = idx[going], budget[going]
-            if idx.size == 0:
-                return
-            vec = target[idx] - pos[idx]
-            dist = np.hypot(vec[:, 0], vec[:, 1])
-            reach = speed[idx] * budget
-            arriving = reach >= dist
-            moving = ~arriving
-            step = reach[moving] / np.maximum(dist[moving], 1e-12)
-            pos[idx[moving]] += vec[moving] * step[:, None]
-            idx, budget, dist = idx[arriving], budget[arriving], dist[arriving]
+            legs = again
         raise SimulationError(  # pragma: no cover - absurdly fast nodes
             "waypoint engine did not converge; speed too high for max_step"
         )

@@ -81,22 +81,31 @@ class TaxiFleet(WaypointEngine):
                                      size=(self.n_hotspots, 2))
         # Zipf-style weights: hotspot 1 is "downtown".
         ranks = np.arange(1, self.n_hotspots + 1, dtype=float)
-        self._weights = (1.0 / ranks) / np.sum(1.0 / ranks)
+        self.set_weights((1.0 / ranks) / np.sum(1.0 / ranks))
         super()._setup(rng)
         # Taxis start clustered near hotspots (shift start of day).
         self._pos = self.sample_targets(self.n_nodes, rng)
 
+    def set_weights(self, weights: np.ndarray) -> None:
+        """Set the hotspot weights, and the cdf fares are drawn from."""
+        self._weights = weights
+        # The table ``rng.choice(n_hotspots, p=weights)`` builds per call.
+        cdf = weights.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf
+
     def sample_targets(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        w, h = self.area
-        out = rng.uniform((0.0, 0.0), (w, h), size=(n, 2))
+        out = super().sample_targets(n, rng)
         to_hotspot = rng.random(n) < self.hotspot_prob
-        k = int(to_hotspot.sum())
+        k = np.count_nonzero(to_hotspot)
         if k:
-            which = rng.choice(self.n_hotspots, size=k, p=self._weights)
-            scatter = rng.normal(0.0, self.hotspot_sigma, size=(k, 2))
-            pts = self._hotspots[which] + scatter
-            pts[:, 0] = np.clip(pts[:, 0], 0.0, w)
-            pts[:, 1] = np.clip(pts[:, 1], 0.0, h)
+            # What rng.choice(n_hotspots, size=k, p=weights) draws: the same
+            # k uniforms looked up in the same cdf, without choice's checks
+            # of the weights on every call.
+            which = self._cdf.searchsorted(rng.random(k), side="right")
+            pts = rng.normal(0.0, self.hotspot_sigma, size=(k, 2))
+            pts += self._hotspots.take(which, axis=0)
+            pts.clip(0.0, self._corner, out=pts)
             out[to_hotspot] = pts
         return out
 

@@ -127,6 +127,7 @@ def restore(
 
     _restore_mobility(built.world.mobility, state["mobility"])
     built.world.positions = built.world.mobility.positions
+    built.world._moved_at = built.world.mobility._time
     _restore_world(built.world, state["world"])
 
     gen_state = state["generator"]
@@ -224,7 +225,7 @@ def _restore_mobility(mob: Any, data: dict[str, Any]) -> None:
         mob._pause_left = decode_array(data["pause_left"])
         if isinstance(mob, TaxiFleet):
             mob._hotspots = decode_array(data["hotspots"])
-            mob._weights = decode_array(data["weights"])
+            mob.set_weights(decode_array(data["weights"]))
         return
     if isinstance(mob, RandomWalk):
         mob._heading = decode_array(data["heading"])

@@ -15,12 +15,11 @@ One implementation serves every fleet size: a Verlet neighbour list
 tick a node moves a few metres (up to 14 m for the fastest taxis) against
 a 100 m radio range, so a fresh KD-tree query per tick would find almost
 the same pairs every time.  The detector instead *rebuilds* rarely: one
-``cKDTree`` range query at the radius plus a skin (:data:`SKIN_RATIO`)
-keeps every pair within it as a candidate, with a copy of the positions
-it saw (the anchor).  Each later call only tests the candidates, until
-some node has moved half a skin from its anchor; until then no pair
-outside the candidates can be in range.  The cache changes the cost,
-never the result.
+``cKDTree`` range query at the radius plus a skin keeps every pair within
+it as a candidate, with a copy of the positions it saw (the anchor).
+Each later call only tests the candidates, until some node has moved
+half a skin from its anchor; until then no pair outside the candidates
+can be in range.  The cache changes the cost, never the result.
 
 Whether a node can have moved that far is known without a look at the
 positions when the mobility model moves its nodes along straight legs at
@@ -31,14 +30,22 @@ call, and the detector sums the drifts since its last rebuild: while the
 sum stays within half a skin, no node can be farther than that from its
 anchor, and the displacement test is skipped.  A model that can jump
 (trace playback) or has not been shown not to declares no bound, and
-every call tests the positions.  For the paper's 2 m/s nodes the sum
-passes half the skin after 25 calls; on the perf benchmark's 100 RWP
-nodes 120 of 3,001 calls tested positions, and each of those rebuilt.
+every call tests the positions.
 
-Replaying the perf benchmark's workloads (first instance, 2-core x86-64
-VM, SciPy 1.17), rebuilding on 121 of 3,001, 126 of 501 and 3 of 41
-calls, a call took 8.5 µs for 100 RWP nodes (a fresh query per tick:
-32 µs), 32 µs for 200 taxis (63 µs) and 0.9 ms for 10k nodes (4.2 ms).
+The drift also sizes the skin (:func:`skin_for`): a rebuild makes half
+the skin cover :data:`SKIN_CALLS` calls at the drift it was handed, but
+never thinner than :data:`SKIN_RATIO` radii (the floor) nor thicker than
+:data:`MAX_SKIN_RATIO`.  The paper's 2 m/s walkers and the 10k-node
+fleet's 3 m/s ones keep the floor, which their sum passes after 25 and
+17 calls.  The 14 m/s taxis' would pass after 3 calls; their skin grows
+to 224 m at a 100 m radius, and lasts 8.  Replaying the perf benchmark's
+workloads (first instance), the detector rebuilds on 121 of 3,001 calls
+for 100 RWP nodes, 3 of 41 for 10k nodes (both as with the floor alone)
+and 57 of 501 for 200 taxis (126 with the floor alone), and tests
+positions on 120, 2 and 111 calls.  On a 2-core x86-64 VM (SciPy 1.17),
+a call took 8.5 µs for 100 RWP nodes (a fresh query per tick: 32 µs)
+and 0.9 ms for 10k nodes (4.2 ms); :data:`SKIN_CALLS` gives the taxis'
+replayed cost at each skin.
 
 The world keeps its link set as such an array, and the detector keeps
 which of its candidates were in range at its last call, with the keys of
@@ -68,25 +75,53 @@ from scipy.spatial import cKDTree
 
 from repro.errors import ConfigurationError
 
-#: The skin as a multiple of the radius: a rebuild gathers the pairs within
-#: ``radius * (1 + SKIN_RATIO)``.  A thinner skin tests fewer candidates
-#: per call but rebuilds more often.  Swept from 0.2 to 1.0 on the same
-#: replayed positions: the 100-node fleets cost 15-22 µs per call at every
-#: skin from 0.5 to 1.0; the 200 taxis rebuilt on 251 of 501 calls at 0.5
-#: (70 µs per call) and on 126 at 1.0 (50 µs); at 10k nodes 0.5 and 1.0
-#: both cost 1.6 ms, with 24k and 43k candidates for 10.8k pairs.
+#: The skin at its thinnest, as a multiple of the radius: a rebuild gathers
+#: the pairs within ``radius + skin``.  A thinner skin tests fewer
+#: candidates per call but rebuilds more often.  For the 2-3 m/s fleets
+#: this floor is the skin (:data:`SKIN_CALLS` calls of their drift is well
+#: under it); replaying their positions, a call cost the same at every
+#: skin from 0.5 to 1.0 radius.
 SKIN_RATIO = 1.0
 
-#: Half the skin, less a margin, as a multiple of the radius: the largest
+#: How many calls at a rebuild's drift half the skin covers: the skin is
+#: ``2 * SKIN_CALLS`` drifts thick, if that is more than the floor.  A
+#: fleet then tests positions only every ``SKIN_CALLS`` calls, and
+#: rebuilds only if some node has gone far from its anchor by then.
+#: Replaying taxi-200's 200 taxis (14 m/s, 100 m radius, 501 calls) on a
+#: 2-core x86-64 VM, the detector took 46.5 / 31.0 / 26.9 / 24.3 / 24.2 /
+#: 23.9 ms per instance at skins of 0.5 / 1 / 1.5 / 2 / 3 / 4 radii: the
+#: cost flattens from 2 radii up, and 8 calls of 14 m make 2.24 radii.
+SKIN_CALLS = 8
+
+#: The skin at its thickest, as a multiple of the radius: the candidates
+#: grow with the square of ``radius + skin``, and past 2 radii a thicker
+#: skin saves the taxis nothing (see :data:`SKIN_CALLS`).  So a coarse
+#: world tick (``ScenarioConfig.tick``) or a fast ``speed_range`` cannot
+#: make the candidates approach all ``N * (N - 1) / 2`` pairs.
+MAX_SKIN_RATIO = 4.0
+
+#: Half the skin, less a margin, as a multiple of the skin: the largest
 #: displacement from the anchor that keeps the candidates.  A pair left out
 #: by a rebuild was more than ``R = r + s`` apart; if neither end has since
 #: moved more than ``s/2 * (1 - 1e-9)``, the triangle inequality keeps it
 #: more than ``r + 1e-9 * s`` apart.  Each rounding on the way (cKDTree's
 #: test at R, the displacement, the filter's ``dx*dx + dy*dy``) errs by a
 #: few ulp, ~1e-15 of the distance it measures (~r to ~R for any pair near
-#: the boundary), far inside that gap: a left-out pair cannot pass the
-#: filter.
-_HALF_SKIN = SKIN_RATIO / 2 * (1 - 1e-9)
+#: the boundary; R is at most ``(1 + MAX_SKIN_RATIO) * r``), far inside
+#: that gap: a left-out pair cannot pass the filter.
+_HALF_SKIN = 0.5 * (1 - 1e-9)
+
+
+def skin_for(radius: float, drift: float) -> float:
+    """The skin a rebuild at *radius* gathers with, given the *drift* the
+    call was handed: ``2 * SKIN_CALLS`` drifts, but no thinner than
+    ``SKIN_RATIO`` radii and no thicker than ``MAX_SKIN_RATIO``.  An
+    infinite or NaN drift claims nothing and gets the floor."""
+    skin = radius * SKIN_RATIO
+    grown = 2 * SKIN_CALLS * drift
+    if skin < grown < math.inf:
+        skin = min(grown, radius * MAX_SKIN_RATIO)
+    return skin
 
 
 class KDTreeDetector:
@@ -98,8 +133,9 @@ class KDTreeDetector:
         #: Positions at the last rebuild: a copy, since the mobility model
         #: moves its live array in place.  ``None`` until the first call.
         self._anchor: np.ndarray | None = None
-        #: The radius of the last rebuild.
+        #: The radius and the skin of the last rebuild.
         self._radius = 0.0
+        self._skin = 0.0
         #: The candidates: sorted keys and the two ends of each.
         empty = np.empty(0, dtype=np.int64)
         self._keys = empty
@@ -140,16 +176,16 @@ class KDTreeDetector:
             or anchor.shape != positions.shape
             or radius != self._radius
         ):
-            return self._rebuild(positions, radius)
+            return self._rebuild(positions, radius, drift)
         self._drift += drift
-        limit = radius * _HALF_SKIN
+        limit = self._skin * _HALF_SKIN
         # ``not <=``: a NaN drift tests the positions, a NaN displacement
         # rebuilds, and cKDTree rejects it.
         if not self._drift <= limit:
             moved = positions - anchor
             moved *= moved
             if not ((moved[:, 0] + moved[:, 1]).max() <= limit * limit):
-                return self._rebuild(positions, radius)
+                return self._rebuild(positions, radius, drift)
         inside = self._in_range(positions, radius)
         flipped = inside != self._inside
         before = self._found
@@ -182,12 +218,15 @@ class KDTreeDetector:
         diff *= diff
         return diff[:, 0] + diff[:, 1] <= radius * radius
 
-    def _rebuild(self, positions: np.ndarray, radius: float) -> np.ndarray:
-        """Gather the candidates within the radius plus the skin; the keys
-        of those within the radius."""
+    def _rebuild(
+        self, positions: np.ndarray, radius: float, drift: float
+    ) -> np.ndarray:
+        """Gather the candidates within the radius plus a skin sized from
+        *drift* (:func:`skin_for`); the keys of those within the radius."""
         n = positions.shape[0]
+        self._skin = skin = skin_for(radius, drift)
         ends = cKDTree(positions).query_pairs(
-            radius * (1 + SKIN_RATIO), output_type="ndarray"
+            radius + skin, output_type="ndarray"
         )
         keys = ends[:, 0].astype(np.int64) * n + ends[:, 1]
         # Freed before the in-range test below: 16 bytes a candidate.

@@ -16,7 +16,11 @@ import pytest
 from repro.analysis.sanitizer import Sanitizer
 from repro.errors import InvariantViolation
 from repro.experiments.runner import build_scenario
-from repro.experiments.scenario import random_waypoint_scenario, scale_scenario
+from repro.experiments.scenario import (
+    epfl_scenario,
+    random_waypoint_scenario,
+    scale_scenario,
+)
 from repro.net.buffer import MessageBuffer
 from repro.world import contacts
 from repro.world.contacts import decode
@@ -337,6 +341,25 @@ def test_stale_candidate_list_is_caught(monkeypatch):
     assert exc.value.invariant == "contact-set"
     assert "in range but not linked" in str(exc.value)
     assert built.sanitizer.ticks_checked > 0, "caught on the first tick: vacuous"
+
+
+def test_stale_candidate_list_is_caught_at_a_grown_skin(monkeypatch):
+    # The same seeded bug once the taxis' drift has grown the skin past
+    # the floor: a stale list is caught whatever its skin.
+    config = scale_scenario(
+        epfl_scenario(policy="sdsrp", seed=3),
+        node_factor=0.15,
+        time_factor=0.08,
+    ).replace(sanitize=True)
+    built = build_scenario(config)
+    built.sim.run(until=30.0)
+    assert built.world.detector._skin > config.radio_range
+    monkeypatch.setattr(contacts, "_HALF_SKIN", math.inf)
+
+    with pytest.raises(InvariantViolation) as exc:
+        built.sim.run()
+    assert exc.value.invariant == "contact-set"
+    assert "in range but not linked" in str(exc.value)
 
 
 def test_link_dropped_everywhere_is_caught():

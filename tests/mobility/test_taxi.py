@@ -13,6 +13,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.mobility.taxi import TaxiFleet
+from repro.snapshot.capture import _capture_mobility
+from repro.snapshot.codec import encode_array
+from repro.snapshot.restore import _restore_mobility
 
 
 def make(n=30, seed=0, **kw):
@@ -115,3 +118,57 @@ class TestHotspotTargets:
         counts = np.bincount(nearest, minlength=5)
         assert counts[0] == counts.max()
         assert counts[0] > 2.5 * counts[4]
+
+
+def choice_targets(
+    m: TaxiFleet, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The fare draw as it was written with ``rng.choice`` (the reference)."""
+    w, h = m.area
+    out = rng.uniform((0.0, 0.0), (w, h), size=(n, 2))
+    to_hotspot = rng.random(n) < m.hotspot_prob
+    k = int(to_hotspot.sum())
+    if k:
+        which = rng.choice(m.n_hotspots, size=k, p=m._weights)
+        scatter = rng.normal(0.0, m.hotspot_sigma, size=(k, 2))
+        pts = m._hotspots[which] + scatter
+        pts[:, 0] = np.clip(pts[:, 0], 0.0, w)
+        pts[:, 1] = np.clip(pts[:, 1], 0.0, h)
+        out[to_hotspot] = pts
+    return out
+
+
+def assert_same_draws(m: TaxiFleet, seed: int, calls: int = 3000) -> None:
+    """*m*'s fares equal the reference's, call by call, from one seed."""
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for call in range(calls):
+        # One to a few taxis per arrival round, and a whole fleet's first
+        # waypoints now and then.
+        n = (0, 1, 2, 3, 4, 5, 200)[call % 7]
+        got, want = m.sample_targets(n, ours), choice_targets(m, n, theirs)
+        assert got.tobytes() == want.tobytes(), call
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestSameDraws:
+    """``sample_targets`` looks the hotspot up in a cdf built once; it must
+    draw exactly what ``rng.choice(n_hotspots, p=weights)`` drew."""
+
+    @pytest.mark.parametrize("n_hotspots", [1, 2, 6, 17])
+    def test_fares_match_rng_choice(self, n_hotspots):
+        # A scatter this wide puts many fares past the city's edge, where
+        # they are clipped.
+        m = make(seed=n_hotspots, n_hotspots=n_hotspots, hotspot_sigma=2500.0)
+        assert_same_draws(m, seed=20 + n_hotspots)
+
+    def test_fares_match_after_a_snapshot_restore(self):
+        # Restore overwrites the weights, and the cdf must follow them:
+        # weights other than those the fleet was built with show a stale
+        # cdf.
+        source = make(seed=11)
+        data = _capture_mobility(source)
+        data["weights"] = encode_array(source._weights[::-1].copy())
+        restored = make(seed=12)
+        _restore_mobility(restored, data)
+        assert restored._weights.tolist() == source._weights[::-1].tolist()
+        assert_same_draws(restored, seed=13)

@@ -1,9 +1,10 @@
 """The waypoint engine's step, bit for bit against the loop it replaced.
 
-``WaypointEngine._step`` moves every node in one whole-array pass and keeps
-a per-node loop only for nodes that reach their waypoint.  The loop it
-replaced is kept here as :func:`reference_step`; positions, targets,
-speeds, pauses and the RNG state must match it exactly.
+``WaypointEngine._step`` moves every node in one whole-array pass and does
+per-node scalar work only for nodes that reach their waypoint.  The
+whole-array loop it replaced is kept here as :func:`reference_step`;
+positions, targets, speeds, pauses and the RNG state must match it
+exactly.
 """
 
 from __future__ import annotations
@@ -159,6 +160,81 @@ class TestLongWalks:
             engine.advance(float(t))
             reference.advance(float(t))
             assert_identical(engine, reference)
+
+
+def set_legs(engines, nodes, pos, target, pause_left) -> None:
+    """Give *nodes* of every engine in *engines* the same hand-set legs."""
+    for engine in engines:
+        engine._pos[nodes] = pos
+        engine._target[nodes] = target
+        engine._pause_left[nodes] = pause_left
+
+
+def arrived(before: np.ndarray, engine: WaypointEngine) -> int:
+    """How many nodes drew a new waypoint since *before* (targets)."""
+    return int(np.count_nonzero((engine._target != before).any(axis=1)))
+
+
+class TestTaxiArrivals:
+    """Ticks as taxi-200 has them: a few taxis reach their fares, and some
+    end a pause mid-tick; the per-node arrival work must match the
+    whole-array reference bit for bit, RNG state included."""
+
+    @pytest.mark.parametrize("arrivals", [1, 2, 3, 4, 5])
+    def test_ticks_with_a_few_arrivals(self, arrivals):
+        engine = started(TaxiFleet(200), arrivals)
+        reference = with_reference(engine)
+        chooser = np.random.default_rng(100 + arrivals)
+        counts = []
+        for t in range(1, 201):
+            nodes = chooser.choice(200, size=arrivals + 3, replace=False)
+            fares, held = nodes[:arrivals], nodes[arrivals:]
+            # The fares end within the tick, some after a pause that ends
+            # mid-tick first; the held taxis resume driving mid-tick.
+            pause = chooser.uniform(0.0, 0.6, arrivals)
+            pause *= chooser.random(arrivals) < 0.5
+            reach = engine._speed[fares] * (1.0 - pause)
+            reach *= chooser.uniform(0.05, 0.95, arrivals)
+            angle = chooser.uniform(0.0, 2 * np.pi, arrivals)
+            heading = np.column_stack([np.cos(angle), np.sin(angle)])
+            pos = engine._pos[fares]
+            fare = pos + heading * reach[:, None]
+            set_legs((engine, reference), fares, pos, fare, pause)
+            set_legs(
+                (engine, reference), held, engine._pos[held],
+                engine._target[held], chooser.uniform(0.01, 0.99, held.size),
+            )
+            before = engine._target.copy()
+            engine.advance(float(t))
+            reference.advance(float(t))
+            assert_identical(engine, reference)
+            counts.append(arrived(before, engine))
+        # Every tick had its hand-set arrivals, and a few had more.
+        assert min(counts) >= arrivals, counts
+
+    def test_a_tick_where_every_taxi_arrives(self):
+        # Far more arrivals than taxi-200 ever has in one tick: the draws
+        # stay grouped, in node order, across every round.
+        engine = started(TaxiFleet(200), 9)
+        reference = with_reference(engine)
+        for t in range(1, 31):
+            pos = engine._pos
+            set_legs(
+                (engine, reference), np.arange(200), pos.copy(), pos + 0.5, 0.0
+            )
+            before = engine._target.copy()
+            engine.advance(float(t))
+            reference.advance(float(t))
+            assert_identical(engine, reference)
+            assert arrived(before, engine) == 200
+
+    def test_a_fleet_passing_waypoints_every_tick(self):
+        # A small, fast fleet: nodes pass several waypoints in one tick, so
+        # arrivals take several rounds of grouped draws.
+        engine = started(
+            RandomWaypoint(50, (30.0, 20.0), (20.0, 60.0), (0.0, 0.2)), 10
+        )
+        assert assert_same_walk(engine, 300) == 300
 
 
 def fleets() -> st.SearchStrategy[WaypointEngine]:

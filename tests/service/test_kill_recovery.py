@@ -4,19 +4,31 @@ A serve process is SIGKILLed mid-batch; its worker and resource tracker
 must exit with it, and re-running the same command against the same root
 must finish every accepted job, serve duplicate fingerprints from the
 cache, and exit 0.
+
+The kill needs a moment when one job is done and the next is journaled
+running, which lasts about one job's run time, so the batch's horizon is
+sized from a measured job time by ``tools/service_smoke.py``'s
+:func:`sized_sim_time`, the rule ``make service-smoke`` uses; its journal
+poll and process helpers are the smoke's too.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+
+_PATH = Path(__file__).resolve().parents[2] / "tools" / "service_smoke.py"
+_spec = importlib.util.spec_from_file_location("service_smoke", _PATH)
+assert _spec is not None and _spec.loader is not None
+smoke = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(smoke)
 
 
 def run_cli(*argv, **kw):
@@ -35,64 +47,13 @@ def spawn_cli(*argv):
     )
 
 
-def wait_for_mid_batch(journal, budget=90.0):
-    """True once >=1 job is done AND another is journaled as running —
-    the kill then lands mid-computation with a cache entry already
-    written, so the restart must both recover and serve hits."""
-    deadline = time.perf_counter() + budget
-    while time.perf_counter() < deadline:
-        events = []
-        if journal.exists():
-            for line in journal.read_text(encoding="utf-8").splitlines():
-                try:
-                    events.append(json.loads(line).get("event"))
-                except ValueError:
-                    continue
-        if "done" in events and events[-1] == "running":
-            return True
-        time.sleep(0.05)
-    return False
-
-
-def proc_stat(pid):
-    """(state, ppid) of *pid* from /proc, or None once it is gone."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
-    except OSError:
-        return None
-    fields = stat.rsplit(")", 1)[1].split()
-    return fields[0], int(fields[1])
-
-
-def child_pids(pid):
-    """Direct children of *pid*: serve's spawn workers and resource tracker."""
-    children = []
-    for stat in Path("/proc").glob("[0-9]*/stat"):
-        info = proc_stat(int(stat.parent.name))
-        if info is not None and info[1] == pid:
-            children.append(int(stat.parent.name))
-    return children
-
-
-def still_alive(pids, budget=5.0):
-    """The *pids* still running (neither gone nor zombies) after *budget* s."""
-    deadline = time.perf_counter() + budget
-    while True:
-        alive = [
-            p for p in pids
-            if (info := proc_stat(p)) is not None and info[0] != "Z"
-        ]
-        if not alive or time.perf_counter() > deadline:
-            return alive
-        time.sleep(0.05)
-
-
 def test_sigkill_mid_batch_then_restart_completes_everything(tmp_path):
     batch = tmp_path / "batch.json"
     root = tmp_path / "root"
+    sim_time = smoke.sized_sim_time(60.0, 5)
     made = run_cli(
         "make-batch", "--out", str(batch), "--jobs", "3",
-        "--duplicates", "2", "--sim-time", "60", "--nodes", "5",
+        "--duplicates", "2", "--sim-time", str(sim_time), "--nodes", "5",
     )
     assert made.returncode == 0, made.stderr
 
@@ -102,8 +63,8 @@ def test_sigkill_mid_batch_then_restart_completes_everything(tmp_path):
     )
     victim = spawn_cli(*serve_args)
     try:
-        assert wait_for_mid_batch(root / "journal.jsonl")
-        children = child_pids(victim.pid)
+        assert smoke.wait_for_mid_batch(root / "journal.jsonl")
+        children = smoke.child_pids(victim.pid)
         victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=30)
     finally:
@@ -112,7 +73,7 @@ def test_sigkill_mid_batch_then_restart_completes_everything(tmp_path):
     assert victim.returncode == -signal.SIGKILL
     # The victim's children exit with it: nothing orphaned keeps running.
     assert children, "serve had no worker process to check"
-    assert still_alive(children) == []
+    assert smoke.still_alive(children) == []
 
     # Same command, same root: recovery replays the journal and finishes.
     revived = run_cli(*serve_args)

@@ -29,10 +29,12 @@ def brute_truth(positions: np.ndarray, radius: float) -> set[tuple[int, int]]:
     return set(zip(i.tolist(), j.tolist()))
 
 
-def found(detector, positions: np.ndarray, radius: float) -> set[tuple[int, int]]:
+def found(
+    detector, positions: np.ndarray, radius: float, drift: float = math.inf
+) -> set[tuple[int, int]]:
     """The detector's pairs, decoded from its keys, which must be sorted
     int64 with one key per pair."""
-    keys = detector.pairs(positions, radius)
+    keys = detector.pairs(positions, radius, drift)
     assert keys.dtype == np.int64
     assert np.all(keys[1:] > keys[:-1])
     pairs = decode(keys, positions.shape[0])
@@ -162,18 +164,25 @@ def tree_builds(monkeypatch):
     return builds
 
 
-def threshold(radius: float) -> float:
-    """The largest displacement that keeps the detector's candidates."""
-    return radius * contacts._HALF_SKIN
+#: The drift bound the world hands the detector each tick for the taxis:
+#: 14 m/s over a 1 s tick.
+FAST = 14.0
+
+
+def threshold(skin: float) -> float:
+    """The largest displacement that keeps candidates gathered with *skin*."""
+    return skin * contacts._HALF_SKIN
 
 
 class Tracked:
     """A detector driven as the world drives it: each call hands it a drift
-    that holds (the farthest any node moved since the call before, or more)
-    and is checked against the O(N^2) reference, and so are its flips."""
+    that holds (the farthest any node moved since the call before, or more,
+    and never less than *fleet*, a fleet's per-call speed bound) and is
+    checked against the O(N^2) reference, and so are its flips."""
 
-    def __init__(self, data) -> None:
+    def __init__(self, data, fleet: float = 0.0) -> None:
         self.data = data
+        self.fleet = fleet
         self.detector = KDTreeDetector()
         self.seen: np.ndarray | None = None
         self.keys = np.empty(0, dtype=np.int64)
@@ -187,6 +196,7 @@ class Tracked:
         else:
             drift = float(np.hypot(*(positions - seen).T).max())
             drift *= self.data.draw(st.sampled_from([1.0, 1.5]), label="slack")
+            drift = max(drift, self.fleet)
         keys = detector.pairs(positions, radius, drift)
         truth = brute_truth(positions, radius)
         n = positions.shape[0]
@@ -216,7 +226,11 @@ class TestCandidateList:
         n = data.draw(st.integers(min_value=2, max_value=40), label="n")
         positions = rng.uniform(0.0, 8 * radius, size=(n, 2))
         detector = KDTreeDetector()
-        tracked = Tracked(data)
+        # Drifts of a 2 m/s walker fleet or less keep the floor skin; those
+        # of the 14 m/s taxis grow it (at radius 100) or hit its ceiling.
+        tracked = Tracked(data, data.draw(
+            st.sampled_from([0.0, FAST]), label="fleet drift"
+        ))
         for _ in range(data.draw(st.integers(min_value=1, max_value=15))):
             step = data.draw(st.sampled_from(
                 ["small", "in-place", "teleport", "tie", "approach", "resize",
@@ -246,20 +260,34 @@ class TestCandidateList:
             elif step == "approach":
                 # Put b just past the skin radius from a, then close the pair
                 # by up to the rebuild threshold at each end: the move a
-                # candidate list must survive without a rebuild.
+                # candidate list must survive without a rebuild.  A detector
+                # of its own rebuilds at the far positions with the skin a
+                # drift gives it: the floor (no drift claimed) or a fast
+                # fleet's grown skin.
+                drift = data.draw(
+                    st.sampled_from([math.inf, FAST]), label="skin drift"
+                )
+                skin = contacts.skin_for(radius, drift)
+                own = KDTreeDetector()
                 positions = positions.copy()
                 unit = rng.normal(size=2)
                 unit /= np.hypot(*unit)
-                far = radius * (1 + contacts.SKIN_RATIO) * (1 + 1e-12)
+                far = (radius + skin) * (1 + 1e-12)
                 positions[b] = positions[a] + unit * far
-                assert found(detector, positions, radius) == brute_truth(
-                    positions, radius
-                )
+                truth = brute_truth(positions, radius)
+                assert found(detector, positions, radius) == truth
+                assert found(own, positions, radius, drift) == truth
+                assert own._skin == skin
                 tracked.check(positions, radius, "approach: far")
                 positions = positions.copy()
-                closing = unit * threshold(radius) * rng.uniform(0.9, 1.0)
+                closing = unit * threshold(skin) * rng.uniform(0.9, 1.0)
                 positions[a] += closing
                 positions[b] -= closing
+                anchor = own._anchor
+                assert found(own, positions, radius) == brute_truth(
+                    positions, radius
+                ), "approach: near"
+                assert own._anchor is anchor, "approach: rebuilt"
             elif step == "resize":
                 k = data.draw(st.integers(min_value=0, max_value=10))
                 positions = np.vstack(
@@ -287,30 +315,37 @@ class TestCandidateList:
     ):
         # Nodes 0 and 1 start the skin radius R apart (node 1 just past it
         # by *offset*), then close in on each other by the rebuild threshold
-        # each: no rebuild, and the pair must still be out of range.
+        # each: no rebuild, and the pair must still be out of range.  The
+        # first call's drift sizes the skin: the floor (no drift claimed),
+        # or grown for a fast fleet; later calls claim no drift, so the
+        # positions are tested.
         radius = 100.0
-        far = radius * (1 + contacts.SKIN_RATIO)
-        far = {"zero": far, "ulp": np.nextafter(far, np.inf),
-               "1e-9": far + 1e-9}[offset]
-        positions = np.array([[0.0, 0.0], [far, 0.0], [0.0, 900.0]])
-        detector = KDTreeDetector()
-        assert found(detector, positions, radius) == set()
-        step = threshold(radius)
-        end = far - step
-        if far - end > step:  # the subtraction rounded: stay at the limit
-            end = np.nextafter(end, np.inf)
-        positions[0, 0] = step
-        positions[1, 0] = end
-        assert found(detector, positions, radius) == brute_truth(
-            positions, radius
-        ) == set()
-        assert len(tree_builds) == 1, "the threshold itself must not rebuild"
-        # One ulp further is over the threshold: the detector rebuilds.
-        positions[1, 0] = np.nextafter(end, -np.inf)
-        assert found(detector, positions, radius) == brute_truth(
-            positions, radius
-        )
-        assert len(tree_builds) == 2
+        for drift, skin in ((math.inf, radius), (FAST, 16 * FAST)):
+            tree_builds.clear()
+            assert contacts.skin_for(radius, drift) == skin
+            far = radius + skin
+            far = {"zero": far, "ulp": np.nextafter(far, np.inf),
+                   "1e-9": far + 1e-9}[offset]
+            positions = np.array([[0.0, 0.0], [far, 0.0], [0.0, 900.0]])
+            detector = KDTreeDetector()
+            assert found(detector, positions, radius, drift) == set()
+            assert detector._skin == skin
+            step = threshold(skin)
+            end = far - step
+            if far - end > step:  # the subtraction rounded: stay at the limit
+                end = np.nextafter(end, np.inf)
+            positions[0, 0] = step
+            positions[1, 0] = end
+            assert found(detector, positions, radius) == brute_truth(
+                positions, radius
+            ) == set(), skin
+            assert len(tree_builds) == 1, f"skin {skin}: the threshold rebuilt"
+            # One ulp further is over the threshold: the detector rebuilds.
+            positions[1, 0] = np.nextafter(end, -np.inf)
+            assert found(detector, positions, radius) == brute_truth(
+                positions, radius
+            ), skin
+            assert len(tree_builds) == 2, skin
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_non_finite_coordinate_raises_on_the_next_call(self, bad):
@@ -335,3 +370,37 @@ class TestCandidateList:
                 positions, 100.0
             )
         assert 1 <= len(tree_builds) <= calls // 10
+
+    def test_a_fast_trajectory_grows_its_skin(self, tree_builds):
+        # Nodes at 14 m/s in straight lines, each call handed the fleet's
+        # drift bound: the grown skin is rebuilt every SKIN_CALLS calls,
+        # where the floor skin, which the same moves get with no drift
+        # claimed, is rebuilt every 4 (56 m past its 50 m half).
+        rng = np.random.default_rng(8)
+        start = rng.uniform(0, 3000, size=(80, 2))
+        angle = rng.uniform(0.0, 2 * np.pi, size=80)
+        heading = np.column_stack([np.cos(angle), np.sin(angle)]) * FAST
+        calls = 200
+        builds = {}
+        for drift in (FAST, math.inf):
+            tree_builds.clear()
+            positions = start.copy()
+            detector = KDTreeDetector()
+            for _ in range(calls):
+                positions += heading
+                assert found(detector, positions, 100.0, drift) == (
+                    brute_truth(positions, 100.0)
+                )
+            builds[drift] = len(tree_builds)
+        assert builds[FAST] == calls // contacts.SKIN_CALLS
+        assert builds[math.inf] == calls // 4
+
+    @pytest.mark.parametrize("drift,skin", [
+        (0.0, 100.0), (2.0, 100.0), (3.0, 100.0), (FAST, 224.0),
+        (100.0, 400.0), (math.inf, 100.0), (math.nan, 100.0),
+    ])
+    def test_the_skin_rule(self, drift, skin):
+        # At a 100 m radius the paper's walkers (2 m/s) and fleet-10k's
+        # (3 m/s) keep the floor; the taxis grow it to 16 drifts; a drift
+        # past the ceiling, or none claimed, gets the ceiling or the floor.
+        assert contacts.skin_for(100.0, drift) == skin

@@ -689,13 +689,15 @@ REBUILT_ON_RESTORE: dict[tuple[str, str], str] = {
     ("World", "positions"): "recomputed from mobility._pos by advance() on restore",
     ("KDTreeDetector", "_anchor"): "candidate-list cache; a restored World builds a fresh detector, whose first call rebuilds it, and the cache never changes a result",
     ("KDTreeDetector", "_radius"): "candidate-list cache; a restored World builds a fresh detector, whose first call rebuilds it, and the cache never changes a result",
+    ("KDTreeDetector", "_skin"): "skin of the last rebuild; a restored World builds a fresh detector, whose first call rebuilds and sizes it from that call's drift",
     ("KDTreeDetector", "_keys"): "candidate-list cache; a restored World builds a fresh detector, whose first call rebuilds it, and the cache never changes a result",
     ("KDTreeDetector", "_ends"): "candidate-list cache; a restored World builds a fresh detector, whose first call rebuilds it, and the cache never changes a result",
     ("KDTreeDetector", "_drift"): "drift sum since the last rebuild; a restored World builds a fresh detector, whose first call rebuilds and zeroes it",
     ("KDTreeDetector", "_inside"): "in-range mask of the candidates; a restored World builds a fresh detector, whose first call rebuilds it with the candidates",
     ("KDTreeDetector", "_found"): "the detector's previous result; a restored World builds a fresh detector, whose first call rebuilds it, and the world diffs that tick by sorted keys",
     ("KDTreeDetector", "_flips"): "flips of the last call; a fresh detector has none, so the restored World's first tick diffs by sorted keys",
-    ("World", "_moved_at"): "time of the last tick's positions; only scales the drift handed to the detector, and a restored World's fresh detector rebuilds on its first call whatever the drift",
+    ("World", "_moved_at"): "time of the last tick's positions, which restore sets to the restored mobility model's time (positions are advanced to it)",
+    ("TaxiFleet", "_cdf"): "the fare draw's cdf, derived from the captured _weights; restore sets both through set_weights()",
     ("EventQueue", "_heap"): "event queue is re-armed from recurring/transfer state",
     ("EventQueue", "_live"): "event queue is re-armed from recurring/transfer state",
     ("Event", "cancelled"): "events are not serialized; the queue is re-armed",

@@ -18,11 +18,12 @@ The kill needs a window that a journal poll (every :data:`POLL_S`) can
 see: one job done while the next is journaled running, which lasts about
 one job's run time.  So the batch's jobs are sized from a measured
 per-job time, not a fixed horizon.  Before serving, this process runs the
-batch's first config at ``--sim-time`` (once to warm up, then timed, as
-the serve lane's warm worker would run it) and scales the horizon by
-``TARGET_JOB_S / measured`` until one job takes at least
+batch's first config at ``--sim-time`` (once to warm up, as the serve
+lane's worker is warm, then timed) and scales the horizon by up to
+``1.5 * TARGET_JOB_S / measured`` until one job takes at least
 :data:`TARGET_JOB_S` (one second, 20 polls).  A slower machine only
-lengthens the window.
+lengthens the window.  ``tests/service/test_kill_recovery.py`` sizes its
+batch with the same :func:`sized_sim_time`.
 
 On failure the service root (journal, cache, report) is left in
 ``--artifact-dir`` for CI to upload.
@@ -87,14 +88,13 @@ def wait_for_mid_batch(journal: Path, budget: float = 120.0) -> bool:
 
 def job_seconds(sim_time: float, nodes: int) -> float:
     """Run time of the batch's first job at horizon *sim_time*, measured in
-    this process after one untimed run (the serve lane's worker is warm)."""
+    this process."""
     from repro.experiments.runner import run_scenario
     from repro.service.cli import make_batch
     from repro.snapshot.restore import decode_config
 
     entry = make_batch(1, 0, sim_time=sim_time, nodes=nodes)[0]
     config = decode_config(entry["config"])
-    run_scenario(config)
     start = time.perf_counter()
     run_scenario(config)
     return time.perf_counter() - start
@@ -102,13 +102,17 @@ def job_seconds(sim_time: float, nodes: int) -> float:
 
 def sized_sim_time(sim_time: float, nodes: int) -> float:
     """The smallest horizon, from *sim_time* up, at which one job takes at
-    least :data:`TARGET_JOB_S` here (see the module docstring)."""
+    least :data:`TARGET_JOB_S` here (see the module docstring).  One
+    untimed run first warms this process up, as the serve lane's worker is
+    warm; each step then aims half again past the target, so that a run
+    time a little under linear in the horizon still reaches it in one."""
+    job_seconds(sim_time, nodes)
     while True:
         seconds = job_seconds(sim_time, nodes)
         print(f"one job at sim-time {sim_time:g} s took {seconds:.3f} s")
         if seconds >= TARGET_JOB_S:
             return sim_time
-        growth = min(MAX_GROWTH, 1.2 * TARGET_JOB_S / max(seconds, 1e-3))
+        growth = min(MAX_GROWTH, 1.5 * TARGET_JOB_S / max(seconds, 1e-3))
         sim_time = float(round(sim_time * growth))
 
 
