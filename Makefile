@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint lint-deep sanitize-smoke obs-smoke chaos-smoke analytic-smoke service-smoke determinism snapshot-roundtrip bench perf perf-compare perf-pairs figures-full fig3 fig4 examples clean
+.PHONY: install test lint lint-deep sanitize-smoke obs-smoke chaos-smoke analytic-smoke service-smoke determinism snapshot-roundtrip results perf perf-compare perf-pairs figures-full fig3 fig4 examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -80,8 +80,12 @@ determinism:
 snapshot-roundtrip:
 	PYTHONPATH=src $(PYTHON) -m pytest -q tests/snapshot tests/obs/test_snapshot_determinism.py
 
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+# Every result EXPERIMENTS.md quotes, one JSON file each in results/ (no
+# options; tools/results.py).  Runs are deterministic: CI reruns this and
+# fails on any difference from the committed files, and
+# tests/experiments/test_paper_claims.py asserts the paper's claims on them.
+results:
+	PYTHONPATH=src $(PYTHON) tools/results.py
 
 # Perf benchmark (benchmarks/perf/README.md): four workloads, end-to-end
 # and per-layer metrics, outputs checked; ~3 min.  Compare two result

@@ -42,10 +42,15 @@ to 224 m at a 100 m radius, and lasts 8.  Replaying the perf benchmark's
 workloads (first instance), the detector rebuilds on 121 of 3,001 calls
 for 100 RWP nodes, 3 of 41 for 10k nodes (both as with the floor alone)
 and 57 of 501 for 200 taxis (126 with the floor alone), and tests
-positions on 120, 2 and 111 calls.  On a 2-core x86-64 VM (SciPy 1.17),
-a call took 8.5 µs for 100 RWP nodes (a fresh query per tick: 32 µs)
-and 0.9 ms for 10k nodes (4.2 ms); :data:`SKIN_CALLS` gives the taxis'
-replayed cost at each skin.
+positions on 120, 2 and 111 calls.  Of the taxis' 111 tests, 55 keep the
+candidates, each finding the farthest taxi at 97.6-99.9 % of the
+half-skin, so a sum reset to that displacement would pass the limit
+again on the next call; the RWP fleet's tests never keep them.  On a 2-core
+x86-64 VM (Python 3.11, NumPy 2.4, SciPy 1.17), a call took 13-19 µs
+for 100 RWP nodes, against 52-69 µs for a fresh ``cKDTree`` query at the
+radius each tick, and 1.0-1.3 ms for 10k nodes, against 5.9-7.9 ms
+(best of 5 replays in each of 3 sessions, which spread that much);
+:data:`SKIN_CALLS` gives the taxis' replayed cost at each skin.
 
 The world keeps its link set as such an array, and the detector keeps
 which of its candidates were in range at its last call, with the keys of

@@ -1,5 +1,5 @@
 """Figure generators: structure and tiny-scale sanity (not full figures —
-those run in benchmarks/)."""
+``make results`` runs those, and test_paper_claims.py checks them)."""
 
 from __future__ import annotations
 

@@ -3,11 +3,14 @@
 ``build_micro_world`` wires the full stack (simulator, world, transfer
 manager, routers) around a :class:`~repro.mobility.stationary.Stationary` or
 scripted :class:`~repro.mobility.trace.TraceMobility` layout so routing and
-policy behaviour can be asserted deterministically.
+policy behaviour can be asserted deterministically.  :func:`best_of`
+times the speed gates.
 """
 
 from __future__ import annotations
 
+import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,17 @@ from repro.world.world import World
 
 DEFAULT_RANGE = 100.0
 DEFAULT_BANDWIDTH = kbps(250)
+
+
+def best_of(fn: Callable[[], object], repeats: int = 3) -> float:
+    """Least wall time of *repeats* calls of *fn*: the noise-robust point
+    estimate the speed gates compare."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 @dataclass
