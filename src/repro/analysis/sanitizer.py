@@ -49,9 +49,8 @@ Checks are O(nodes + total buffered messages + links) per tick, plus
 the send scans the scan memo saved, a recount of each dropped-list store
 that changed and one fresh contact detection — cheap enough for CI smoke
 runs (``make sanitize-smoke``), too slow for large sweeps; enable
-explicitly via ``Simulator(sanitize=True)``,
-``ScenarioConfig(sanitize=True)``, ``repro-exp run --sanitize`` or
-``REPRO_SANITIZE=1``.
+explicitly via ``ScenarioConfig(sanitize=True)``, ``repro-exp run
+--sanitize`` or ``REPRO_SANITIZE=1``, which the scenario builder reads.
 """
 
 from __future__ import annotations

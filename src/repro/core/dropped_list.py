@@ -126,15 +126,9 @@ class DroppedListStore:
     def load(self, records: Iterable[DropRecord]) -> None:
         """Replace the records and rebuild the derived state (restore).
 
-        *records* must include the own record.  Records of other origins
-        that never dropped are skipped: snapshots from before this store
-        stopped gossiping them still list them, and they are inert.
+        *records* must include the own record.
         """
-        self._records = {
-            rec.node_id: rec
-            for rec in records
-            if rec.node_id == self.node_id or rec.record_time > -math.inf
-        }
+        self._records = {rec.node_id: rec for rec in records}
         self._own = self._records[self.node_id]
         self._counts = {}
         self.next_expiry = math.inf

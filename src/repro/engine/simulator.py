@@ -11,16 +11,12 @@ refreshed before message logic at the same instant.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.engine.events import PRIORITY_NORMAL, Event, EventQueue
 from repro.engine.hooks import ListenerRegistry
 from repro.errors import SchedulingError, SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.profiler import PhaseProfiler
 
 
 class Unsubscribed:
@@ -70,32 +66,17 @@ class Simulator:
     end_time:
         Simulation horizon in seconds.  Events scheduled past the horizon are
         accepted but never fire.
-    sanitize:
-        Request runtime invariant checking (see
-        :mod:`repro.analysis.sanitizer`).  ``None`` (the default) defers to
-        the ``REPRO_SANITIZE`` environment variable ("1"/"true"/"yes" enable
-        it).  The flag only records intent — scenario builders consult
-        :attr:`sanitize` and install the sanitizer listeners; a bare
-        Simulator does not check anything by itself.
     """
 
-    def __init__(self, end_time: float, sanitize: bool | None = None) -> None:
+    def __init__(self, end_time: float) -> None:
         if end_time <= 0:
             raise SchedulingError(f"end_time must be positive, got {end_time}")
         self.end_time = float(end_time)
-        if sanitize is None:
-            env = os.environ.get("REPRO_SANITIZE", "").strip().lower()
-            sanitize = env in ("1", "true", "yes")
-        self.sanitize = bool(sanitize)
         #: Current simulation time (seconds): one float that every
         #: component reads, moved forward only by :meth:`advance_to`.
         self.now = 0.0
         self.queue = EventQueue()
         self.listeners = ListenerRegistry()
-        #: Optional per-subsystem wall-time accounting (see
-        #: :mod:`repro.obs.profiler`).  ``None`` keeps the hot path free of
-        #: timing overhead; instrumented call sites check this attribute.
-        self.profiler: "PhaseProfiler | None" = None
         self._running = False
         self._events_processed = 0
         #: Named recurring event chains (see :meth:`schedule_every`); used by

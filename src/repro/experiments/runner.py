@@ -9,12 +9,17 @@ processes (no closures), so sweeps parallelize cleanly.
 A run imports only the parts its config asks for, each where it is built:
 the mobility model and the router the config names (a trace-driven fleet
 also imports the movement-trace reader), and the sanitizer, fault
-injector, time series, event trace and snapshotter only when the config
-turns them on.  Importing this module loads none of them.
+injector, time series, event trace, profiler and snapshotter only when
+the config turns them on.  Importing this module loads none of them.
+
+The builder is also the one place that attaches the profiler: when a
+config asks for a profile, :func:`_install_profiler` wraps the calls each
+phase covers, so no simulator module knows that phases exist.
 """
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
 from dataclasses import dataclass
@@ -28,7 +33,6 @@ from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError, InvariantViolation, SnapshotError
 from repro.net.generator import MessageGenerator, TrafficSpec
 from repro.net.transfer import TransferManager
-from repro.obs.profiler import PhaseProfiler
 from repro.policies.registry import make_policy, policy_factory
 from repro.reports.contact_report import ContactReport
 from repro.reports.metrics import MetricsCollector
@@ -43,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.analysis.sanitizer import Sanitizer
     from repro.faults.injector import FaultInjector
     from repro.mobility.base import MobilityModel
+    from repro.obs.profiler import PhaseProfiler
     from repro.obs.timeseries import TimeSeriesCollector
     from repro.obs.trace import EventTrace
     from repro.policies.base import BufferPolicy
@@ -194,6 +199,33 @@ def _make_routers(
 _TOKEN_CONSERVING_ROUTERS = ("snw", "snf")
 
 
+def _install_profiler(
+    profiler: PhaseProfiler,
+    world: World,
+    routers: list[Router],
+    generator: MessageGenerator,
+) -> None:
+    """Time each phase by wrapping the calls it covers, as attributes of
+    the instances that make them: the one map from phases to code
+    (``docs/observability.md`` tabulates it).  Every call site looks its
+    callee up on the instance, so the wrappers see every call."""
+    wrap = profiler.wrap
+    mobility = world.mobility
+    mobility.advance = wrap("movement", mobility.advance)
+    world.detect_links = wrap("contacts", world.detect_links)
+    world.relink = wrap("links", world.relink)
+    due = world.due
+    due.purge = wrap("routing", due.purge)
+    due.retry = wrap("routing", due.retry)
+    world.announce = wrap("observers", world.announce)
+    for router in routers:
+        router.select_next = wrap("routing", router.select_next)
+        router._make_room = wrap("policy", router._make_room)
+    manager = world.transfer_manager
+    manager._complete = wrap("transfer", manager._complete)
+    generator._generate = wrap("traffic", generator._generate)
+
+
 def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
     """Assemble the simulator stack without running it."""
     if config.engine_backend == "analytic":
@@ -202,7 +234,7 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
             "use run_scenario() (which dispatches to repro.analytic) "
             "instead of build_scenario()"
         )
-    sim = Simulator(end_time=config.sim_time, sanitize=config.sanitize or None)
+    sim = Simulator(end_time=config.sim_time)
     rng = RngFactory(config.seed)
 
     mobility = _make_mobility(config)
@@ -215,7 +247,8 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
     world = World(sim, mobility, nodes, transfer_manager, tick=config.tick)
 
     policies, shared = _make_policies(config, sim)
-    for router in _make_routers(config.router, nodes, policies):
+    routers = _make_routers(config.router, nodes, policies)
+    for router in routers:
         router.deliverable_first = config.deliverable_first
         router.bind(sim, transfer_manager, config.n_nodes, rng=rng)
 
@@ -237,6 +270,14 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
         rng.stream("traffic"),
     )
 
+    profiler = None
+    if config.profile:
+        from repro.obs.profiler import PhaseProfiler
+
+        profiler = PhaseProfiler()
+        # Before the starts, which arm the first tick and message events.
+        _install_profiler(profiler, world, routers, generator)
+
     world.start(rng.stream("mobility"))
     generator.start()
 
@@ -248,7 +289,10 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
         fault_injector.start()
 
     sanitizer = None
-    if sim.sanitize:
+    # The config asks for the sanitizer, or REPRO_SANITIZE turns it on for
+    # every run of a process (make sanitize-smoke, CI).
+    env = os.environ.get("REPRO_SANITIZE", "").strip().lower()
+    if config.sanitize or env in ("1", "true", "yes"):
         from repro.analysis.sanitizer import Sanitizer
 
         sanitizer = Sanitizer(
@@ -260,7 +304,9 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
     if config.obs_interval > 0:
         from repro.obs.timeseries import TimeSeriesCollector
 
-        timeseries = TimeSeriesCollector(nodes, interval=config.obs_interval)
+        timeseries = TimeSeriesCollector(
+            nodes, metrics, interval=config.obs_interval
+        )
         timeseries.subscribe(sim)
     trace = None
     if config.trace_capacity > 0:
@@ -268,10 +314,6 @@ def build_scenario(config: ScenarioConfig) -> BuiltSimulation:
 
         trace = EventTrace(capacity=config.trace_capacity)
         trace.subscribe(sim)
-    profiler = None
-    if config.profile:
-        profiler = PhaseProfiler()
-        sim.profiler = profiler
     built = BuiltSimulation(
         config=config,
         sim=sim,

@@ -65,8 +65,6 @@ class FaultInjector:
         self.sim = world.sim
         self.plan = plan
         self.rng = rng
-        #: Per-kind counts of injected faults (mirrors the emitted events).
-        self.counts: dict[str, int] = {}
         #: Node ids selected for churn (fixed for the whole run).
         self.churned_nodes: tuple[int, ...] = ()
         #: Per-node random phase of the churn duty cycle, keyed by node id.
@@ -109,7 +107,6 @@ class FaultInjector:
         self._schedule_scripted(after=float("-inf"))
 
     def _emit(self, kind: str) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + 1
         self.sim.listeners.emit("fault.injected", kind, self.sim.now)
 
     # -- node churn ----------------------------------------------------------
@@ -258,4 +255,4 @@ class FaultInjector:
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<FaultInjector plan={self.plan} counts={self.counts}>"
+        return f"<FaultInjector plan={self.plan}>"

@@ -16,7 +16,6 @@ import numpy as np
 from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.net.message import Message
-from repro.obs.profiler import timed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.world.node import Node
@@ -104,11 +103,7 @@ class MessageGenerator:
             self.sim.schedule_at(when, self._generate)
 
     def _generate(self) -> None:
-        with timed(self.sim.profiler, "traffic"):
-            self._generate_inner()
-        self._schedule_next()
-
-    def _generate_inner(self) -> None:
+        """Create one message at a random source, then arm the next."""
         src_idx, dst_idx = self.rng.choice(len(self.nodes), size=2, replace=False)
         source = self.nodes[int(src_idx)]
         dest = self.nodes[int(dst_idx)]
@@ -125,3 +120,4 @@ class MessageGenerator:
         )
         assert source.router is not None
         source.router.create_message(message)
+        self._schedule_next()

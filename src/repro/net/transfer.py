@@ -23,7 +23,6 @@ from repro.engine.events import Event
 from repro.engine.simulator import Simulator
 from repro.errors import TransferError
 from repro.net.message import Message
-from repro.obs.profiler import timed
 from repro.net.outcomes import (
     DROP_TTL,
     MODE_COPY,
@@ -152,12 +151,6 @@ class TransferManager:
         transfer.sender.buffer.unpin(transfer.message.msg_id)
 
     def _complete(self, transfer: Transfer) -> None:
-        # Profiling hook: completion runs the whole receive path (policy
-        # decisions inside it are charged to "policy" by the nesting rules).
-        with timed(self.sim.profiler, "transfer"):
-            self._complete_inner(transfer)
-
-    def _complete_inner(self, transfer: Transfer) -> None:
         sender, receiver = transfer.sender, transfer.receiver
         message, mode = transfer.message, transfer.mode
         assert sender.router is not None and receiver.router is not None

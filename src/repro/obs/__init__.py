@@ -1,7 +1,8 @@
 """Observability: time-series metrics, event tracing, profiling hooks.
 
-Scrape-free observers layered on the simulator's listener registry
-(:mod:`repro.engine.hooks`).  Everything in this package is strictly
+Scrape-free observers: collectors on the simulator's listener registry
+(:mod:`repro.engine.hooks`) and timing wrappers the scenario builder
+installs from outside.  Everything in this package is strictly
 *observation-only*: attaching any combination of collectors to a run must
 not change a single simulation outcome (enforced by
 ``tests/obs/test_observation_only.py``).
@@ -16,7 +17,8 @@ not change a single simulation outcome (enforced by
   :func:`~repro.obs.trace.read_trace_jsonl`.
 * :class:`~repro.obs.profiler.PhaseProfiler` — per-subsystem wall-time
   accounting (movement, contact detection, routing, policy decisions,
-  transfers), surfaced in :class:`~repro.reports.summary.RunSummary`.
+  transfers) through timing wrappers, surfaced in
+  :class:`~repro.reports.summary.RunSummary`.
 
 See ``docs/observability.md`` for schemas and overhead numbers.
 """

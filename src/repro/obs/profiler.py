@@ -1,44 +1,35 @@
-"""Per-subsystem wall-time accounting (profiling hooks).
+"""Per-subsystem wall-time accounting (profiling wrappers).
 
-A :class:`PhaseProfiler` hangs off :attr:`repro.engine.simulator.Simulator.profiler`
-(``None`` by default — the hot path pays one attribute read when profiling
-is off).  Instrumented subsystems wrap their work in
-``with timed(sim.profiler, "movement"):`` blocks; nested phases are
-supported and each phase is charged its *self* time only, so the per-phase
-seconds sum to (approximately) the instrumented wall time with no double
-counting — e.g. a policy decision made while completing a transfer is
-charged to ``policy``, not twice.
+A :class:`PhaseProfiler` hands out timing wrappers: :meth:`PhaseProfiler.wrap`
+returns a callable that runs the wrapped one inside a span named after its
+phase.  No simulator module knows about it.  When a config asks for a
+profile, the scenario builder (:mod:`repro.experiments.runner`) installs the
+wrappers as instance attributes over the calls each phase covers, so an
+unprofiled run carries no hook at all.  Spans nest on one flat stack and
+each phase is charged its *self* time only, so the per-phase seconds sum
+to (approximately) the wrapped wall time with no double counting: a policy
+decision made while completing a transfer is charged to ``policy``, not
+twice.
 
 Wall-clock reads here use :func:`time.perf_counter`, which is explicitly
 allowed by reprolint REP002: profiling output is diagnostic and never feeds
 back into simulation state, so runs stay bit-reproducible with profiling on
 (enforced by ``tests/obs/test_observation_only.py``).
 
-Phase names used by the instrumented call sites:
-
-==============  ==============================================================
-``movement``    mobility model advance (:meth:`World.update`)
-``contacts``    contact detection / link-set recompute
-``links``       link up/down transitions (incl. routers reacting to them)
-``routing``     TTL purges, idle-sender kicks, send selection scans
-``policy``      buffer-policy drop decisions (make-room loops)
-``transfer``    transfer completion processing (receive path)
-``traffic``     message generation
-``observers``   listener fan-out of the per-tick ``world.updated`` event
-==============  ==============================================================
+The phases are ``movement``, ``contacts``, ``links``, ``routing``,
+``policy``, ``transfer``, ``traffic`` and ``observers``; which calls each
+covers is decided in one place, the builder's ``_install_profiler``
+(tabulated in ``docs/observability.md``).
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Iterator
-from contextlib import contextmanager, nullcontext
-from typing import ContextManager
+from collections.abc import Callable
+from functools import partial
+from time import perf_counter
+from typing import Any
 
-__all__ = ["PhaseProfiler", "timed"]
-
-#: Shared no-op context for the profiling-off path (reentrant and reusable).
-_NULL: ContextManager[None] = nullcontext()
+__all__ = ["PhaseProfiler"]
 
 
 class PhaseProfiler:
@@ -53,25 +44,20 @@ class PhaseProfiler:
         self.self_seconds: dict[str, float] = {}
         #: Number of times each phase was entered.
         self.calls: dict[str, int] = {}
-        # Stack frames: [name, start, child_elapsed] (list for mutability).
-        self._stack: list[list] = []
+        #: One entry per open span: the inclusive seconds of its children.
+        self._stack: list[float] = []
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time the enclosed block, charging nested phases to themselves."""
-        frame = [name, time.perf_counter(), 0.0]
-        self._stack.append(frame)
-        try:
-            yield
-        finally:
-            self._stack.pop()
-            elapsed = time.perf_counter() - frame[1]
-            self.self_seconds[name] = (
-                self.self_seconds.get(name, 0.0) + elapsed - frame[2]
-            )
-            self.calls[name] = self.calls.get(name, 0) + 1
-            if self._stack:  # charge inclusive time to the parent's children
-                self._stack[-1][2] += elapsed
+    def wrap(self, name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
+        """*fn* timed as phase *name*: its duration minus its wrapped
+        children's is charged to *name*, and the whole of it to the
+        enclosing span, if any.
+
+        A partial allocates three tracked objects per wrapped method
+        where a closure over the same state allocates nine; at one
+        wrapper per router method on a 10k-node fleet, a closure's
+        extra objects set off a full garbage collection inside the run.
+        """
+        return partial(_timed, self, name, fn)
 
     def total_seconds(self) -> float:
         """Sum of all phases' self time (instrumented wall time)."""
@@ -98,17 +84,24 @@ class PhaseProfiler:
         return f"<PhaseProfiler {self.as_dict()}>"
 
 
-def timed(profiler: PhaseProfiler | None, name: str) -> ContextManager[None]:
-    """``profiler.phase(name)``, or a shared no-op when profiling is off.
-
-    The instrumentation idiom at every call site::
-
-        with timed(self.sim.profiler, "movement"):
-            ...
-
-    costs one function call and a no-op context enter/exit when disabled —
-    negligible next to the numpy work inside the blocks.
-    """
-    if profiler is None:
-        return _NULL
-    return profiler.phase(name)
+def _timed(
+    profiler: PhaseProfiler, name: str, fn: Callable[..., Any],
+    *args: Any, **kwargs: Any,
+) -> Any:
+    """``fn(*args, **kwargs)`` as one span of phase *name* (see
+    :meth:`PhaseProfiler.wrap`); the stack holds, per open span, the
+    inclusive seconds of its children."""
+    stack = profiler._stack
+    stack.append(0.0)
+    start = perf_counter()
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        elapsed = perf_counter() - start
+        children = stack.pop()
+        if stack:
+            stack[-1] += elapsed
+        seconds = profiler.self_seconds
+        seconds[name] = seconds.get(name, 0.0) + elapsed - children
+        calls = profiler.calls
+        calls[name] = calls.get(name, 0) + 1

@@ -7,6 +7,12 @@ end-of-run aggregates.  :class:`TimeSeriesCollector` samples the fleet on a
 configurable simulated-time interval and exports the series as JSON or CSV
 (``repro-experiments run --obs-out metrics.json``).
 
+The run's :class:`~repro.reports.metrics.MetricsCollector` is its one
+counter set: each sample reads the message, transfer, drop and fault
+counters from it, and the export bins its delivery latencies.  The
+collector itself counts only what it alone exports: bytes relayed and
+transfer durations.
+
 Sampling rides the event queue at :data:`~repro.engine.events.PRIORITY_REPORT`
 (after world/fault/normal events at the same instant), so a sample at time T
 sees the state *after* everything that happened at T.  The collector is
@@ -52,6 +58,7 @@ from repro.net.outcomes import DROP_REASONS
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.message import Message
     from repro.net.transfer import Transfer
+    from repro.reports.metrics import MetricsCollector
     from repro.world.node import Node
 
 __all__ = ["Histogram", "TimeSeriesCollector", "read_timeseries_json"]
@@ -110,38 +117,30 @@ class TimeSeriesCollector:
     Parameters
     ----------
     nodes:
-        The fleet to sample buffer state from.
+        The fleet to sample buffer state from; each sample also records
+        every node's occupancy (JSON export only; the CSV keeps fleet
+        aggregates so a 200-node run stays spreadsheet-sized).
+    metrics:
+        The run's counters, read at each sample.
     interval:
         Simulated seconds between samples (also the throughput window).
-    per_node:
-        Record each node's occupancy per sample (JSON export only; the CSV
-        keeps fleet aggregates so a 200-node run stays spreadsheet-sized).
     """
 
     def __init__(
         self,
         nodes: list[Node],
+        metrics: MetricsCollector,
         interval: float = 60.0,
-        per_node: bool = True,
     ) -> None:
         if interval <= 0:
             raise ConfigurationError(
                 f"sample interval must be positive, got {interval}"
             )
         self.nodes = nodes
+        self.metrics = metrics
         self.interval = float(interval)
-        self.per_node = bool(per_node)
-        # cumulative counters (updated by event handlers)
-        self.created = 0
-        self.delivered = 0
-        self.relayed = 0
+        #: Payload bytes of completed transfers so far.
         self.bytes_relayed = 0
-        self.transfers_started = 0
-        self.transfers_aborted = 0
-        self.drops_by_reason: dict[str, int] = {r: 0 for r in DROP_REASONS}
-        self.faults_by_kind: dict[str, int] = {}
-        # histograms
-        self.latency_hist = Histogram(LATENCY_EDGES)
         self.transfer_duration_hist = Histogram(DURATION_EDGES)
         # sample rows
         self._columns: dict[str, list[float]] = {
@@ -179,16 +178,11 @@ class TimeSeriesCollector:
     # -- wiring ------------------------------------------------------------
 
     def subscribe(self, sim: Simulator) -> None:
-        """Attach counters to *sim* and arm the recurring sample event."""
+        """Count relayed bytes and transfer durations on *sim* and arm the
+        recurring sample event."""
         self._sim = sim
-        listeners = sim.listeners
-        listeners.subscribe("message.created", self._on_created)
-        listeners.subscribe("message.delivered", self._on_delivered)
-        listeners.subscribe("message.relayed", self._on_relayed)
-        listeners.subscribe("message.dropped", self._on_dropped)
-        listeners.subscribe("transfer.started", self._on_transfer_started)
-        listeners.subscribe("transfer.aborted", self._on_transfer_aborted)
-        listeners.subscribe("fault.injected", self._on_fault)
+        sim.listeners.subscribe("message.relayed", self._on_relayed)
+        sim.listeners.subscribe("transfer.started", self._on_transfer_started)
         sim.schedule_every(
             self.interval, self._sample, priority=PRIORITY_REPORT,
             name="obs.sample",
@@ -196,31 +190,13 @@ class TimeSeriesCollector:
 
     # -- event handlers ----------------------------------------------------
 
-    def _on_created(self, message: Message) -> None:
-        self.created += 1
-
-    def _on_delivered(self, message: Message, sender: Node, receiver: Node) -> None:
-        self.delivered += 1
-        self.latency_hist.add(self._sim.now - message.created_at)
-
     def _on_relayed(
         self, message: Message, sender: Node, receiver: Node, outcome: object
     ) -> None:
-        self.relayed += 1
         self.bytes_relayed += message.size
 
-    def _on_dropped(self, message: Message, node: Node, reason: str) -> None:
-        self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
-
     def _on_transfer_started(self, transfer: Transfer) -> None:
-        self.transfers_started += 1
         self.transfer_duration_hist.add(transfer.eta - transfer.started_at)
-
-    def _on_transfer_aborted(self, transfer: Transfer) -> None:
-        self.transfers_aborted += 1
-
-    def _on_fault(self, kind: str, now: float) -> None:
-        self.faults_by_kind[kind] = self.faults_by_kind.get(kind, 0) + 1
 
     # -- sampling ----------------------------------------------------------
 
@@ -243,20 +219,19 @@ class TimeSeriesCollector:
             window = now - self._last_sample_time
             delta = self.bytes_relayed - self._last_bytes
         throughput = delta / window if window > 0 else 0.0
-        drops_total = sum(self.drops_by_reason.values())
+        metrics = self.metrics
+        drops = metrics.drops_by_reason
         row = {
             "time": now,
-            "created": self.created,
-            "delivered": self.delivered,
-            "relayed": self.relayed,
-            "delivery_ratio": (
-                self.delivered / self.created if self.created else 0.0
-            ),
+            "created": metrics.created,
+            "delivered": metrics.delivered,
+            "relayed": metrics.relayed,
+            "delivery_ratio": metrics.delivery_ratio,
             **{
-                f"drop_{reason}": self.drops_by_reason.get(reason, 0)
+                f"drop_{reason}": drops.get(reason, 0)
                 for reason in DROP_REASONS
             },
-            "drops_total": drops_total,
+            "drops_total": metrics.drops_total,
             "buffer_used_bytes": used,
             "occupancy_mean": (
                 sum(occupancies) / len(occupancies) if occupancies else 0.0
@@ -266,14 +241,13 @@ class TimeSeriesCollector:
             "live_copies": live_copies,
             "bytes_relayed": self.bytes_relayed,
             "throughput_Bps": throughput,
-            "transfers_started": self.transfers_started,
-            "transfers_aborted": self.transfers_aborted,
-            "faults_total": sum(self.faults_by_kind.values()),
+            "transfers_started": metrics.started,
+            "transfers_aborted": metrics.aborted,
+            "faults_total": metrics.faults_total,
         }
         for column, values in self._columns.items():
             values.append(row[column])
-        if self.per_node:
-            self._node_occupancy.append(occupancies)
+        self._node_occupancy.append(occupancies)
         self._last_sample_time = now
         self._last_bytes = self.bytes_relayed
 
@@ -304,21 +278,20 @@ class TimeSeriesCollector:
 
     def as_dict(self) -> dict[str, Any]:
         """The full export payload (what :meth:`write_json` dumps)."""
-        payload: dict[str, Any] = {
+        latency = Histogram(LATENCY_EDGES)
+        for value in self.metrics.latencies:
+            latency.add(value)
+        return {
             "interval": self.interval,
             "columns": list(self.column_names()),
             "samples": {c: list(v) for c, v in self._columns.items()},
             "histograms": {
-                "delivery_latency_s": self.latency_hist.as_dict(),
+                "delivery_latency_s": latency.as_dict(),
                 "transfer_duration_s": self.transfer_duration_hist.as_dict(),
             },
-            "faults_by_kind": dict(self.faults_by_kind),
+            "faults_by_kind": dict(self.metrics.faults_by_kind),
+            "node_occupancy": [list(row) for row in self._node_occupancy],
         }
-        if self.per_node:
-            payload["node_occupancy"] = [
-                list(row) for row in self._node_occupancy
-            ]
-        return payload
 
     # -- export ------------------------------------------------------------
 

@@ -33,8 +33,8 @@ class MetricsCollector:
         self.drops_by_reason: dict[str, int] = {}
         self.faults_by_kind: dict[str, int] = {}
         self.hop_counts: list[int] = []
+        #: Creation-to-delivery delay of each delivery, in delivery order.
         self.latencies: list[float] = []
-        self._created_at: dict[str, float] = {}
         #: The simulator :meth:`subscribe` binds; handlers read its ``now``.
         self._sim: Simulator | Unsubscribed = UNSUBSCRIBED
 
@@ -55,7 +55,6 @@ class MetricsCollector:
 
     def _on_created(self, message: Message) -> None:
         self.created += 1
-        self._created_at[message.msg_id] = message.created_at
 
     def _on_relayed(
         self, message: Message, sender: Node, receiver: Node, outcome: object
@@ -68,8 +67,9 @@ class MetricsCollector:
     def _on_delivered(self, message: Message, sender: Node, receiver: Node) -> None:
         self.delivered += 1
         self.hop_counts.append(message.hop_count)
-        created = self._created_at.get(message.msg_id, message.created_at)
-        self.latencies.append(self._sim.now - created)
+        # Every copy carries its message's creation time: split_child and
+        # forward_clone copy it.
+        self.latencies.append(self._sim.now - message.created_at)
 
     def _on_dropped(self, message: Message, node: Node, reason: str) -> None:
         self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1

@@ -33,7 +33,6 @@ from repro.net.outcomes import (  # re-exported: the routing-facing names
     MODE_SPLIT,
     ReceiveOutcome,
 )
-from repro.obs.profiler import timed
 from repro.policies.base import BufferPolicy, PolicyContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -173,11 +172,6 @@ class Router:
         as the knapsack variant) take over the whole decision instead.
         """
         assert self.sim is not None
-        with timed(self.sim.profiler, "policy"):
-            return self._make_room_inner(incoming, allow_reject)
-
-    def _make_room_inner(self, incoming: Message, allow_reject: bool) -> bool:
-        assert self.sim is not None
         buffer = self.node.buffer
         if not buffer.could_ever_fit(incoming):
             return False
@@ -255,11 +249,6 @@ class Router:
         destination is connected outrank all relays regardless of priority
         (ONE's ``exchangeDeliverableMessages`` behaviour).
         """
-        assert self.sim is not None
-        with timed(self.sim.profiler, "routing"):
-            return self._select_next_inner()
-
-    def _select_next_inner(self) -> tuple[Node, Message, str] | None:
         now = self.now
         best_delivery: tuple[float, Node, Message] | None = None
         best_relay: tuple[float, Node, Message, str] | None = None

@@ -288,7 +288,6 @@ def _capture_metrics(metrics: Any) -> dict[str, Any]:
         "faults_by_kind": dict(metrics.faults_by_kind),
         "hop_counts": list(metrics.hop_counts),
         "latencies": list(metrics.latencies),
-        "created_at": [[mid, t] for mid, t in metrics._created_at.items()],
     }
 
 
@@ -325,16 +324,9 @@ def _capture_histogram(hist: Any) -> dict[str, Any]:
 def _capture_timeseries(ts: Any) -> dict[str, Any] | None:
     if ts is None:
         return None
+    # Counters and latencies are the metrics collector's, captured there.
     return {
-        "created": ts.created,
-        "delivered": ts.delivered,
-        "relayed": ts.relayed,
         "bytes_relayed": ts.bytes_relayed,
-        "transfers_started": ts.transfers_started,
-        "transfers_aborted": ts.transfers_aborted,
-        "drops_by_reason": dict(ts.drops_by_reason),
-        "faults_by_kind": dict(ts.faults_by_kind),
-        "latency_hist": _capture_histogram(ts.latency_hist),
         "duration_hist": _capture_histogram(ts.transfer_duration_hist),
         "columns": {c: list(v) for c, v in ts._columns.items()},
         "node_occupancy": [list(row) for row in ts._node_occupancy],
@@ -370,7 +362,6 @@ def _capture_faults(injector: Any) -> dict[str, Any] | None:
     if injector is None:
         return None
     return {
-        "counts": dict(injector.counts),
         "churned_nodes": list(injector.churned_nodes),
         "churn_phases": [
             [node_id, phase]

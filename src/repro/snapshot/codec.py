@@ -54,8 +54,10 @@ __all__ = [
 #: compatibility policy).  Version 2 dropped the contact-kernel and
 #: detector-choice config fields; version 3 dropped the shard-count and
 #: shard-kill fields; version 4 dropped the mobility-kwargs, buffer-report
-#: and metrics-warm-up fields and their two state entries.
-SCHEMA_VERSION = 4
+#: and metrics-warm-up fields and their two state entries; version 5
+#: dropped the counts the metrics collector already holds from the time
+#: series and fault-injector state, and the metrics' creation times.
+SCHEMA_VERSION = 5
 
 _MAGIC = "repro.snapshot"
 

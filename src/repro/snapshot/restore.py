@@ -430,9 +430,6 @@ def _restore_metrics(metrics: Any, data: dict[str, Any]) -> None:
     }
     metrics.hop_counts = [int(h) for h in data["hop_counts"]]
     metrics.latencies = [float(v) for v in data["latencies"]]
-    metrics._created_at = {
-        str(mid): float(v) for mid, v in data["created_at"]
-    }
 
 
 def _restore_contacts(contacts: Any, data: dict[str, Any]) -> None:
@@ -469,19 +466,7 @@ def _restore_timeseries(ts: Any, data: dict[str, Any] | None) -> None:
         raise SnapshotError("snapshot/scenario disagree on the time series")
     if ts is None:
         return
-    ts.created = int(data["created"])
-    ts.delivered = int(data["delivered"])
-    ts.relayed = int(data["relayed"])
     ts.bytes_relayed = int(data["bytes_relayed"])
-    ts.transfers_started = int(data["transfers_started"])
-    ts.transfers_aborted = int(data["transfers_aborted"])
-    ts.drops_by_reason = {
-        str(k): int(v) for k, v in data["drops_by_reason"].items()
-    }
-    ts.faults_by_kind = {
-        str(k): int(v) for k, v in data["faults_by_kind"].items()
-    }
-    _restore_histogram(ts.latency_hist, data["latency_hist"])
     _restore_histogram(ts.transfer_duration_hist, data["duration_hist"])
     # Column cells keep their JSON-native numeric types: counter columns
     # store ints, rate columns floats, and the export must not widen them.
@@ -530,16 +515,13 @@ def _restore_fault_state(injector: Any, data: dict[str, Any] | None) -> None:
         raise SnapshotError("snapshot/scenario disagree on fault injection")
     if injector is None:
         return
-    injector.counts = {str(k): int(v) for k, v in data["counts"].items()}
     injector.churned_nodes = tuple(int(i) for i in data["churned_nodes"])
     injector.churn_phases = {
         int(i): float(p) for i, p in data["churn_phases"]
     }
     injector._next_flap_at = float(data["next_flap_at"])
-    # Older snapshots predate scripted fault events; they carry none, so a
-    # zero cursor is exact for them.
     injector._scripted_transfer_consumed = int(
-        data.get("scripted_transfer_consumed", 0)
+        data["scripted_transfer_consumed"]
     )
 
 

@@ -68,6 +68,12 @@ hooks share.  The tick splits the keys that changed into two lists of ends
 with one array division (:func:`~repro.world.contacts.split_keys`) and
 walks them in step.  Each hook is looked up on its instance when it is
 called, so a wrapper installed on one router or policy sees every call.
+
+So is each step of the tick: ``mobility.advance``, :meth:`World.detect_links`,
+:meth:`World.relink`, :meth:`DueSet.purge`, :meth:`World.announce` (the
+``world.updated`` fan-out) and :meth:`DueSet.retry`.  The profiler
+(:mod:`repro.obs.profiler`) times them from outside, through wrappers the
+scenario builder installs on the instances.
 """
 
 from __future__ import annotations
@@ -82,7 +88,6 @@ from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
 from repro.mobility.base import MobilityModel
 from repro.net.transfer import TransferManager
-from repro.obs.profiler import timed
 from repro.world.contacts import KDTreeDetector, decode, diff_keys, split_keys
 from repro.world.node import Node
 
@@ -113,24 +118,21 @@ class DueSet:
         if bound < self.min_expiry:
             self.min_expiry = bound
 
+    def purge(self, now: float) -> None:
+        """Purge every buffer whose expiry bound has passed *now*, then
+        recompute :attr:`min_expiry` from the buffers' bounds."""
+        nodes = self.nodes
+        for node in nodes:
+            if node.buffer.next_expiry <= now and node.router is not None:
+                node.router.purge_expired()
+        self.min_expiry = min(node.buffer.next_expiry for node in nodes)
 
-def routing_phase(sim: Simulator, due: DueSet, now: float) -> None:
-    """The tail of every tick: TTL purges, ``world.updated``, idle-sender
-    retries (see the module docstring for which nodes each loop visits)."""
-    profiler = sim.profiler
-    nodes = due.nodes
-    with timed(profiler, "routing"):
-        if now >= due.min_expiry:
-            for node in nodes:
-                if node.buffer.next_expiry <= now and node.router is not None:
-                    node.router.purge_expired()
-            due.min_expiry = min(node.buffer.next_expiry for node in nodes)
-    with timed(profiler, "observers"):
-        sim.listeners.emit("world.updated", now)
-    # Idle senders retry: new eligibility can appear without a link event
-    # (e.g. a neighbor dropped its copy of a message we hold).
-    with timed(profiler, "routing"):
-        for node_id in sorted(due.awake):
+    def retry(self) -> None:
+        """Let every awake idle sender retry: new eligibility can appear
+        without a link event (e.g. a neighbor dropped its copy of a message
+        we hold)."""
+        nodes = self.nodes
+        for node_id in sorted(self.awake):
             node = nodes[node_id]
             router = node.router
             if node.sending or node.asleep or router is None:
@@ -140,6 +142,16 @@ def routing_phase(sim: Simulator, due: DueSet, now: float) -> None:
             elif router.sleeps_when_idle:
                 # No peer to offer a copy to; only a link-up gives it one.
                 node.sleep()
+
+
+def routing_phase(world: World, now: float) -> None:
+    """The tail of every tick: TTL purges, ``world.updated``, idle-sender
+    retries (see the module docstring for which nodes each loop visits)."""
+    due = world.due
+    if now >= due.min_expiry:
+        due.purge(now)
+    world.announce(now)
+    due.retry()
 
 
 def link_up(sim: Simulator, a: Node, b: Node, now: float) -> None:
@@ -239,40 +251,42 @@ class World:
     def update(self) -> None:
         """One world step: move, rewire links, purge TTLs, kick senders."""
         now = self.sim.now
-        profiler = self.sim.profiler
         mobility = self.mobility
-        with timed(profiler, "movement"):
-            self.positions = mobility.advance(now)
+        self.positions = mobility.advance(now)
         bound = mobility.max_speed
         drift = math.inf if bound is None else bound * (now - self._moved_at)
         self._moved_at = now
-        detector = self.detector
-        with timed(profiler, "contacts"):
-            keys = self.detect_links(detector, drift)
+        self.relink(self.detect_links(self.detector, drift), now)
+        routing_phase(self, now)
 
-        with timed(profiler, "links"):
-            old = self.link_keys
-            changes = None
-            # The same array means no candidate flipped (module docstring).
-            if keys is not old:
-                changes = detector.changes(old)
-                if changes is None and not np.array_equal(keys, old):
-                    changes = diff_keys(old, keys)
-            if changes is not None:
-                gone, came = changes
-                # Key order is pair order, so events fire in an order that
-                # is a function of the pair ids alone; snapshot/restore runs
-                # stay byte-identical to uninterrupted ones.
-                sim, nodes = self.sim, self.nodes
-                n = len(nodes)
-                manager = self.transfer_manager
-                for i, j in zip(*split_keys(gone, n)):
-                    link_down(sim, manager, nodes[i], nodes[j], now)
-                for i, j in zip(*split_keys(came, n)):
-                    link_up(sim, nodes[i], nodes[j], now)
-            self.link_keys = keys
+    def relink(self, keys: np.ndarray, now: float) -> None:
+        """Make *keys*, the detector's latest result, the link set at time
+        *now*, firing ``link.down`` for the pairs that left and ``link.up``
+        for those that joined (see the module docstring)."""
+        old = self.link_keys
+        changes = None
+        # The same array means no candidate flipped (module docstring).
+        if keys is not old:
+            changes = self.detector.changes(old)
+            if changes is None and not np.array_equal(keys, old):
+                changes = diff_keys(old, keys)
+        if changes is not None:
+            gone, came = changes
+            # Key order is pair order, so events fire in an order that is a
+            # function of the pair ids alone; snapshot/restore runs stay
+            # byte-identical to uninterrupted ones.
+            sim, nodes = self.sim, self.nodes
+            n = len(nodes)
+            manager = self.transfer_manager
+            for i, j in zip(*split_keys(gone, n)):
+                link_down(sim, manager, nodes[i], nodes[j], now)
+            for i, j in zip(*split_keys(came, n)):
+                link_up(sim, nodes[i], nodes[j], now)
+        self.link_keys = keys
 
-        routing_phase(self.sim, self.due, now)
+    def announce(self, now: float) -> None:
+        """Fan the tick's ``world.updated`` event out to its listeners."""
+        self.sim.listeners.emit("world.updated", now)
 
     def close(self) -> None:
         """Do nothing: the world holds no external resources.

@@ -169,7 +169,6 @@ class TestLoad:
         s.load([
             DropRecord(0, 4.0, {"M1": 50.0}),
             DropRecord(1, 2.0, {"M1": 60.0, "M2": 10.0}),
-            DropRecord(2),  # never dropped: inert
         ])
         assert list(s.known_records()) == [0, 1]
         assert s.count_drops("M1") == 2 and s.count_drops("M2") == 1
@@ -239,10 +238,9 @@ DROP = st.tuples(st.just("drop"), STORES, st.sampled_from(MSG_IDS),
                  st.integers(min_value=0, max_value=200))
 MERGE = st.tuples(st.just("merge"), STORES, STORES)
 PRUNE = st.tuples(st.just("prune"), STORES)
-# Restore store i from a capture of itself or of its reference (the older
-# snapshot layout, which still lists origins that never dropped), into a
-# new store object or in place.
-RESTORE = st.tuples(st.just("restore"), STORES, st.booleans(), st.booleans())
+# Restore store i from a capture of itself, into a new store object or in
+# place.
+RESTORE = st.tuples(st.just("restore"), STORES, st.booleans())
 # Gossip-heavy: records must live long enough to be relayed and replaced.
 STEPS = st.one_of(DROP, DROP, MERGE, MERGE, MERGE, MERGE, PRUNE, RESTORE)
 
@@ -279,8 +277,8 @@ class TestAgainstFullScanModel:
             elif op == "prune":
                 assert stores[i].prune(now) == model[i].prune(now)
             else:
-                from_model, in_place = args
-                records = _capture(model[i] if from_model else stores[i])
+                (in_place,) = args
+                records = _capture(stores[i])
                 target = stores[i] if in_place else DroppedListStore(i)
                 target.load(records)
                 stores[i] = target

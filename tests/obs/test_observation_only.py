@@ -48,7 +48,6 @@ class TestObservationOnly:
         assert built.timeseries is None
         assert built.trace is None
         assert built.profiler is None
-        assert built.sim.profiler is None
 
     def test_profile_fills_summary_breakdown(self):
         summary = run_scenario(tiny_config(profile=True))

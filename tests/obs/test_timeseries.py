@@ -11,6 +11,7 @@ from repro.errors import ConfigurationError, ObsFormatError
 from repro.experiments.runner import build_scenario, run_built
 from repro.net.outcomes import DROP_REASONS
 from repro.obs.timeseries import Histogram, TimeSeriesCollector, read_timeseries_json
+from repro.reports.metrics import MetricsCollector
 from tests.obs.conftest import tiny_config
 
 
@@ -99,7 +100,7 @@ class TestSampling:
 
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ConfigurationError):
-            TimeSeriesCollector([], interval=0.0)
+            TimeSeriesCollector([], MetricsCollector(), interval=0.0)
 
 
 class TestExport:
@@ -125,7 +126,7 @@ class TestExport:
         assert rows[0] == list(ts.column_names())
         assert len(rows) == 1 + ts.n_samples
         created_col = rows[0].index("created")
-        assert float(rows[-1][created_col]) == ts.created
+        assert float(rows[-1][created_col]) == built.metrics.created
 
     def test_read_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"

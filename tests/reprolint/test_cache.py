@@ -1,16 +1,10 @@
-"""Classic-runner result cache and broken-file robustness."""
+"""Classic-runner robustness: a broken file is reported, never skipped."""
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
-from reprolint.runner import (
-    LintStats,
-    ResultCache,
-    lint_paths,
-    tool_fingerprint,
-)
+from reprolint.runner import LintStats, lint_paths
 
 
 def _write_tree(tmp_path: Path) -> Path:
@@ -19,66 +13,6 @@ def _write_tree(tmp_path: Path) -> Path:
     (pkg / "clean.py").write_text("def f(x):\n    return x\n", encoding="utf-8")
     (pkg / "bad.py").write_text("def g(xs=[]):\n    return xs\n", encoding="utf-8")
     return pkg
-
-
-def test_warm_run_hits_the_cache_and_replays_violations(tmp_path):
-    pkg = _write_tree(tmp_path)
-    cache_dir = tmp_path / ".cache"
-
-    cold_stats = LintStats()
-    cold = lint_paths([pkg], root=tmp_path, cache_dir=cache_dir, stats=cold_stats)
-    assert cold_stats.cache_hits == 0 and cold_stats.cache_misses == 2
-
-    warm_stats = LintStats()
-    warm = lint_paths([pkg], root=tmp_path, cache_dir=cache_dir, stats=warm_stats)
-    assert warm_stats.cache_hits == 2 and warm_stats.cache_misses == 0
-    assert [(v.code, v.path, v.line) for v in warm] == [
-        (v.code, v.path, v.line) for v in cold
-    ]
-
-
-def test_mtime_touch_with_same_content_still_hits_via_sha(tmp_path):
-    pkg = _write_tree(tmp_path)
-    cache_dir = tmp_path / ".cache"
-    lint_paths([pkg], root=tmp_path, cache_dir=cache_dir)
-
-    clean = pkg / "clean.py"
-    st = clean.stat()
-    os.utime(clean, ns=(st.st_atime_ns, st.st_mtime_ns + 10_000_000))
-
-    stats = LintStats()
-    lint_paths([pkg], root=tmp_path, cache_dir=cache_dir, stats=stats)
-    assert stats.cache_hits == 2 and stats.cache_misses == 0
-
-
-def test_content_change_invalidates_only_that_file(tmp_path):
-    pkg = _write_tree(tmp_path)
-    cache_dir = tmp_path / ".cache"
-    lint_paths([pkg], root=tmp_path, cache_dir=cache_dir)
-
-    (pkg / "bad.py").write_text("def g(xs=None):\n    return xs\n", encoding="utf-8")
-    stats = LintStats()
-    out = lint_paths([pkg], root=tmp_path, cache_dir=cache_dir, stats=stats)
-    assert stats.cache_hits == 1 and stats.cache_misses == 1
-    assert not [v for v in out if v.code == "REP004"]
-
-
-def test_tool_fingerprint_change_drops_the_whole_cache(tmp_path):
-    pkg = _write_tree(tmp_path)
-    cache_dir = tmp_path / ".cache"
-    lint_paths([pkg], root=tmp_path, cache_dir=cache_dir)
-
-    stale = ResultCache(cache_dir, fingerprint="different-tool-version")
-    assert stale.lookup("pkg/clean.py", pkg / "clean.py") is None
-    fresh = ResultCache(cache_dir, fingerprint=tool_fingerprint())
-    assert fresh.lookup("pkg/clean.py", pkg / "clean.py") is not None
-
-
-def test_select_disables_the_cache(tmp_path):
-    pkg = _write_tree(tmp_path)
-    cache_dir = tmp_path / ".cache"
-    lint_paths([pkg], root=tmp_path, codes=["REP004"], cache_dir=cache_dir)
-    assert not cache_dir.exists(), "narrowed runs must never write the cache"
 
 
 def test_non_utf8_file_becomes_rep000_and_does_not_hide_others(tmp_path):
@@ -93,13 +27,12 @@ def test_non_utf8_file_becomes_rep000_and_does_not_hide_others(tmp_path):
 
 def test_broken_files_are_never_cached_as_clean(tmp_path):
     pkg = _write_tree(tmp_path)
-    cache_dir = tmp_path / ".cache"
     (pkg / "binary.py").write_bytes(b"x = '\xff\xfe'\n")
-    lint_paths([pkg], root=tmp_path, cache_dir=cache_dir)
+    lint_paths([pkg], root=tmp_path)
 
     stats = LintStats()
-    out = lint_paths([pkg], root=tmp_path, cache_dir=cache_dir, stats=stats)
+    out = lint_paths([pkg], root=tmp_path, stats=stats)
     assert [v.code for v in out if v.code == "REP000"], (
-        "REP000 must persist on warm runs"
+        "REP000 must persist on a second run"
     )
     assert stats.broken_files == 1

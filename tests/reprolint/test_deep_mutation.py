@@ -39,17 +39,18 @@ def test_unmutated_copy_is_clean(src_copy: Path):
 
 
 def test_removing_sorted_in_routing_phase_yields_one_rep102(src_copy: Path):
+    # The routing phase's retry loop, DueSet.retry, walks the awake ids.
     _mutate(
         src_copy,
         "src/repro/world/world.py",
-        "for node_id in sorted(due.awake):",
-        "for node_id in due.awake:",
+        "for node_id in sorted(self.awake):",
+        "for node_id in self.awake:",
     )
     result = analyze(src_copy)
     assert [f.code for f in result.findings] == ["REP102"]
     finding = result.findings[0]
     assert finding.path == "src/repro/world/world.py"
-    assert "repro.world.world.routing_phase" in finding.message
+    assert "repro.world.world.DueSet.retry" in finding.message
 
 
 def test_dropping_a_snapshot_codec_field_yields_one_rep103(src_copy: Path):

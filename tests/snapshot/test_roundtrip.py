@@ -8,8 +8,6 @@ reproduces the exact snapshot payload (same canonical JSON, same checksum).
 
 from __future__ import annotations
 
-import copy
-import dataclasses
 import gzip
 import json
 import math
@@ -238,21 +236,6 @@ class TestDroppedListRoundtrip:
         run_built(restored)
         assert outputs(restored) == outputs(baseline)
 
-    def test_never_dropped_records_of_older_snapshots_are_inert(self):
-        # Older snapshots list a record for every origin a store had heard
-        # of, including those that never dropped (record time -inf).
-        snap, baseline = run_with_snapshot(congested())
-        state = copy.deepcopy(snap.state)
-        ids = [node["id"] for node in state["nodes"]]
-        for node in state["nodes"]:
-            dropped = node["policy"]["dropped"]
-            listed = {origin for origin, _, _ in dropped}
-            dropped += [[o, float("-inf"), {}] for o in ids if o not in listed]
-        restored = restore(dataclasses.replace(snap, state=state))
-        assert canonical_json(save(restored).state) == canonical_json(snap.state)
-        run_built(restored)
-        assert outputs(restored) == outputs(baseline)
-
 
 # -- fork -------------------------------------------------------------------
 
@@ -317,8 +300,7 @@ class TestScriptedFaultRoundtrip:
         run_built(restored)
         assert outputs(restored) == outputs(baseline)
         # The post-snapshot half of the schedule really fired.
-        assert baseline.fault_injector is not None
-        assert baseline.fault_injector.counts.get("node_down", 0) >= 2
+        assert baseline.metrics.faults_by_kind.get("node_down", 0) >= 2
 
     def test_consumed_transfer_cursor_is_restored(self):
         snap, baseline = run_with_snapshot(observed(faults=self.plan()))
@@ -330,10 +312,3 @@ class TestScriptedFaultRoundtrip:
             restored.fault_injector._scripted_transfer_consumed
             == captured["scripted_transfer_consumed"]
         )
-
-    def test_old_snapshot_without_cursor_still_restores(self):
-        snap, _ = run_with_snapshot(observed(faults=self.plan()))
-        # Simulate a snapshot written before the cursor field existed.
-        del snap.state["faults"]["scripted_transfer_consumed"]
-        restored = restore(snap)
-        assert restored.fault_injector._scripted_transfer_consumed == 0

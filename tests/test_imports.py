@@ -74,6 +74,7 @@ NOT_RUN = (
     "repro.experiments.checkpoint",
     "repro.analysis.sanitizer",
     "repro.faults.injector",
+    "repro.obs.profiler",
     "repro.obs.timeseries",
     "repro.obs.trace",
     "repro.traces.format",

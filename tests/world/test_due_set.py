@@ -22,7 +22,6 @@ import repro.world.world as world_module
 from repro.core.dropped_list import DroppedListStore
 from repro.core.sdsrp import SdsrpPolicy, SdsrpShared
 from repro.net.outcomes import DROP_OVERFLOW
-from repro.obs.profiler import timed
 from repro.policies.fifo import FifoPolicy
 from repro.routing.base import Router
 from repro.routing.epidemic import EpidemicRouter
@@ -34,26 +33,22 @@ from tests.helpers import build_micro_world, make_message, scripted_mobility
 
 def reference_routing_phase(sim, nodes, now):
     """The routing phase as two walks over every node (the reference)."""
-    profiler = sim.profiler
-    with timed(profiler, "routing"):
-        for node in nodes:
-            if node.buffer.next_expiry <= now and node.router is not None:
-                node.router.purge_expired()
-    with timed(profiler, "observers"):
-        sim.listeners.emit("world.updated", now)
-    with timed(profiler, "routing"):
-        for node in nodes:
-            router = node.router
-            if node.sending or node.asleep or router is None:
-                continue
-            if node.neighbors:
-                router.try_send()
-            elif router.sleeps_when_idle:
-                node.sleep()
+    for node in nodes:
+        if node.buffer.next_expiry <= now and node.router is not None:
+            node.router.purge_expired()
+    sim.listeners.emit("world.updated", now)
+    for node in nodes:
+        router = node.router
+        if node.sending or node.asleep or router is None:
+            continue
+        if node.neighbors:
+            router.try_send()
+        elif router.sleeps_when_idle:
+            node.sleep()
 
 
-def _reference(sim, due, now):
-    reference_routing_phase(sim, due.nodes, now)
+def _reference(world, now):
+    reference_routing_phase(world.sim, world.due.nodes, now)
 
 
 def reference_link_down(sim, transfer_manager, a, b, now):

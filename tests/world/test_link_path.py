@@ -28,7 +28,6 @@ import repro.world.world as world_module
 from repro.core.sdsrp import SdsrpPolicy
 from repro.experiments.runner import build_scenario, run_built
 from repro.experiments.scenario import ScenarioConfig
-from repro.obs.profiler import timed
 from repro.routing.base import Router
 from repro.routing.prophet import ProphetRouter
 from repro.routing.spray_and_focus import SprayAndFocusRouter
@@ -68,24 +67,20 @@ def reference_link_down(sim, transfer_manager, a, b):
 
 def reference_update(self):
     now = self.sim.now
-    profiler = self.sim.profiler
-    with timed(profiler, "movement"):
-        self.positions = self.mobility.advance(now)
-    with timed(profiler, "contacts"):
-        keys = self.detect_links(self.detector)
-    with timed(profiler, "links"):
-        old = self.link_keys
-        if not np.array_equal(keys, old):
-            gone, came = diff_keys(old, keys)
-            n = len(self.nodes)
-            for i, j in reference_decode(gone, n):
-                reference_link_down(
-                    self.sim, self.transfer_manager, self.nodes[i], self.nodes[j]
-                )
-            for i, j in reference_decode(came, n):
-                reference_link_up(self.sim, self.nodes[i], self.nodes[j])
-        self.link_keys = keys
-    world_module.routing_phase(self.sim, self.due, now)
+    self.positions = self.mobility.advance(now)
+    keys = self.detect_links(self.detector)
+    old = self.link_keys
+    if not np.array_equal(keys, old):
+        gone, came = diff_keys(old, keys)
+        n = len(self.nodes)
+        for i, j in reference_decode(gone, n):
+            reference_link_down(
+                self.sim, self.transfer_manager, self.nodes[i], self.nodes[j]
+            )
+        for i, j in reference_decode(came, n):
+            reference_link_up(self.sim, self.nodes[i], self.nodes[j])
+    self.link_keys = keys
+    world_module.routing_phase(self, now)
 
 
 def reference_set_node_down(self, node_id):

@@ -21,6 +21,11 @@ the directory holds exactly one invocation's pairs.
 ``--parent`` is resolved to a commit once; each parent-side file records
 that sha with ``git_dirty: false`` (the archive's directory is no git
 repository, so ``run.py`` cannot ask git there).
+After compare.py, the script prints each pair's unscaled ``kernel_s`` and
+``wall_s`` medians per workload and side, from the result files'
+``unscaled`` sections: the calibration kernel's time says how fast the
+machine was while a side ran, and a pair whose two kernels differ much was
+run across a change of machine speed.
 The exit code is compare.py's (1 if any verdict is ``worse``), or 1 with
 a message when a side's ``run.py`` crashed.  Under
 ``--trace 0`` the files hold no per-layer section, so compare.py's count
@@ -95,6 +100,38 @@ def run_side(tree: Path, out: Path, run_args: list[str]) -> None:
                          f"and wrote {'a' if out.exists() else 'no'} result file")
 
 
+#: The unscaled medians the calibration table shows, in column order.
+CALIBRATION = ("kernel_s", "wall_s")
+
+
+def calibration_table(pairs: list[tuple[Path, Path]]) -> list[str]:
+    """One line per workload and pair: the parent's and the change's
+    unscaled :data:`CALIBRATION` medians, from the ``(parent, change)``
+    result files of each pair."""
+    results = [
+        (json.loads(parent.read_text()), json.loads(change.read_text()))
+        for parent, change in pairs
+    ]
+    header = f"{'workload':<19} {'pair':>4}" + "".join(
+        f" {side + ' ' + key:>16}"
+        for key in CALIBRATION for side in ("parent", "change")
+    )
+    lines = [header]
+    workloads = results[0][0]["workloads"] if results else {}
+    for name in workloads:
+        for pair, sides in enumerate(results):
+            unscaled = [
+                side["workloads"].get(name, {}).get("unscaled", {})
+                for side in sides
+            ]
+            cells = [
+                f"{u[key]['value']:>16.6g}" if key in u else f"{'-':>16}"
+                for key in CALIBRATION for u in unscaled
+            ]
+            lines.append(f"{name:<19} {pair:>4} " + " ".join(cells))
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True,
@@ -111,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as tmp:
         extract(sha, Path(tmp))
         trees = {"parent": Path(tmp) / "tree", "change": ROOT}
-        files: list[str] = []
+        pairs: list[tuple[Path, Path]] = []
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
@@ -120,12 +157,16 @@ def main(argv: list[str] | None = None) -> int:
                 if side == "parent":
                     result = stamp_provenance(json.loads(out.read_text()), sha)
                     out.write_text(json.dumps(result, indent=1) + "\n")
-            files += [str(OUT_DIR / f"{pair}-{side}.json")
-                      for side in ("parent", "change")]
+            pairs.append((OUT_DIR / f"{pair}-parent.json",
+                          OUT_DIR / f"{pair}-change.json"))
+    files = [str(path) for pair_files in pairs for path in pair_files]
     code = subprocess.run(
         [sys.executable, str(ROOT / COMPARE), *files], check=False
     ).returncode
     print("[perf-pairs] --trace 0 runs: per-layer counts were not compared")
+    print("[perf-pairs] unscaled medians per pair (s):")
+    for line in calibration_table(pairs):
+        print(line)
     return code
 
 
